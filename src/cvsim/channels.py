@@ -45,7 +45,11 @@ class GaussianChannel:
 
 @dataclass(frozen=True)
 class FiberParams:
-    """Single-frequency fiber: |T|, transmission phase, |R|, thermal occupation."""
+    """Single-frequency fiber: |T|, transmission phase, |R|, thermal occupation.
+
+    ``noise`` is the scalar G = |R|^2 + (2 n_th + 1)(1 - |T|^2 - |R|^2) that
+    the fiber adds to each quadrature variance.
+    """
 
     t_mag: float
     phase: float = 0.0
@@ -63,9 +67,10 @@ class FiberParams:
             raise ValueError("mean thermal photon number must be non-negative")
 
     @property
-    def absorption(self) -> float:
-        """1 - |T|^2 - |R|^2, the power lost to the medium."""
-        return max(0.0, 1.0 - self.t_mag**2 - self.r_mag**2)
+    def noise(self) -> float:
+        """Reflected vacuum plus thermal noise from the absorbed power."""
+        absorbed = max(0.0, 1.0 - self.t_mag**2 - self.r_mag**2)
+        return self.r_mag**2 + (2.0 * self.n_th + 1.0) * absorbed
 
 
 IDEAL_FIBER = FiberParams(t_mag=1.0)
@@ -94,11 +99,9 @@ def apply_channel(state: GaussianState, ch: GaussianChannel, tol: float = DEFAUL
 def fiber_channel(p: FiberParams) -> GaussianChannel:
     """Single-mode channel of one absorbing fiber.
 
-    A = |T| R(phase); G = [|R|^2 + (2 n_th + 1)(1 - |T|^2 - |R|^2)] * identity.
+    A = |T| R(phase); G = ``p.noise`` * identity.
     """
-    a = p.t_mag * rotation_matrix(p.phase)
-    g_scalar = p.r_mag**2 + (2.0 * p.n_th + 1.0) * p.absorption
-    return GaussianChannel(a, g_scalar * np.eye(2))
+    return GaussianChannel(p.t_mag * rotation_matrix(p.phase), p.noise * np.eye(2))
 
 
 def fiber_from_length(length: float, l_abs: float, n_th: float = 0.0) -> FiberParams:

@@ -22,7 +22,7 @@ from . import entanglement as ent
 from .channels import FiberParams, degraded_tmsv
 from .states import classicality_test, squeezed_signal
 from .symplectic import symplectic_eigenvalues, validate_covariance
-from .teleportation import TeleportSetup, teleport
+from .teleportation import TeleportSetup, pure_squeezed_fidelity, teleport
 
 SCHEMA_VERSION = 1
 
@@ -160,8 +160,6 @@ def _run_fidelity_sweep(args):
     zetas = _check_grid(parse_grid(args.zeta), "zeta")
     columns = ["eta", "zeta", "f_qu"]
     rows = []
-    from .teleportation import pure_squeezed_fidelity
-
     for eta in etas:
         for zeta in zetas:
             rows.append([float(eta), float(zeta), pure_squeezed_fidelity(float(eta), float(zeta))])

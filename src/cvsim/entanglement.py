@@ -8,9 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import symplectic_eigenvalues, validate_covariance
+from .symplectic import _SIGMA_1, symplectic_eigenvalues, validate_covariance
 
-_SIGMA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _PT = np.diag([1.0, 1.0, 1.0, -1.0])
 
 _LN2 = math.log(2.0)
@@ -24,9 +23,9 @@ def _norm_base(base) -> str:
     raise ValueError(f"log base must be natural or two, got {base!r}")
 
 
-def _log(x: float, base: str) -> float:
-    val = math.log(x)
-    return val / _LN2 if base == "2" else val
+def _to_base(nats: float, base) -> float:
+    """Convert a natural logarithm to ``base`` (any spelling _norm_base accepts)."""
+    return nats / _LN2 if _norm_base(base) == "2" else nats
 
 
 def _as_two_mode(gamma) -> np.ndarray:
@@ -141,7 +140,7 @@ def log_negativity(gamma, base="e", tol: float = 1e-9) -> NegativityReport:
                 f"{e_closed!r} vs {e_backend!r} (f = {f_closed!r}, nu = {f_backend!r})"
             )
 
-    e_n = 0.0 if e_closed <= 0.0 else (e_closed / _LN2 if base == "2" else e_closed)
+    e_n = 0.0 if e_closed <= 0.0 else _to_base(e_closed, base)
     return NegativityReport(f_value=f_closed, e_n=float(e_n), log_base=base)
 
 
@@ -206,8 +205,7 @@ def transmitted_log_negativity(zeta: float, t_mag: float, base="e") -> float:
     loss_arg = t_mag**2 * (-math.expm1(-2.0 * zeta))
     if loss_arg >= 1.0:
         return math.inf
-    val = -math.log1p(-loss_arg)
-    return val / _LN2 if base == "2" else val
+    return _to_base(-math.log1p(-loss_arg), base)
 
 
 def max_transmittable(length: float, l_abs: float, base="e") -> float:
@@ -218,5 +216,4 @@ def max_transmittable(length: float, l_abs: float, base="e") -> float:
     t_sq = math.exp(-2.0 * length / l_abs)
     if t_sq >= 1.0:
         return math.inf
-    val = -math.log1p(-t_sq)
-    return val / _LN2 if base == "2" else val
+    return _to_base(-math.log1p(-t_sq), base)

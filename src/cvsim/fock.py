@@ -4,7 +4,8 @@ Everything here is brute force on purpose: the module exists to verify the
 covariance-matrix machinery against an independent representation, so it
 shares no formulas with the Gaussian modules beyond the quadrature
 conventions (x = (a + a^dag)/sqrt(2), gamma = twice the symmetrised
-covariance, vacuum gamma = 1).
+covariance, vacuum gamma = 1) and the conversion of a natural logarithm
+to the requested log base.
 
 Loss with thermal occupation is out of scope; all oracle checks run at
 n_th = 0.
@@ -18,6 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
+
+from .entanglement import _to_base
 
 DEFAULT_CUTOFF = 25
 DEFAULT_GRID = (-8.0, 8.0, 801)
@@ -227,12 +230,7 @@ def log_negativity_fock(state: FockState, base="e") -> float:
     d = state.cutoff + 1
     pt = state.tensor.transpose(0, 3, 2, 1).reshape(d * d, d * d)
     trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(pt))))
-    val = np.log(trace_norm)
-    if base in ("2", "two", 2):
-        val = val / np.log(2.0)
-    elif base not in ("e", "natural"):
-        raise ValueError(f"log base must be natural or two, got {base!r}")
-    return float(val)
+    return float(_to_base(np.log(trace_norm), base))
 
 
 def overlap_fock(state_a: FockState, state_b: FockState, purity_tol: float = 1e-6) -> float:

@@ -24,6 +24,13 @@ from .symplectic import _even_square, validate_covariance
 MP_REL_TOL = 1e-12
 
 
+def _spectral_cut(mat, tol: float):
+    """Eigenpairs of the symmetrised matrix and the mask of the eigenvalues
+    that survive the rank cut |e| > tol * max|e|."""
+    evals, evecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    return evals, evecs, np.abs(evals) > tol * np.max(np.abs(evals), initial=0.0)
+
+
 def mp_inverse(mat, tol: float = MP_REL_TOL) -> np.ndarray:
     """Moore-Penrose inverse of a symmetric matrix via spectral decomposition.
 
@@ -36,21 +43,16 @@ def mp_inverse(mat, tol: float = MP_REL_TOL) -> np.ndarray:
         return mat.copy()
     if np.max(np.abs(mat - mat.T)) > 1e-10 * max(1.0, np.max(np.abs(mat))):
         raise ValueError("matrix must be symmetric")
-    evals, evecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    cut = tol * np.max(np.abs(evals)) if evals.size else 0.0
-    inv = np.where(np.abs(evals) > cut, 1.0 / np.where(evals == 0.0, 1.0, evals), 0.0)
+    evals, evecs, keep = _spectral_cut(mat, tol)
+    inv = np.where(keep, 1.0 / np.where(evals == 0.0, 1.0, evals), 0.0)
     return (evecs * inv) @ evecs.T
 
 
 def pseudo_determinant(mat, tol: float = MP_REL_TOL) -> float:
-    """Product of the nonzero eigenvalues of a symmetric matrix."""
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape[0] == 0:
-        return 1.0
-    evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    cut = tol * np.max(np.abs(evals))
-    kept = evals[np.abs(evals) > cut]
-    return float(np.prod(kept)) if kept.size else 1.0
+    """Product of the eigenvalues of a symmetric matrix kept by the rank cut
+    of :func:`mp_inverse`; 1.0 when none is kept."""
+    evals, _, keep = _spectral_cut(np.asarray(mat, dtype=float), tol)
+    return float(np.prod(evals[keep]))
 
 
 @dataclass(frozen=True)
@@ -219,26 +221,21 @@ def homodyne_project(
     if not validate_covariance(gamma, gate).physical:
         raise ValueError("covariance matrix is unphysical")
 
-    meas_q = [q for m in modes for q in (2 * m, 2 * m + 1)]
-    kept_q = [q for q in range(2 * n_modes) if q not in meas_q]
-    c1 = gamma[np.ix_(kept_q, kept_q)]
-    c2 = gamma[np.ix_(meas_q, meas_q)]
-    c3 = gamma[np.ix_(kept_q, meas_q)]
-
+    blocks = BlockedCovariance.from_gamma(gamma, modes)
+    # measured modes are ascending and distinct, so the conjugate of the
+    # i-th measured quadrature sits at row 2i or 2i + 1 of the measured block
     conj = [conjugate_quadrature(q) for q in measured]
-    support = [meas_q.index(q) for q in conj]
-    proj = np.zeros((len(meas_q), len(meas_q)))
-    for i in support:
-        proj[i, i] = 1.0
+    support = [2 * i + q % 2 for i, q in enumerate(conj)]
+    block = blocks.c2[np.ix_(support, support)]
+    c3 = blocks.c3[:, support]
 
-    core_inv = mp_inverse(proj @ c2 @ proj)
-    gamma_out = c1 - c3 @ core_inv @ c3.T
-    full_map = c3 @ core_inv
-    mean_map = full_map[:, support] / np.sqrt(2.0)
+    full_map = c3 @ mp_inverse(block)
+    gamma_out = blocks.c1 - full_map @ c3.T
+    mean_map = full_map / np.sqrt(2.0)
 
     signs = np.array([1.0 if q % 2 == 0 else -1.0 for q in measured])
     density = OutcomeDensity(
-        block=c2[np.ix_(support, support)],
+        block=block,
         mean=kappa[conj],
         signs=signs,
     )

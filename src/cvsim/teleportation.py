@@ -15,12 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import block_diag
 
-from .channels import FiberParams, degraded_tmsv
+from .channels import IDEAL_FIBER, FiberParams, degraded_tmsv
 from .measurement import HomodyneResult, OutcomeDensity, homodyne_project
 from .states import GaussianState
-from .symplectic import beamsplitter, build_symplectic, rotation_matrix, validate_covariance
-
-_SIGMA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+from .symplectic import _SIGMA_1, beamsplitter, build_symplectic, rotation_matrix, validate_covariance
 
 
 @dataclass(frozen=True)
@@ -33,8 +31,8 @@ class TeleportSetup:
 
     gamma_in: np.ndarray
     zeta: float
-    f1: FiberParams = FiberParams(t_mag=1.0)
-    f2: FiberParams = FiberParams(t_mag=1.0)
+    f1: FiberParams = IDEAL_FIBER
+    f2: FiberParams = IDEAL_FIBER
     kappa_in: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
     def __post_init__(self):
@@ -62,10 +60,6 @@ class TeleportResult:
     fidelity_zero_mean: float
 
 
-def _fiber_noise(f: FiberParams) -> float:
-    return f.r_mag**2 + (2.0 * f.n_th + 1.0) * f.absorption
-
-
 def _gamma_rec_explicit(gamma_in: np.ndarray, zeta: float, f1: FiberParams, f2: FiberParams) -> np.ndarray:
     """Receiver covariance in closed form.
 
@@ -79,7 +73,7 @@ def _gamma_rec_explicit(gamma_in: np.ndarray, zeta: float, f1: FiberParams, f2: 
     s = math.sinh(2.0 * zeta)
     alpha1, alpha2 = f1.t_mag**2, f2.t_mag**2
     beta = f1.t_mag * f2.t_mag
-    g1, g2 = _fiber_noise(f1), _fiber_noise(f2)
+    g1, g2 = f1.noise, f2.noise
     a = c * alpha1 + g1
     b = c * alpha2 + g2
 
@@ -134,15 +128,12 @@ def teleport(setup: TeleportSetup, tol: float = 1e-9) -> TeleportResult:
 
 def fidelity(gamma_in, gamma_rec) -> float:
     """Overlap fidelity of two zero-mean single-mode Gaussians,
-    F = 2 / sqrt(det(gamma_in + gamma_rec))."""
-    gamma_in = np.asarray(gamma_in, dtype=float)
-    gamma_rec = np.asarray(gamma_rec, dtype=float)
-    if gamma_in.shape != (2, 2) or gamma_rec.shape != (2, 2):
+    F = 2 / sqrt(det(gamma_in + gamma_rec)); the N = 1, zero-mean case of
+    :func:`state_overlap`."""
+    if np.shape(gamma_in) != (2, 2) or np.shape(gamma_rec) != (2, 2):
         raise ValueError("fidelity expects two 2x2 covariance matrices")
-    det = np.linalg.det(gamma_in + gamma_rec)
-    if det <= 0:
-        raise ValueError("covariance sum has non-positive determinant")
-    return float(2.0 / math.sqrt(det))
+    zero = np.zeros(2)
+    return state_overlap(GaussianState(zero, gamma_in), GaussianState(zero, gamma_rec))
 
 
 def state_overlap(state_a: GaussianState, state_b: GaussianState) -> float:

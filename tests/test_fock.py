@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -104,6 +106,19 @@ class TestLogNegativityFock:
     def test_base_two(self):
         st = fock.build_tmsv_fock(0.3, cutoff=25)
         assert abs(fock.log_negativity_fock(st, base="2") - 0.6 / np.log(2.0)) <= 1e-4
+
+    @pytest.mark.parametrize("base", ["e", "natural", math.e, "2", "two", 2, 2.0])
+    def test_base_spellings_match_closed_form(self, base):
+        st = fock.build_tmsv_fock(0.3, cutoff=25)
+        closed = cv.log_negativity(cv.tmsv_state(0.3).gamma, base=base).e_n
+        assert abs(fock.log_negativity_fock(st, base=base) - closed) <= 1e-4
+
+    def test_rejects_unknown_base(self):
+        st = fock.build_tmsv_fock(0.3, cutoff=25)
+        with pytest.raises(ValueError):
+            fock.log_negativity_fock(st, base="10")
+        with pytest.raises(ValueError):
+            cv.log_negativity(cv.tmsv_state(0.3).gamma, base="10")
 
     def test_truncation_warning(self):
         st = fock.build_tmsv_fock(1.4, cutoff=8, max_truncation=1.0)

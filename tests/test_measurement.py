@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
 import cvsim as cv
-from conftest import random_two_mode_physical
+from conftest import random_symplectic, random_two_mode_physical
 
 
 def teleport_mixed_gamma(zeta, gamma_in):
@@ -45,6 +45,21 @@ class TestMpInverse:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             cv.mp_inverse(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+class TestPseudoDeterminant:
+    def test_skips_zero_eigenvalue(self):
+        assert cv.pseudo_determinant(np.diag([2.0, 0.0, 3.0])) == pytest.approx(6.0, rel=1e-15)
+
+    def test_shares_the_rank_cut_of_mp_inverse(self):
+        mat = np.diag([1.0, 1e-13])
+        assert cv.pseudo_determinant(mat) == 1.0
+        assert_allclose(cv.mp_inverse(mat), np.diag([1.0, 0.0]), atol=0.0)
+
+    def test_empty_matrix(self):
+        empty = np.zeros((0, 0))
+        assert cv.pseudo_determinant(empty) == 1.0
+        assert cv.mp_inverse(empty).shape == (0, 0)
 
 
 class TestGaussianProject:
@@ -118,6 +133,15 @@ class TestHomodyneProject:
             hom = cv.homodyne_project(gamma, measured={2})  # x of mode 1
             blocks = cv.BlockedCovariance.from_gamma(gamma, measured_modes=[1])
             proj = cv.gaussian_project(blocks, np.diag([1.0 / d, d]))
+            assert np.max(np.abs(hom.gamma_out - proj.gamma_out)) <= 1e-4
+
+            # p of mode 0 and x of mode 2, with the kept mode 1 between them
+            n = rng.uniform(0.0, 1.0, size=3)
+            s = random_symplectic(rng, 3)
+            gamma3 = s @ np.diag(np.repeat(2.0 * n + 1.0, 2)) @ s.T
+            hom = cv.homodyne_project(gamma3, measured={1, 4})
+            blocks = cv.BlockedCovariance.from_gamma(gamma3, measured_modes=[0, 2])
+            proj = cv.gaussian_project(blocks, np.diag([d, 1.0 / d, 1.0 / d, d]))
             assert np.max(np.abs(hom.gamma_out - proj.gamma_out)) <= 1e-4
 
     def test_density_normalises(self, rng):
