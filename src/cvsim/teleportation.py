@@ -126,14 +126,25 @@ def teleport(setup: TeleportSetup, tol: float = 1e-9) -> TeleportResult:
     )
 
 
+def _overlap_rows(total: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """The Gaussian overlap 2^N / sqrt(det(Ga + Gb)) * exp(-d^T (Ga + Gb)^-1 d)
+    for every row d of ``deltas`` (shape (n, 2N)), given the covariance sum
+    ``total`` = Ga + Gb shared by all rows."""
+    det = np.linalg.det(total)
+    if det <= 0:
+        raise ValueError("covariance sum has non-positive determinant")
+    quad = np.einsum("ni,in->n", deltas, np.linalg.solve(total, deltas.T))
+    return 2.0 ** (total.shape[0] // 2) / math.sqrt(det) * np.exp(-quad)
+
+
 def fidelity(gamma_in, gamma_rec) -> float:
     """Overlap fidelity of two zero-mean single-mode Gaussians,
     F = 2 / sqrt(det(gamma_in + gamma_rec)); the N = 1, zero-mean case of
     :func:`state_overlap`."""
     if np.shape(gamma_in) != (2, 2) or np.shape(gamma_rec) != (2, 2):
         raise ValueError("fidelity expects two 2x2 covariance matrices")
-    zero = np.zeros(2)
-    return state_overlap(GaussianState(zero, gamma_in), GaussianState(zero, gamma_rec))
+    total = np.asarray(gamma_in, dtype=float) + np.asarray(gamma_rec, dtype=float)
+    return float(_overlap_rows(total, np.zeros((1, 2)))[0])
 
 
 def state_overlap(state_a: GaussianState, state_b: GaussianState) -> float:
@@ -141,13 +152,8 @@ def state_overlap(state_a: GaussianState, state_b: GaussianState) -> float:
     2^N / sqrt(det(Ga + Gb)) * exp(-d^T (Ga + Gb)^-1 d) with d = ka - kb."""
     if state_a.n_modes != state_b.n_modes:
         raise ValueError("states must have the same mode count")
-    total = state_a.gamma + state_b.gamma
     delta = state_a.kappa - state_b.kappa
-    det = np.linalg.det(total)
-    if det <= 0:
-        raise ValueError("covariance sum has non-positive determinant")
-    quad = float(delta @ np.linalg.solve(total, delta))
-    return float(2.0**state_a.n_modes / math.sqrt(det) * math.exp(-quad))
+    return float(_overlap_rows(state_a.gamma + state_b.gamma, delta[np.newaxis])[0])
 
 
 def pure_squeezed_fidelity(eta: float, zeta: float) -> float:
@@ -180,22 +186,20 @@ def teleport_monte_carlo(
     infinite-squeezing gain at finite squeezing leaves a record-dependent
     residual displacement and therefore an extra fidelity penalty, which
     this estimator quantifies.
+
+    The records share the receiver covariance and are evaluated as one
+    batch.  ``n_samples`` must be a positive integer and ``gain`` a finite
+    2x2 matrix, else ``ValueError``.
     """
+    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
+    if gain is not None:
+        gain = np.asarray(gain, dtype=float)
+        if gain.shape != (2, 2) or not np.all(np.isfinite(gain)):
+            raise ValueError(f"gain must be a finite 2x2 matrix, got {gain!r}")
     result = teleport(setup)
-    rng = np.random.default_rng(seed)
-    chosen = result.gain if gain is None else np.asarray(gain, dtype=float)
+    chosen = result.gain if gain is None else gain
 
-    records = result.density.sample(rng, n_samples)
-    signs = result.density.signs
-    mean_w = result.density.mean
-    signal = GaussianState(setup.kappa_in, setup.gamma_in)
-    root2 = math.sqrt(2.0)
-
-    total = 0.0
-    for record in records:
-        w = record * signs
-        cond_mean = root2 * result.gain @ (w - mean_w)
-        applied = -root2 * chosen @ w
-        receiver = GaussianState(cond_mean + applied, result.gamma_rec)
-        total += state_overlap(signal, receiver)
-    return total / n_samples
+    w = result.density.sample(np.random.default_rng(seed), n_samples) * result.density.signs
+    means = math.sqrt(2.0) * ((w - result.density.mean) @ result.gain.T - w @ chosen.T)
+    return float(np.mean(_overlap_rows(setup.gamma_in + result.gamma_rec, setup.kappa_in - means)))

@@ -120,6 +120,16 @@ class TestLogNegativityFock:
         with pytest.raises(ValueError):
             cv.log_negativity(cv.tmsv_state(0.3).gamma, base="10")
 
+    def test_rejects_unknown_base_before_the_eigen_solve(self, monkeypatch):
+        st = fock.build_tmsv_fock(0.3, cutoff=25)
+
+        def no_solve(matrix):
+            raise AssertionError("eigen-solve ran before the base was checked")
+
+        monkeypatch.setattr(fock.np.linalg, "eigvalsh", no_solve)
+        with pytest.raises(ValueError, match="10"):
+            fock.log_negativity_fock(st, base="10")
+
     def test_truncation_warning(self):
         st = fock.build_tmsv_fock(1.4, cutoff=8, max_truncation=1.0)
         with pytest.warns(UserWarning):

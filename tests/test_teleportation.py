@@ -223,3 +223,80 @@ class TestMonteCarlo:
         mc = cv.teleport_monte_carlo(setup, n_samples=60_000, seed=1, gain=SIGMA1)
         expected = 2.0 / np.sqrt(np.linalg.det(2.0 * np.eye(2) + 2.0 * np.exp(-2.0 * zeta) * np.eye(2)))
         assert abs(mc - expected) <= 5e-3
+
+    # the per-record definition the batched estimator must reproduce
+    @staticmethod
+    def per_record_reference(setup, n_samples, seed, gain=None):
+        res = cv.teleport(setup)
+        chosen = res.gain if gain is None else np.asarray(gain, dtype=float)
+        records = res.density.sample(np.random.default_rng(seed), n_samples)
+        signal = cv.GaussianState(setup.kappa_in, setup.gamma_in)
+        total = 0.0
+        for record in records:
+            w = record * res.density.signs
+            mean = np.sqrt(2.0) * res.gain @ (w - res.density.mean) - np.sqrt(2.0) * chosen @ w
+            total += cv.state_overlap(signal, cv.GaussianState(mean, res.gamma_rec))
+        return total / n_samples
+
+    @pytest.mark.parametrize("ideal_gain", [False, True])
+    def test_batch_matches_per_record_loop(self, rng, ideal_gain):
+        for _ in range(10):
+            f1, f2 = random_fiber(rng, max_n=0.3), random_fiber(rng, max_n=0.3)
+            setup = cv.TeleportSetup(
+                random_pure_signal(rng),
+                rng.uniform(0.2, 1.5),
+                f1,
+                f2,
+                kappa_in=rng.normal(size=2),
+            )
+            gain = cv.ideal_displacement_gain(f1, f2) if ideal_gain else None
+            seed = int(rng.integers(2**31))
+            batched = cv.teleport_monte_carlo(setup, n_samples=300, seed=seed, gain=gain)
+            reference = self.per_record_reference(setup, 300, seed, gain)
+            assert_allclose(batched, reference, rtol=1e-12, atol=0.0)
+
+    def test_ideal_gain_matches_closed_form_expectation(self):
+        # zero-mean signal: the record w ~ N(0, B/2) displaces the receiver by
+        # d = -sqrt(2) D w with D = G_matched - G_ideal, so d ~ N(0, C) with
+        # C = D B D^T and the overlap is F0 exp(-d^T A d), A = (g_in + g_rec)^-1;
+        # Gaussian integrals give E[exp(-k d^T A d)] = det(1 + 2k C A)^(-1/2)
+        f1 = cv.FiberParams(t_mag=0.9, phase=0.5, n_th=0.1)
+        f2 = cv.FiberParams(t_mag=0.7, phase=0.5, n_th=0.1)
+        setup = cv.TeleportSetup(cv.squeezed_signal(0.8).gamma, 0.7, f1, f2)
+        matched = cv.teleport(setup)
+        ideal = cv.ideal_displacement_gain(f1, f2)
+        delta = matched.gain - ideal
+        c = delta @ matched.density.block @ delta.T
+        a = np.linalg.inv(setup.gamma_in + matched.gamma_rec)
+        f0 = matched.fidelity_zero_mean
+        mean = f0 / np.sqrt(np.linalg.det(np.eye(2) + 2.0 * c @ a))
+        second = f0 * f0 / np.sqrt(np.linalg.det(np.eye(2) + 4.0 * c @ a))
+        n_samples = 4000
+        stderr = np.sqrt((second - mean * mean) / n_samples)
+        assert stderr > 0.0
+        mc = cv.teleport_monte_carlo(setup, n_samples=n_samples, seed=11, gain=ideal)
+        assert abs(mc - mean) <= 6.0 * stderr
+
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.0, True, "10", None])
+    def test_rejects_bad_sample_count(self, n_samples):
+        setup = cv.TeleportSetup(np.eye(2), 0.5)
+        with pytest.raises(ValueError, match="n_samples"):
+            cv.teleport_monte_carlo(setup, n_samples, seed=1)
+
+    @pytest.mark.parametrize(
+        "gain",
+        [
+            np.full((2, 2), np.nan),
+            np.array([[np.inf, 0.0], [0.0, 1.0]]),
+            np.eye(3),
+            np.ones(2),
+        ],
+    )
+    def test_rejects_bad_gain(self, gain):
+        setup = cv.TeleportSetup(np.eye(2), 0.5)
+        with pytest.raises(ValueError, match="gain"):
+            cv.teleport_monte_carlo(setup, 10, seed=1, gain=gain)
+
+    def test_accepts_numpy_integer_sample_count(self):
+        setup = cv.TeleportSetup(np.eye(2), 0.5, kappa_in=np.array([0.3, 0.1]))
+        assert cv.teleport_monte_carlo(setup, np.int64(50), seed=2) == cv.teleport_monte_carlo(setup, 50, seed=2)
