@@ -10,7 +10,7 @@ from scipy.linalg import block_diag
 from .symplectic import DEFAULT_TOL, rotation_matrix, symplectic_form
 from .states import GaussianState, tmsv_state
 
-_PARAM_TOL = 1e-12
+_PARAM_TOL = 1e-12  # slack of the energy-conservation rule |T|^2 + |R|^2 <= 1
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,7 @@ class FiberParams:
     n_th: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.t_mag <= 1.0:
-            raise ValueError("transmission magnitude must lie in [0, 1]")
-        if not 0.0 <= self.r_mag <= 1.0:
-            raise ValueError("reflection magnitude must lie in [0, 1]")
-        if self.t_mag**2 + self.r_mag**2 > 1.0 + _PARAM_TOL:
-            raise ValueError("energy conservation requires |T|^2 + |R|^2 <= 1")
-        if self.n_th < 0.0:
-            raise ValueError("mean thermal photon number must be non-negative")
+        _check_fiber(self.t_mag, self.r_mag, self.n_th)
 
     @property
     def noise(self) -> float:
@@ -73,25 +66,38 @@ class FiberParams:
         return self.r_mag**2 + (2.0 * self.n_th + 1.0) * absorbed
 
 
+def _check_fiber(t_mag: float, r_mag: float = 0.0, n_th: float = 0.0) -> None:
+    """The fiber-parameter rule, else ValueError: |T| and |R| in [0, 1],
+    |T|^2 + |R|^2 <= 1 and n_th >= 0."""
+    if not 0.0 <= t_mag <= 1.0:
+        raise ValueError("transmission magnitude must lie in [0, 1]")
+    if not 0.0 <= r_mag <= 1.0:
+        raise ValueError("reflection magnitude must lie in [0, 1]")
+    if t_mag**2 + r_mag**2 > 1.0 + _PARAM_TOL:
+        raise ValueError("energy conservation requires |T|^2 + |R|^2 <= 1")
+    if not n_th >= 0.0:
+        raise ValueError("mean thermal photon number must be non-negative")
+
+
 IDEAL_FIBER = FiberParams(t_mag=1.0)
 
 
-def validate_channel(ch: GaussianChannel, tol: float = DEFAULT_TOL) -> bool:
+def validate_channel(ch: GaussianChannel) -> bool:
     """Complete-positivity certificate, state independent.
 
     The requirement that every physical input stays physical is equivalent
-    to G + i Sigma - i A Sigma A^T >= 0, which is what gets tested here.
+    to G + i Sigma - i A Sigma A^T >= 0, tested here to within DEFAULT_TOL.
     """
     sigma = symplectic_form(ch.n_modes)
     herm = ch.g + 1j * sigma - 1j * ch.a @ sigma @ ch.a.T
     herm = 0.5 * (herm + herm.conj().T)
-    return bool(np.linalg.eigvalsh(herm)[0] >= -tol)
+    return bool(np.linalg.eigvalsh(herm)[0] >= -DEFAULT_TOL)
 
 
-def apply_channel(state: GaussianState, ch: GaussianChannel, tol: float = DEFAULT_TOL) -> GaussianState:
+def apply_channel(state: GaussianState, ch: GaussianChannel) -> GaussianState:
     if ch.n_modes != state.n_modes:
         raise ValueError("channel dimension does not match the state")
-    if not validate_channel(ch, tol):
+    if not validate_channel(ch):
         raise ValueError("channel fails the complete-positivity certificate")
     return GaussianState(ch.a @ state.kappa, ch.a @ state.gamma @ ch.a.T + ch.g)
 

@@ -26,12 +26,24 @@ from .teleportation import TeleportSetup, pure_squeezed_fidelity, teleport
 
 SCHEMA_VERSION = 1
 
+# The value flags each command reads, with their defaults; the key order is
+# the order of the JSON "parameters" echo.
 _DEFAULTS = {
-    "entanglement-sweep": {"length": "0:2:81", "zeta": "1.0", "absorption_length": 1.0},
-    "fidelity-sweep": {"eta": "0:1.5:16", "zeta": "0:1.5:16"},
+    "entanglement-sweep": {"zeta": "1.0", "length": "0:2:81", "absorption_length": 1.0},
+    "fidelity-sweep": {"zeta": "0:1.5:16", "eta": "0:1.5:16"},
     "separability": {"zeta": "0.1:1.0:10", "t2": "0.5", "r2": "0.0", "nth": "0.1", "absorption_length": 1.0},
-    "teleport": {"eta": "0.5", "zeta": "0.5", "t2": "1.0", "r2": "0.0", "nth": "0.0"},
+    "teleport": {"zeta": "0.5", "eta": "0.5", "t2": "1.0", "r2": "0.0", "nth": "0.0"},
     "check-state": {"zeta": "0.5", "t2": "1.0", "r2": "0.0", "nth": "0.0"},
+}
+
+_HELP = {
+    "zeta": "TMSV squeezing (value or grid)",
+    "eta": "signal squeezing (value or grid)",
+    "t2": "|T|^2 power transmission",
+    "r2": "|R|^2 power reflection",
+    "nth": "mean thermal photon number",
+    "length": "fiber length (value or grid)",
+    "absorption_length": "Lambert-Beer absorption length",
 }
 
 _BASE_LABEL = {"e": "ln", "2": "log2"}
@@ -42,9 +54,8 @@ class SpecError(ValueError):
 
 
 def parse_grid(text) -> np.ndarray:
-    """Parse "lo:hi:num", "a,b,c" or a single number into a float array."""
-    if isinstance(text, (int, float)):
-        return np.array([float(text)])
+    """Parse "lo:hi:num", "a,b,c" or a single number into a float array
+    of finite values."""
     text = str(text).strip()
     try:
         if ":" in text:
@@ -52,12 +63,16 @@ def parse_grid(text) -> np.ndarray:
             num = int(num)
             if num < 1:
                 raise ValueError
-            return np.linspace(float(lo), float(hi), num)
-        if "," in text:
-            return np.array([float(tok) for tok in text.split(",") if tok.strip()])
-        return np.array([float(text)])
+            grid = np.linspace(float(lo), float(hi), num)
+        elif "," in text:
+            grid = np.array([float(tok) for tok in text.split(",") if tok.strip()])
+        else:
+            grid = np.array([float(text)])
     except ValueError as exc:
         raise SpecError(f"cannot parse grid {text!r}") from exc
+    if not np.all(np.isfinite(grid)):
+        raise SpecError(f"grid {text!r} has a non-finite value")
+    return grid
 
 
 def _check_grid(grid: np.ndarray, name: str) -> np.ndarray:
@@ -72,6 +87,13 @@ def _scalar(grid: np.ndarray, name: str) -> float:
     if grid.size != 1:
         raise SpecError(f"{name} must be a single value for this command")
     return float(grid[0])
+
+
+def _absorption_length(args) -> float:
+    l_abs = _scalar(parse_grid(args.absorption_length), "absorption length")
+    if l_abs <= 0:
+        raise SpecError("absorption length must be positive")
+    return l_abs
 
 
 def load_config(path: str) -> dict:
@@ -135,22 +157,19 @@ def _emit(command: str, params: dict, columns: list[str], rows: list[list], args
 def _run_entanglement_sweep(args):
     lengths = _check_grid(parse_grid(args.length), "length")
     zeta = _scalar(parse_grid(args.zeta), "zeta")
-    l_abs = float(args.absorption_length)
-    if l_abs <= 0:
-        raise SpecError("absorption length must be positive")
+    l_abs = _absorption_length(args)
     label = _BASE_LABEL[args.log_base]
     columns = ["l_over_lA", "t_squared", f"en_max_{label}", f"en_zeta_{label}"]
     rows = []
     for l in lengths:
         t_sq = math.exp(-2.0 * l / l_abs)
-        rows.append(
-            [
-                float(l / l_abs),
-                t_sq,
-                ent.max_transmittable(float(l), l_abs, args.log_base),
-                ent.transmitted_log_negativity(zeta, math.sqrt(t_sq), args.log_base),
-            ]
-        )
+        # the closed forms raise ValueError only for inputs outside their domain
+        try:
+            en_max = ent.max_transmittable(float(l), l_abs, args.log_base)
+            en_zeta = ent.transmitted_log_negativity(zeta, math.sqrt(t_sq), args.log_base)
+        except ValueError as exc:
+            raise SpecError(f"length={l!r}, zeta={zeta!r}: {exc}") from exc
+        rows.append([float(l / l_abs), t_sq, en_max, en_zeta])
     params = {"zeta": zeta, "absorption_length": l_abs}
     return params, columns, rows
 
@@ -171,13 +190,17 @@ def _run_separability(args):
     t2s = _check_grid(parse_grid(args.t2), "t2")
     r2 = _scalar(parse_grid(args.r2), "r2")
     nth = _scalar(parse_grid(args.nth), "nth")
-    l_abs = float(args.absorption_length)
+    l_abs = _absorption_length(args)
     columns = ["zeta", "t_squared", "r_squared", "nth_crit", "l_s_over_lA"]
     rows = []
     for zeta in zetas:
         for t2 in t2s:
-            n_crit = ent.fiber_separability_threshold(float(zeta), math.sqrt(t2), math.sqrt(r2))
-            l_s = ent.separability_length(float(zeta), nth, l_abs) if zeta > 0 else 0.0
+            # the closed forms raise ValueError only for inputs outside their domain
+            try:
+                n_crit = ent.fiber_separability_threshold(float(zeta), math.sqrt(t2), math.sqrt(r2))
+                l_s = ent.separability_length(float(zeta), nth, l_abs) if zeta > 0 else 0.0
+            except ValueError as exc:
+                raise SpecError(f"zeta={float(zeta)!r}, t2={float(t2)!r}: {exc}") from exc
             rows.append([float(zeta), float(t2), r2, n_crit, l_s / l_abs if math.isfinite(l_s) else l_s])
     return {"nth": nth, "absorption_length": l_abs}, columns, rows
 
@@ -246,21 +269,13 @@ _RUNNERS = {
     "check-state": _run_check_state,
 }
 
-_VALUE_FLAGS = ("zeta", "eta", "t2", "r2", "nth", "length", "absorption_length")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cvsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command in _RUNNERS:
         p = sub.add_parser(command)
-        p.add_argument("--zeta", default=None, help="TMSV squeezing (value or grid)")
-        p.add_argument("--eta", default=None, help="signal squeezing (value or grid)")
-        p.add_argument("--t2", default=None, help="|T|^2 power transmission")
-        p.add_argument("--r2", default=None, help="|R|^2 power reflection")
-        p.add_argument("--nth", default=None, help="mean thermal photon number")
-        p.add_argument("--length", default=None, help="fiber length (value or grid)")
-        p.add_argument("--absorption-length", dest="absorption_length", default=None)
+        for key in _DEFAULTS[command]:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, help=_HELP[key])
         p.add_argument("--log-base", dest="log_base", choices=("e", "2"), default=None)
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -272,10 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve(args) -> None:
     """Apply precedence: command line > config file > defaults."""
     config = load_config(args.config) if args.config else {}
-    defaults = dict(_DEFAULTS[args.command])
-    for key in _VALUE_FLAGS:
-        if getattr(args, key, None) is None:
-            setattr(args, key, config.get(key, defaults.get(key)))
+    for key, default in _DEFAULTS[args.command].items():
+        if getattr(args, key) is None:
+            setattr(args, key, config.get(key, default))
     if args.log_base is None:
         base = config.get("log_base", "e")
         if base not in ("e", "2"):
@@ -287,10 +301,10 @@ def _resolve(args) -> None:
             raise SpecError(f"format must be csv or json, got {fmt!r}")
         args.format = fmt
     if args.seed is None and "seed" in config:
-        args.seed = int(config["seed"])
-    missing = [k for k in _DEFAULTS[args.command] if getattr(args, k, None) is None]
-    if missing:
-        raise SpecError(f"missing parameters for {args.command}: {', '.join(missing)}")
+        try:
+            args.seed = int(config["seed"])
+        except ValueError as exc:
+            raise SpecError(f"seed must be an integer, got {config['seed']!r}") from exc
 
 
 def main(argv=None) -> int:
@@ -306,10 +320,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
-    for key in _VALUE_FLAGS:
-        value = getattr(args, key, None)
-        if value is not None and key not in params:
-            params[key] = str(value)
+    for key in _DEFAULTS[args.command]:
+        params.setdefault(key, str(getattr(args, key)))
     text = _emit(args.command, params, columns, rows, args)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

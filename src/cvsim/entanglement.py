@@ -8,24 +8,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import _SIGMA_1, symplectic_eigenvalues, validate_covariance
+from .channels import _check_fiber
+from .symplectic import _SIGMA_1, DEFAULT_TOL, symplectic_eigenvalues, validate_covariance
 
 _PT = np.diag([1.0, 1.0, 1.0, -1.0])
 
 _LN2 = math.log(2.0)
 
 
-def _norm_base(base) -> str:
-    if base in ("e", "natural", math.e):
-        return "e"
-    if base in ("2", "two", 2, 2.0):
-        return "2"
-    raise ValueError(f"log base must be natural or two, got {base!r}")
+def _check_base(base) -> str:
+    """The log base, which must be the string "e" or "2"."""
+    if base in ("e", "2"):
+        return base
+    raise ValueError(f'log base must be "e" or "2", got {base!r}')
 
 
 def _to_base(nats: float, base) -> float:
-    """Convert a natural logarithm to ``base`` (any spelling _norm_base accepts)."""
-    return nats / _LN2 if _norm_base(base) == "2" else nats
+    """Convert a natural logarithm to ``base`` ("e" or "2")."""
+    return nats / _LN2 if _check_base(base) == "2" else nats
+
+
+def _check_squeezing(zeta) -> None:
+    if not zeta >= 0.0:
+        raise ValueError(f"squeezing zeta must be non-negative, got {zeta!r}")
 
 
 def _as_two_mode(gamma) -> np.ndarray:
@@ -46,8 +51,9 @@ class SeparabilityVerdict:
     """Outcome of the two equivalent separability tests.
 
     ``lhs >= rhs`` is the determinant-form criterion; ``pt_min_eig`` is the
-    smallest eigenvalue of gamma^PT + i Sigma.  Both must agree outside a
-    small boundary band, otherwise an internal-consistency error is raised.
+    smallest eigenvalue of gamma^PT + i Sigma.  Both must agree outside the
+    boundary band _BORDERLINE_BAND, otherwise an internal-consistency error
+    is raised; a disagreement inside the band counts as separable.
     """
 
     separable: bool
@@ -56,9 +62,12 @@ class SeparabilityVerdict:
     pt_min_eig: float
 
 
-def is_separable(gamma, tol: float = 1e-9, band: float = 1e-8) -> SeparabilityVerdict:
+_BORDERLINE_BAND = 1e-8  # relative width of the boundary band of is_separable
+
+
+def is_separable(gamma) -> SeparabilityVerdict:
     gamma = _as_two_mode(gamma)
-    if not validate_covariance(gamma, tol).physical:
+    if not validate_covariance(gamma).physical:
         raise ValueError("covariance matrix is unphysical")
 
     c1 = gamma[:2, :2]
@@ -69,15 +78,15 @@ def is_separable(gamma, tol: float = 1e-9, band: float = 1e-8) -> SeparabilityVe
     lhs = float(det1 * det2 + (1.0 - abs(det3)) ** 2 - trace_term)
     rhs = float(det1 + det2)
 
-    pt_min = validate_covariance(partial_transpose(gamma), tol).min_eigenvalue
+    pt_min = validate_covariance(partial_transpose(gamma)).min_eigenvalue
 
     scale = max(1.0, abs(lhs), abs(rhs))
     crit_margin = (lhs - rhs) / scale
-    crit_sep = crit_margin >= -band
-    pt_sep = pt_min >= -tol
+    crit_sep = crit_margin >= -_BORDERLINE_BAND
+    pt_sep = pt_min >= -DEFAULT_TOL
 
     if crit_sep != pt_sep:
-        if abs(crit_margin) <= band or abs(pt_min) <= band:
+        if abs(crit_margin) <= _BORDERLINE_BAND or abs(pt_min) <= _BORDERLINE_BAND:
             # borderline state: the boundary counts as separable
             return SeparabilityVerdict(True, lhs, rhs, pt_min)
         raise RuntimeError(
@@ -94,7 +103,7 @@ class NegativityReport:
     log_base: str
 
 
-def log_negativity(gamma, base="e", tol: float = 1e-9) -> NegativityReport:
+def log_negativity(gamma, base="e") -> NegativityReport:
     """Logarithmic negativity of a two-mode covariance matrix.
 
     The closed form
@@ -105,11 +114,11 @@ def log_negativity(gamma, base="e", tol: float = 1e-9) -> NegativityReport:
     is evaluated in the cancellation-free arrangement
     f^2 = det gamma / (A + sqrt(A^2 - det gamma)) and cross-checked against
     the smallest symplectic eigenvalue of the partial transpose; the two
-    backends must agree to 1e-9 (relatively, once E_N grows large).
+    backends must agree to DEFAULT_TOL (relatively, once E_N grows large).
     """
-    base = _norm_base(base)
+    base = _check_base(base)
     gamma = _as_two_mode(gamma)
-    if not validate_covariance(gamma, tol).physical:
+    if not validate_covariance(gamma).physical:
         raise ValueError("covariance matrix is unphysical")
 
     det1 = np.linalg.det(gamma[:2, :2])
@@ -119,7 +128,7 @@ def log_negativity(gamma, base="e", tol: float = 1e-9) -> NegativityReport:
     a_half = 0.5 * (det1 + det2) - det3
     disc = a_half**2 - det_g
     if disc < 0.0:
-        if disc < -tol * max(1.0, a_half**2):
+        if disc < -DEFAULT_TOL * max(1.0, a_half**2):
             raise ValueError("negative discriminant: inconsistent covariance data")
         disc = 0.0
     denom = a_half + math.sqrt(disc)
@@ -133,7 +142,7 @@ def log_negativity(gamma, base="e", tol: float = 1e-9) -> NegativityReport:
     e_backend = -math.log(f_backend) if 0.0 < f_backend < 1.0 else (math.inf if f_backend == 0.0 else 0.0)
     both_deep = f_closed < 1e-8 and f_backend < 1e-8
     if not both_deep:
-        limit = 1e-9 * max(1.0, min(e_closed, e_backend))
+        limit = DEFAULT_TOL * max(1.0, min(e_closed, e_backend))
         if abs(e_closed - e_backend) > limit:
             raise RuntimeError(
                 "closed-form and symplectic-spectrum log-negativities disagree: "
@@ -163,12 +172,13 @@ def fiber_separability_threshold(zeta: float, t_mag: float, r_mag: float = 0.0) 
     n_crit = |T|^2 (1 - e^(-2 zeta)) / (2 (1 - |R|^2 - |T|^2)).  Without
     absorption (|T|^2 + |R|^2 = 1) the threshold is infinite: entanglement
     survives any zero-temperature fiber, so math.inf is returned.
+
+    Raises ValueError for zeta < 0 and for fiber magnitudes that
+    ``FiberParams`` rejects.
     """
-    if not 0.0 <= t_mag <= 1.0 or not 0.0 <= r_mag <= 1.0:
-        raise ValueError("|T| and |R| must lie in [0, 1]")
+    _check_squeezing(zeta)
+    _check_fiber(t_mag, r_mag)
     absorption = 1.0 - t_mag**2 - r_mag**2
-    if absorption < -1e-12:
-        raise ValueError("energy conservation requires |T|^2 + |R|^2 <= 1")
     if zeta == 0.0:
         return 0.0
     if absorption <= 0.0:
@@ -180,8 +190,10 @@ def separability_length(zeta: float, n_th: float, l_abs: float) -> float:
     """Fiber length (Lambert-Beer, R = 0) at which the TMSV turns separable.
 
     l_S = (l_abs/2) ln[1 + (1 - e^(-2 zeta)) / (2 n_th)]; diverges for
-    n_th -> 0, in which case math.inf is returned.
+    n_th -> 0, in which case math.inf is returned.  Raises ValueError for
+    zeta < 0, n_th < 0 or l_abs <= 0.
     """
+    _check_squeezing(zeta)
     if n_th < 0:
         raise ValueError("mean thermal photon number must be non-negative")
     if l_abs <= 0:
@@ -198,10 +210,11 @@ def transmitted_log_negativity(zeta: float, t_mag: float, base="e") -> float:
 
     E_N = -log[1 - |T|^2 (1 - e^(-2 zeta))], independent of the reflection
     coefficient.  Perfect transmission recovers E_N = 2 zeta in natural log.
+    Raises ValueError for zeta < 0 or |T| outside [0, 1].
     """
-    base = _norm_base(base)
-    if not 0.0 <= t_mag <= 1.0:
-        raise ValueError("|T| must lie in [0, 1]")
+    base = _check_base(base)
+    _check_squeezing(zeta)
+    _check_fiber(t_mag)
     loss_arg = t_mag**2 * (-math.expm1(-2.0 * zeta))
     if loss_arg >= 1.0:
         return math.inf
@@ -210,7 +223,7 @@ def transmitted_log_negativity(zeta: float, t_mag: float, base="e") -> float:
 
 def max_transmittable(length: float, l_abs: float, base="e") -> float:
     """Saturation bound: E_N,max = -log[1 - e^(-2 l / l_abs)]."""
-    base = _norm_base(base)
+    base = _check_base(base)
     if length < 0 or l_abs <= 0:
         raise ValueError("length must be >= 0 and absorption length > 0")
     t_sq = math.exp(-2.0 * length / l_abs)

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .entanglement import _norm_base, _to_base
+from .entanglement import _check_base, _to_base
 
 DEFAULT_CUTOFF = 25
 DEFAULT_GRID = (-8.0, 8.0, 801)
@@ -225,7 +225,7 @@ def log_negativity_fock(state: FockState, base="e") -> float:
     """
     if state.modes != 2:
         raise ValueError("log negativity needs a bipartite state")
-    base = _norm_base(base)
+    _check_base(base)
     if boundary_population(state) > _BOUNDARY_BUDGET:
         warnings.warn("cutoff boundary population exceeds budget; result may be truncation dominated")
     d = state.cutoff + 1

@@ -19,9 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import _even_square, validate_covariance
+from .symplectic import DEFAULT_TOL, _even_square, validate_covariance
 
 MP_REL_TOL = 1e-12
+
+
+def _require_physical(gamma: np.ndarray, message: str) -> None:
+    """Raise ValueError(message) unless gamma + i*Sigma >= -gate, with the gate
+    DEFAULT_TOL * max(1, max|gamma|): eigenvalue noise of a representable
+    boundary state grows with its norm."""
+    gate = DEFAULT_TOL * max(1.0, float(np.max(np.abs(gamma))))
+    if not validate_covariance(gamma).min_eigenvalue >= -gate:
+        raise ValueError(message)
 
 
 def _spectral_cut(mat, tol: float):
@@ -109,7 +118,7 @@ class ConditionalResult:
     mean_map: np.ndarray
 
 
-def gaussian_project(blocks: BlockedCovariance, d_matrix, tol: float = 1e-9) -> ConditionalResult:
+def gaussian_project(blocks: BlockedCovariance, d_matrix) -> ConditionalResult:
     """Project the measured subsystem onto a Gaussian state of covariance D^2.
 
     Returns the Schur complement C1 - C3 (C2 + D^2)^-1 C3^T, falling back to
@@ -125,12 +134,7 @@ def gaussian_project(blocks: BlockedCovariance, d_matrix, tol: float = 1e-9) -> 
         raise ValueError("D must be diagonal with non-negative entries")
     if m_dim == 0:
         return ConditionalResult(blocks.c1.copy(), 1.0, np.zeros((blocks.c1.shape[0], 0)))
-    assembled = blocks.assemble()
-    # tolerance scales with the matrix magnitude: eigenvalue noise of a
-    # representable boundary state grows with its norm
-    gate = tol * max(1.0, float(np.max(np.abs(assembled))))
-    if not validate_covariance(assembled, gate).physical:
-        raise ValueError("assembled covariance matrix is unphysical")
+    _require_physical(blocks.assemble(), "assembled covariance matrix is unphysical")
     core = blocks.c2 + d_matrix @ d_matrix
     # near-eps threshold: the core is invertible for any positive D, and the
     # homodyne limit D = diag(1/d, d) makes it ill conditioned on purpose, so
@@ -189,12 +193,7 @@ class HomodyneResult:
     density: OutcomeDensity
 
 
-def homodyne_project(
-    gamma,
-    measured,
-    kappa=None,
-    tol: float = 1e-9,
-) -> HomodyneResult:
+def homodyne_project(gamma, measured, kappa=None) -> HomodyneResult:
     """Condition on ideal quadrature measurements.
 
     ``measured`` lists quadrature indices, at most one per mode; the modes
@@ -217,9 +216,7 @@ def homodyne_project(
     if kappa is None:
         kappa = np.zeros(2 * n_modes)
     kappa = np.asarray(kappa, dtype=float)
-    gate = tol * max(1.0, float(np.max(np.abs(gamma))))
-    if not validate_covariance(gamma, gate).physical:
-        raise ValueError("covariance matrix is unphysical")
+    _require_physical(gamma, "covariance matrix is unphysical")
 
     blocks = BlockedCovariance.from_gamma(gamma, modes)
     # measured modes are ascending and distinct, so the conjugate of the

@@ -98,12 +98,12 @@ def displace(state: GaussianState, delta) -> GaussianState:
     return GaussianState(state.kappa + delta, state.gamma)
 
 
-def apply_symplectic(state: GaussianState, s, tol: float = DEFAULT_TOL) -> GaussianState:
+def apply_symplectic(state: GaussianState, s) -> GaussianState:
     """Transform gamma -> S gamma S^T and kappa -> S kappa."""
     s = np.asarray(s, dtype=float)
     if s.shape != (2 * state.n_modes, 2 * state.n_modes):
         raise ValueError("symplectic matrix dimension does not match the state")
-    if not check_symplectic(s, tol):
+    if not check_symplectic(s):
         raise ValueError("matrix is not symplectic within tolerance")
     return GaussianState(s @ state.kappa, s @ state.gamma @ s.T)
 
@@ -114,19 +114,18 @@ class ClassicalityVerdict:
     min_gamma_eigenvalue: float
 
 
-def classicality_test(gamma, tol: float = DEFAULT_TOL) -> ClassicalityVerdict:
+def classicality_test(gamma) -> ClassicalityVerdict:
     """Eigenvalue criterion for classicality.
 
     A Gaussian state admits a well-behaved classical phase-space description
     iff no eigenvalue of its covariance matrix drops below 1 (i.e. below the
-    vacuum level).  Eigenvalues exactly at 1 count as classical.
+    vacuum level).  Eigenvalues down to 1 - DEFAULT_TOL count as classical.
     """
     gamma = _even_square(gamma, "covariance matrix")
-    report = validate_covariance(gamma, tol)
-    if not report.physical:
+    if not validate_covariance(gamma).physical:
         raise ValueError("covariance matrix violates the uncertainty relation")
     min_eig = float(np.linalg.eigvalsh(0.5 * (gamma + gamma.T))[0])
-    return ClassicalityVerdict(classical=bool(min_eig >= 1.0 - tol), min_gamma_eigenvalue=min_eig)
+    return ClassicalityVerdict(classical=bool(min_eig >= 1.0 - DEFAULT_TOL), min_gamma_eigenvalue=min_eig)
 
 
 def max_classical_squeezing(n_mean: float) -> float:

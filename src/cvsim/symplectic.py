@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9  # absolute tolerance of every validity test; not a parameter
 
 _SIGMA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -45,14 +45,14 @@ class CovarianceReport:
     """Verdict of the matrix uncertainty relation.
 
     ``min_eigenvalue`` is the smallest eigenvalue of the Hermitian matrix
-    gamma + i*Sigma; the state is physical iff it is >= -tol.
+    gamma + i*Sigma; the state is physical iff it is >= -DEFAULT_TOL.
     """
 
     physical: bool
     min_eigenvalue: float
 
 
-def validate_covariance(gamma, tol: float = DEFAULT_TOL) -> CovarianceReport:
+def validate_covariance(gamma) -> CovarianceReport:
     """Test the uncertainty relation gamma + i*Sigma >= 0.
 
     The input is symmetrised as (gamma + gamma.T)/2 before testing so that
@@ -63,14 +63,14 @@ def validate_covariance(gamma, tol: float = DEFAULT_TOL) -> CovarianceReport:
     sym = 0.5 * (gamma + gamma.T)
     herm = sym + 1j * symplectic_form(n_modes)
     min_eig = float(np.linalg.eigvalsh(herm)[0])
-    return CovarianceReport(physical=bool(min_eig >= -tol), min_eigenvalue=min_eig)
+    return CovarianceReport(physical=bool(min_eig >= -DEFAULT_TOL), min_eigenvalue=min_eig)
 
 
-def check_symplectic(s, tol: float = DEFAULT_TOL) -> bool:
-    """True iff ||S Sigma S^T - Sigma||_max <= tol."""
+def check_symplectic(s) -> bool:
+    """True iff ||S Sigma S^T - Sigma||_max <= DEFAULT_TOL."""
     s = _even_square(s, "symplectic candidate")
     sigma = symplectic_form(s.shape[0] // 2)
-    return bool(np.max(np.abs(s @ sigma @ s.T - sigma)) <= tol)
+    return bool(np.max(np.abs(s @ sigma @ s.T - sigma)) <= DEFAULT_TOL)
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ def symplectic_eigenvalues(gamma) -> np.ndarray:
 _PAIR_BAND = 1e-8
 
 
-def euler_decompose(s, tol: float = DEFAULT_TOL):
+def euler_decompose(s):
     """Factor a symplectic matrix as S = O1 @ D @ O2.
 
     O1 and O2 are orthogonal and symplectic, D = diag(k1, 1/k1, ..., kN, 1/kN)
@@ -176,7 +176,7 @@ def euler_decompose(s, tol: float = DEFAULT_TOL):
     orthogonal symplectic O1, and O2 = D^-1 O1^T S.
     """
     s = _even_square(s, "symplectic matrix")
-    if not check_symplectic(s, tol):
+    if not check_symplectic(s):
         raise ValueError("input is not symplectic within tolerance")
     n_modes = s.shape[0] // 2
     sigma = symplectic_form(n_modes)

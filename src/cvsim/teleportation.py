@@ -96,7 +96,7 @@ def _gamma_rec_explicit(gamma_in: np.ndarray, zeta: float, f1: FiberParams, f2: 
     return np.array([[e11, e12], [e12, e22]])
 
 
-def teleport(setup: TeleportSetup, tol: float = 1e-9) -> TeleportResult:
+def teleport(setup: TeleportSetup) -> TeleportResult:
     """Run the full protocol and return the receiver-side summary.
 
     The receiver covariance is computed twice, from the closed form and
@@ -110,7 +110,7 @@ def teleport(setup: TeleportSetup, tol: float = 1e-9) -> TeleportResult:
     gamma_012 = s_mix @ block_diag(setup.gamma_in, gamma_dec) @ s_mix.T
     kappa_012 = s_mix @ np.concatenate([setup.kappa_in, np.zeros(4)])
 
-    hom: HomodyneResult = homodyne_project(gamma_012, measured=(0, 3), kappa=kappa_012, tol=tol)
+    hom: HomodyneResult = homodyne_project(gamma_012, measured=(0, 3), kappa=kappa_012)
     gamma_explicit = _gamma_rec_explicit(setup.gamma_in, setup.zeta, setup.f1, setup.f2)
 
     scale = max(1.0, float(np.max(np.abs(gamma_012))))

@@ -66,7 +66,7 @@ def test_criterion_04_separability_consistency_and_threshold():
     disagreements = 0
     for _ in range(10_000):
         try:
-            cv.is_separable(random_two_mode_physical(rng), band=1e-8)
+            cv.is_separable(random_two_mode_physical(rng))
         except RuntimeError:
             disagreements += 1
 

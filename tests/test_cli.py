@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from jsonschema import validate
 from cvsim import cli
 
 SCHEMA_PATH = "schema/sweep.schema.json"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "cli"
 
 
 def run_cli(capsys, argv):
@@ -28,6 +30,11 @@ class TestGridParsing:
     def test_garbage(self):
         with pytest.raises(cli.SpecError):
             cli.parse_grid("a:b:c")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "0,nan", "0:inf:3"])
+    def test_non_finite_is_spec_error(self, text):
+        with pytest.raises(cli.SpecError, match="non-finite"):
+            cli.parse_grid(text)
 
 
 class TestEntanglementSweep:
@@ -124,6 +131,20 @@ class TestConfigPrecedence:
         _, out2 = run_cli(capsys, ["fidelity-sweep", "--eta", "0.5", "--zeta", "0.75", "--config", str(cfg)])
         assert float(out2.strip().split("\n")[1].split(",")[1]) == 0.75
 
+    def test_config_key_of_another_command_is_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("eta = 0.5\nlength = 0:1:3\nnth = 5\n")
+        code, out = run_cli(capsys, ["fidelity-sweep", "--eta", "0.25", "--zeta", "0.5", "--format", "json",
+                                     "--config", str(cfg)])
+        assert code == 0
+        assert json.loads(out)["parameters"] == {"zeta": "0.5", "eta": "0.25"}
+
+    def test_non_integer_config_seed_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = abc\n")
+        code, _ = run_cli(capsys, ["fidelity-sweep", "--config", str(cfg)])
+        assert code == 2
+
     def test_unreadable_config_is_spec_error(self, capsys):
         code, _ = run_cli(capsys, ["fidelity-sweep", "--config", "/nonexistent.cfg"])
         assert code == 2
@@ -150,6 +171,39 @@ class TestExitCodes:
         code, _ = run_cli(capsys, ["check-state", "--zeta", "0.5"])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity-sweep", "--nth", "5"],
+            ["fidelity-sweep", "--length", "9"],
+            ["entanglement-sweep", "--eta", "0.5"],
+            ["teleport", "--absorption-length", "2"],
+            ["check-state", "--eta", "0.5"],
+        ],
+    )
+    def test_unread_value_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-state", "--zeta", "nan"],
+            ["fidelity-sweep", "--eta", "inf"],
+            ["separability", "--zeta", "-1"],
+            ["separability", "--zeta=-1:1:3"],
+            ["entanglement-sweep", "--zeta", "-1"],
+            ["separability", "--absorption-length", "0"],
+            ["separability", "--absorption-length", "nan"],
+            ["entanglement-sweep", "--absorption-length", "-1"],
+            ["entanglement-sweep", "--absorption-length", "inf"],
+        ],
+    )
+    def test_malformed_value_exits_2(self, capsys, argv):
+        code, out = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["frobnicate"])
@@ -170,3 +224,21 @@ class TestCheckState:
         record = dict(zip(*(line.split(",") for line in out.strip().split("\n"))))
         assert record["separable"] == "true"
         assert float(record["e_n_ln"]) == 0.0
+
+
+# The README examples, without their --format flag; each runs in both formats.
+README_EXAMPLES = {
+    "entanglement-sweep": ["entanglement-sweep", "--length", "0:2:81", "--zeta", "1.0", "--log-base", "2"],
+    "fidelity-sweep": ["fidelity-sweep", "--eta", "0:1.5:16", "--zeta", "0:1.5:16"],
+    "separability": ["separability", "--zeta", "0.1:1.0:10", "--t2", "0.5", "--nth", "0.1"],
+    "teleport": ["teleport", "--eta", "0.5", "--zeta", "0.5", "--t2", "0.8"],
+    "check-state": ["check-state", "--zeta", "0.5", "--t2", "0.8", "--nth", "0.1"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(README_EXAMPLES))
+def test_readme_example_matches_golden(capsys, name, fmt):
+    code, out = run_cli(capsys, README_EXAMPLES[name] + ["--format", fmt])
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,16 @@ class TestLogNegativity:
         with pytest.raises(ValueError):
             cv.log_negativity(np.eye(4), base="10")
 
+    @pytest.mark.parametrize("base", ["natural", math.e, "two", 2, 2.0])
+    def test_closed_forms_reject_retired_spellings(self, base):
+        for call in (
+            lambda: cv.log_negativity(cv.tmsv_state(0.3).gamma, base=base),
+            lambda: cv.transmitted_log_negativity(0.3, 0.8, base=base),
+            lambda: cv.max_transmittable(0.5, 1.0, base=base),
+        ):
+            with pytest.raises(ValueError, match="log base"):
+                call()
+
 
 class TestTmsvEntropy:
     def test_zero(self):
@@ -159,6 +170,29 @@ class TestThresholds:
     def test_energy_violation(self):
         with pytest.raises(ValueError):
             cv.fiber_separability_threshold(0.5, 0.9, 0.9)
+
+    @pytest.mark.parametrize(
+        "t_mag, r_mag",
+        [(1.0, 1e-7), (1.0, 2e-6), (0.8, 0.6 + 1e-13), (0.8, 0.6 + 1e-9), (-0.1, 0.0), (1.1, 0.0), (0.5, -0.1),
+         (float("nan"), 0.0)],
+    )
+    def test_shares_the_fiber_parameter_rule(self, t_mag, r_mag):
+        try:
+            cv.FiberParams(t_mag=t_mag, r_mag=r_mag)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                cv.fiber_separability_threshold(0.5, t_mag, r_mag)
+        else:
+            cv.fiber_separability_threshold(0.5, t_mag, r_mag)
+
+    @pytest.mark.parametrize("zeta", [-1.0, -1e-12, float("nan")])
+    def test_negative_squeezing_is_rejected(self, zeta):
+        with pytest.raises(ValueError, match="non-negative"):
+            cv.fiber_separability_threshold(zeta, 0.8)
+        with pytest.raises(ValueError, match="non-negative"):
+            cv.separability_length(zeta, 0.5, 1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            cv.transmitted_log_negativity(zeta, 1.0)
 
 
 class TestSeparabilityLength:

@@ -110,7 +110,7 @@ class TestMaxClassicalSqueezing:
 
         def classical_at(zeta):
             st = cv.apply_symplectic(thermal, cv.build_symplectic([cv.squeeze(0, zeta)], 1))
-            return cv.classicality_test(st.gamma, tol=0.0).classical
+            return cv.classicality_test(st.gamma).min_gamma_eigenvalue >= 1.0
 
         lo, hi = 0.0, 2.0
         assert classical_at(lo) and not classical_at(hi)

@@ -60,7 +60,7 @@ class TestTeleport:
                 random_fiber(rng),
             )
             res = cv.teleport(setup)
-            assert cv.validate_covariance(res.gamma_rec, tol=1e-9).physical
+            assert cv.validate_covariance(res.gamma_rec).physical
 
 
 class TestFidelity:
