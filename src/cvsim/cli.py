@@ -60,10 +60,11 @@ def parse_grid(text) -> np.ndarray:
     try:
         if ":" in text:
             lo, hi, num = text.split(":")
-            num = int(num)
+            lo, hi, num = float(lo), float(hi), int(num)
             if num < 1:
                 raise ValueError
-            grid = np.linspace(float(lo), float(hi), num)
+            # linspace warns on a non-finite end or span, so those go to the check below
+            grid = np.linspace(lo, hi, num) if math.isfinite(hi - lo) else np.array([hi - lo])
         elif "," in text:
             grid = np.array([float(tok) for tok in text.split(",") if tok.strip()])
         else:

@@ -26,6 +26,7 @@ DEFAULT_CUTOFF = 25
 DEFAULT_GRID = (-8.0, 8.0, 801)
 
 _BOUNDARY_BUDGET = 1e-6
+_PURITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -136,26 +137,28 @@ def _loss_kraus(cutoff: int, transmittance: float) -> tuple[np.ndarray, ...]:
     return tuple(np.ascontiguousarray(u[:, k, :, 0]) for k in range(d))
 
 
-def _one_mode_conjugation(tensor: np.ndarray, op: np.ndarray, mode: int, modes: int) -> np.ndarray:
-    """op rho op^dag on one mode of the ket/bra tensor."""
-    t = np.tensordot(op, tensor, axes=([1], [mode]))
-    t = np.moveaxis(t, 0, mode)
-    t = np.tensordot(op.conj(), t, axes=([1], [modes + mode]))
-    return np.moveaxis(t, 0, modes + mode)
-
-
 def apply_loss_fock(state: FockState, mode: int, transmittance: float) -> FockState:
     """Transmit one mode through a beamsplitter of the given power
-    transmittance with a vacuum ancilla behind it, tracing out the ancilla."""
+    transmittance with a vacuum ancilla behind it, tracing out the ancilla.
+
+    The Kraus sum is the superoperator L[(a, b), (m, n)] = sum_k E_k[a, m]
+    E_k[b, n]* applied to the mode's (ket, bra) axes as one matrix product;
+    E_k and so L are real, which lets one real product cover both parts.
+    """
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError("transmittance must lie in [0, 1]")
     if not 0 <= mode < state.modes:
         raise ValueError("mode index out of range")
     if transmittance == 1.0:
         return state
-    out = np.zeros_like(state.tensor)
-    for kraus in _loss_kraus(state.cutoff, float(transmittance)):
-        out += _one_mode_conjugation(state.tensor, kraus, mode, state.modes)
+    d = state.cutoff + 1
+    kraus = np.stack(_loss_kraus(state.cutoff, float(transmittance)))  # (k, a, m)
+    pairs = kraus.transpose(1, 2, 0).reshape(d * d, d) @ kraus.reshape(d, d * d)  # ((a, m), (b, n))
+    sup = pairs.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    axes = (mode, state.modes + mode)
+    moved = np.ascontiguousarray(np.moveaxis(state.tensor, axes, (0, 1)))
+    out = (sup @ moved.reshape(d * d, -1).view(float)).view(complex).reshape(moved.shape)
+    out = np.ascontiguousarray(np.moveaxis(out, (0, 1), axes))
     return FockState(state.modes, state.cutoff, out, state.trunc_weight)
 
 
@@ -178,31 +181,26 @@ def _quadrature_ops(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
 def covariance_from_fock(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     """Extract (kappa, gamma) by taking first and second moments.
 
-    Densifies the state, so it is limited to one or two modes; that covers
-    every oracle comparison in the suite.
+    Each moment contracts the ket/bra tensor with d x d quadratures: a
+    same-mode pair is a trace of the one-mode reduced matrix, a cross-mode
+    pair is 2 Tr[rho (A (x) B)].  One or two modes cover every oracle check.
     """
     if state.modes > 2:
         raise ValueError("moment extraction supports at most two modes")
-    d = state.cutoff + 1
-    x1, p1 = _quadrature_ops(state.cutoff)
-    eye = np.eye(d)
-    quads = []
-    for m in range(state.modes):
-        for op in (x1, p1):
-            factors = [eye] * state.modes
-            factors[m] = op
-            full = factors[0]
-            for f in factors[1:]:
-                full = np.kron(full, f)
-            quads.append(full)
-    rho = state.matrix
-    kappa = np.array([np.trace(rho @ q).real for q in quads])
+    x, p = _quadrature_ops(state.cutoff)
+    reduced = [partial_trace(state, [m]).tensor for m in range(state.modes)]
+    quads = [(m, op) for m in range(state.modes) for op in (x, p)]
+    kappa = np.array([np.trace(reduced[m] @ op).real for m, op in quads])
     dim = 2 * state.modes
     gamma = np.empty((dim, dim))
     for i in range(dim):
         for j in range(i, dim):
-            sym = quads[i] @ quads[j] + quads[j] @ quads[i]
-            gamma[i, j] = gamma[j, i] = np.trace(rho @ sym).real - 2.0 * kappa[i] * kappa[j]
+            (mi, a), (mj, b) = quads[i], quads[j]
+            if mi == mj:
+                second = np.trace(reduced[mi] @ (a @ b + b @ a)).real
+            else:
+                second = 2.0 * np.einsum("ijkl,ki,lj->", state.tensor, a, b).real
+            gamma[i, j] = gamma[j, i] = second - 2.0 * kappa[i] * kappa[j]
     return kappa, gamma
 
 
@@ -234,11 +232,11 @@ def log_negativity_fock(state: FockState, base="e") -> float:
     return float(_to_base(np.log(trace_norm), base))
 
 
-def overlap_fock(state_a: FockState, state_b: FockState, purity_tol: float = 1e-6) -> float:
+def overlap_fock(state_a: FockState, state_b: FockState) -> float:
     """<psi_a| rho_b |psi_a> as Tr[rho_a rho_b]; state_a must be pure."""
     if state_a.modes != state_b.modes or state_a.cutoff != state_b.cutoff:
         raise ValueError("states must live on the same truncated space")
-    if abs(state_a.purity() - 1.0) > purity_tol:
+    if abs(state_a.purity() - 1.0) > _PURITY_TOL:
         raise ValueError("first argument must be a pure state")
     return float(np.trace(state_a.matrix @ state_b.matrix).real)
 
@@ -313,7 +311,6 @@ def homodyne_povm_fock(state: FockState, mode: int, phi: float = 0.0, grid=None)
     return HomodyneFockResult(grid=grid, pdf=pdf, conditionals=cond)
 
 
-@lru_cache(maxsize=64)
 def _squeeze_unitary(d: int, zeta: float) -> np.ndarray:
     """Fock-space squeezer whose phase-space action is diag(e^zeta, e^-zeta)."""
     a = _destroy(d)
@@ -321,7 +318,6 @@ def _squeeze_unitary(d: int, zeta: float) -> np.ndarray:
     return expm(gen)
 
 
-@lru_cache(maxsize=64)
 def _rotation_unitary(d: int, theta: float) -> np.ndarray:
     """Fock-space phase shifter acting as the counter-clockwise R(theta)."""
     n = np.arange(d, dtype=float)

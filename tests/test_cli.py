@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +32,12 @@ class TestGridParsing:
         with pytest.raises(cli.SpecError):
             cli.parse_grid("a:b:c")
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "0,nan", "0:inf:3"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "0,nan", "0:inf:3", "-1e308:1e308:3"])
     def test_non_finite_is_spec_error(self, text):
-        with pytest.raises(cli.SpecError, match="non-finite"):
-            cli.parse_grid(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the SpecError
+            with pytest.raises(cli.SpecError, match="non-finite"):
+                cli.parse_grid(text)
 
 
 class TestEntanglementSweep:

@@ -10,6 +10,72 @@ from cvsim import fock
 from conftest import random_single_mode_physical
 
 
+def _random_density(rng, modes, cutoff):
+    """Random full-rank density matrix: non-Gaussian, nonzero means, no phase symmetry."""
+    n = (cutoff + 1) ** modes
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = g @ g.conj().T
+    return fock.FockState(modes, cutoff, (rho / np.trace(rho)).reshape((cutoff + 1,) * (2 * modes)))
+
+
+def _reference_loss(state, mode, tau):
+    """The Kraus sum term by term: E_k rho E_k^dag on one mode's ket and bra axes."""
+    out = np.zeros_like(state.tensor)
+    for e in fock._loss_kraus(state.cutoff, float(tau)):
+        t = np.moveaxis(np.tensordot(e, state.tensor, axes=([1], [mode])), 0, mode)
+        t = np.tensordot(e.conj(), t, axes=([1], [state.modes + mode]))
+        out += np.moveaxis(t, 0, state.modes + mode)
+    return out
+
+
+def _reference_moments(state):
+    """Means and gamma from dense quadratures on the full space, Tr[rho Q]."""
+    d = state.cutoff + 1
+    a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1)
+    ops = ((a + a.T) / np.sqrt(2.0), (a - a.T) / (1j * np.sqrt(2.0)))
+    quads = []
+    for m in range(state.modes):
+        for op in ops:
+            factors = [np.eye(d)] * state.modes
+            factors[m] = op
+            full = factors[0]
+            for f in factors[1:]:
+                full = np.kron(full, f)
+            quads.append(full)
+    rho = state.matrix
+    kappa = np.array([np.trace(rho @ q).real for q in quads])
+    gamma = np.array(
+        [[np.trace(rho @ (qi @ qj + qj @ qi)).real - 2.0 * ki * kj for qj, kj in zip(quads, kappa)]
+         for qi, ki in zip(quads, kappa)]
+    )
+    return kappa, gamma
+
+
+class TestAgainstReferenceImplementations:
+    @pytest.mark.parametrize("modes, cutoff", [(1, 4), (1, 8), (2, 5), (2, 8), (3, 4), (3, 6)])
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 0.99])
+    def test_loss_matches_kraus_sum(self, rng, modes, cutoff, tau):
+        st = _random_density(rng, modes, cutoff)
+        for mode in range(modes):
+            out = fock.apply_loss_fock(st, mode, tau)
+            assert out.tensor.shape == st.tensor.shape
+            assert np.max(np.abs(out.tensor - _reference_loss(st, mode, tau))) <= 1e-12
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    @pytest.mark.parametrize("cutoff", [4, 6, 8])
+    def test_moments_match_dense_quadratures(self, rng, modes, cutoff):
+        st = _random_density(rng, modes, cutoff)
+        kappa, gamma = fock.covariance_from_fock(st)
+        ref_kappa, ref_gamma = _reference_moments(st)
+        assert np.min(np.abs(ref_kappa)) > 1e-3  # the mean terms are exercised
+        assert np.max(np.abs(kappa - ref_kappa)) <= 1e-12
+        assert np.max(np.abs(gamma - ref_gamma)) <= 1e-12
+
+    def test_moments_reject_three_modes(self, rng):
+        with pytest.raises(ValueError, match="at most two modes"):
+            fock.covariance_from_fock(_random_density(rng, 3, 4))
+
+
 class TestTmsvConstruction:
     def test_zero_squeezing_is_double_vacuum(self):
         st = fock.build_tmsv_fock(0.0, cutoff=10)
@@ -239,6 +305,11 @@ class TestOverlap:
         pure = fock.vacuum_fock(1, 25)
         with pytest.raises(ValueError):
             fock.overlap_fock(mixed, pure)
+
+    def test_purity_tolerance_is_not_a_parameter(self):
+        st = fock.vacuum_fock(1, 5)
+        with pytest.raises(TypeError):
+            fock.overlap_fock(st, st, purity_tol=1.0)
 
     def test_matches_gaussian_fidelity(self):
         eta = 0.4
