@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
-from .symplectic import DEFAULT_TOL, rotation_matrix, symplectic_form
-from .states import GaussianState, tmsv_state
+from .symplectic import DEFAULT_TOL, _block_diag, rotation_matrix, symplectic_form
+from .states import GaussianState, _check_occupation, tmsv_state
 
 _PARAM_TOL = 1e-12  # slack of the energy-conservation rule |T|^2 + |R|^2 <= 1
 
@@ -75,8 +74,16 @@ def _check_fiber(t_mag: float, r_mag: float = 0.0, n_th: float = 0.0) -> None:
         raise ValueError("reflection magnitude must lie in [0, 1]")
     if t_mag**2 + r_mag**2 > 1.0 + _PARAM_TOL:
         raise ValueError("energy conservation requires |T|^2 + |R|^2 <= 1")
-    if not n_th >= 0.0:
-        raise ValueError("mean thermal photon number must be non-negative")
+    _check_occupation(n_th)
+
+
+def _check_length(l_abs: float, length: float = 0.0) -> None:
+    """The fiber-length rule, else ValueError: absorption length l_abs > 0
+    and fiber length >= 0; NaN fails both."""
+    if not l_abs > 0.0:
+        raise ValueError(f"absorption length must be positive, got {l_abs!r}")
+    if not length >= 0.0:
+        raise ValueError(f"fiber length must be non-negative, got {length!r}")
 
 
 IDEAL_FIBER = FiberParams(t_mag=1.0)
@@ -112,8 +119,7 @@ def fiber_channel(p: FiberParams) -> GaussianChannel:
 
 def fiber_from_length(length: float, l_abs: float, n_th: float = 0.0) -> FiberParams:
     """Fiber with Lambert-Beer extinction |T| = exp(-length/l_abs) and R = 0."""
-    if length < 0 or l_abs <= 0:
-        raise ValueError("length must be >= 0 and absorption length > 0")
+    _check_length(l_abs, length)
     return FiberParams(t_mag=float(np.exp(-length / l_abs)), n_th=n_th)
 
 
@@ -122,8 +128,8 @@ def tensor_channels(*channels: GaussianChannel) -> GaussianChannel:
     if not channels:
         raise ValueError("need at least one channel")
     return GaussianChannel(
-        block_diag(*[ch.a for ch in channels]),
-        block_diag(*[ch.g for ch in channels]),
+        _block_diag(*[ch.a for ch in channels]),
+        _block_diag(*[ch.g for ch in channels]),
     )
 
 

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _check_fiber
+from .channels import _check_fiber, _check_length
+from .states import _check_occupation
 from .symplectic import _SIGMA_1, DEFAULT_TOL, symplectic_eigenvalues, validate_covariance
 
 _PT = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -191,13 +192,11 @@ def separability_length(zeta: float, n_th: float, l_abs: float) -> float:
 
     l_S = (l_abs/2) ln[1 + (1 - e^(-2 zeta)) / (2 n_th)]; diverges for
     n_th -> 0, in which case math.inf is returned.  Raises ValueError for
-    zeta < 0, n_th < 0 or l_abs <= 0.
+    zeta < 0, n_th < 0 or l_abs <= 0, NaN included.
     """
     _check_squeezing(zeta)
-    if n_th < 0:
-        raise ValueError("mean thermal photon number must be non-negative")
-    if l_abs <= 0:
-        raise ValueError("absorption length must be positive")
+    _check_occupation(n_th)
+    _check_length(l_abs)
     if zeta == 0.0:
         return 0.0
     if n_th == 0.0:
@@ -222,10 +221,12 @@ def transmitted_log_negativity(zeta: float, t_mag: float, base="e") -> float:
 
 
 def max_transmittable(length: float, l_abs: float, base="e") -> float:
-    """Saturation bound: E_N,max = -log[1 - e^(-2 l / l_abs)]."""
+    """Saturation bound: E_N,max = -log[1 - e^(-2 l / l_abs)].
+
+    Raises ValueError for length < 0 or l_abs <= 0, NaN included.
+    """
     base = _check_base(base)
-    if length < 0 or l_abs <= 0:
-        raise ValueError("length must be >= 0 and absorption length > 0")
+    _check_length(l_abs, length)
     t_sq = math.exp(-2.0 * length / l_abs)
     if t_sq >= 1.0:
         return math.inf

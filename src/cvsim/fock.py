@@ -7,6 +7,14 @@ conventions (x = (a + a^dag)/sqrt(2), gamma = twice the symmetrised
 covariance, vacuum gamma = 1) and the conversion of a natural logarithm
 to the requested log base.
 
+Both unitaries are exponentials of real antisymmetric generators, so
+each is taken through the Hermitian eigenproblem of 1j * gen, which keeps
+the module on numpy alone.  The squeezer is one d x d eigen-solve.  The
+loss beamsplitter conserves the total photon number n1 + n2 (Campos, Saleh
+and Teich, PRA 40, 1371 (1989)), so its generator is a direct sum of
+blocks of size at most d; each input |m, 0> needs only the (m + 1)-sized
+block n1 + n2 = m, never the dense d^2 x d^2 generator.
+
 Loss with thermal occupation is out of scope; all oracle checks run at
 n_th = 0.
 """
@@ -18,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .entanglement import _check_base, _to_base
 
@@ -119,22 +126,34 @@ def _destroy(d: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1)
 
 
+def _expm_antisymmetric(gen: np.ndarray) -> np.ndarray:
+    """exp(gen) for a real antisymmetric gen: with 1j gen = V diag(w) V^dag
+    Hermitian, exp(gen) = V diag(e^-iw) V^dag, which is real."""
+    w, v = np.linalg.eigh(1j * gen)
+    return ((v * np.exp(-1j * w)) @ v.conj().T).real
+
+
 @lru_cache(maxsize=32)
-def _loss_kraus(cutoff: int, transmittance: float) -> tuple[np.ndarray, ...]:
-    """Kraus operators of the loss channel, built from the beamsplitter.
+def _loss_kraus(cutoff: int, transmittance: float) -> np.ndarray:
+    """Kraus operators of the loss channel, stacked as kraus[k] = E_k.
 
     The mode is coupled to a vacuum ancilla by U = exp[theta (a^dag g -
     a g^dag)] with cos^2(theta) = transmittance, and the ancilla is traced
-    out, which is exactly E_k = <k|U|0>.  The generator conserves total
-    photon number, so the truncated exponential is exact on every block the
-    input can reach.
+    out: E_k = <k|U|0>.  Its only nonzero column entries E_k[m - k, m] =
+    <m - k, k|U|m, 0> come from the block n1 + n2 = m, spanned by |i, m - i>,
+    which fits under the cutoff, so the truncation is exact.  Read-only,
+    because the array is cached.
     """
     d = cutoff + 1
     theta = np.arccos(np.sqrt(transmittance))
-    a = _destroy(d)
-    gen = theta * (np.kron(a.T, a) - np.kron(a, a.T))
-    u = expm(gen).reshape(d, d, d, d)
-    return tuple(np.ascontiguousarray(u[:, k, :, 0]) for k in range(d))
+    kraus = np.zeros((d, d, d))
+    for m in range(d):
+        i = np.arange(m + 1)
+        hop = theta * np.sqrt(i[1:] * (m + 1.0 - i[1:]))  # <i, m-i| gen |i-1, m-i+1>
+        column = _expm_antisymmetric(np.diag(hop, -1) - np.diag(hop, 1))[:, m]
+        kraus[m - i, i, m] = column
+    kraus.setflags(write=False)
+    return kraus
 
 
 def apply_loss_fock(state: FockState, mode: int, transmittance: float) -> FockState:
@@ -152,7 +171,7 @@ def apply_loss_fock(state: FockState, mode: int, transmittance: float) -> FockSt
     if transmittance == 1.0:
         return state
     d = state.cutoff + 1
-    kraus = np.stack(_loss_kraus(state.cutoff, float(transmittance)))  # (k, a, m)
+    kraus = _loss_kraus(state.cutoff, float(transmittance))  # (k, a, m)
     pairs = kraus.transpose(1, 2, 0).reshape(d * d, d) @ kraus.reshape(d, d * d)  # ((a, m), (b, n))
     sup = pairs.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     axes = (mode, state.modes + mode)
@@ -274,48 +293,52 @@ def default_grid() -> np.ndarray:
 class HomodyneFockResult:
     grid: np.ndarray
     pdf: np.ndarray
-    conditionals: np.ndarray | None  # (n_points, rest_dim, rest_dim) or None
+
+
+def _quadrature_amplitudes(cutoff: int, phi: float, grid: np.ndarray) -> np.ndarray:
+    """<n|X,phi> for every grid point X, shape (n_points, d)."""
+    table = QuadratureWavefunctionTable.build(grid, cutoff)
+    return np.exp(1j * phi * np.arange(cutoff + 1))[None, :] * table.values.T
 
 
 def homodyne_povm_fock(state: FockState, mode: int, phi: float = 0.0, grid=None) -> HomodyneFockResult:
-    """Project one mode onto quadrature eigenstates |X, phi>.
+    """Outcome density of projecting one mode onto quadrature eigenstates |X, phi>.
 
-    phi = 0 is an x measurement and phi = pi/2 a p measurement.  Returns
-    the outcome density p(X) = <X,phi| rho_mode |X,phi> on the grid and,
-    for multimode input, the renormalised conditional states of the
-    remaining modes at each grid point.
+    phi = 0 is an x measurement and phi = pi/2 a p measurement.  The density
+    p(X) = <X,phi| rho_mode |X,phi> needs only the mode's reduced matrix.
     """
     if not 0 <= mode < state.modes:
         raise ValueError("mode index out of range")
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    table = QuadratureWavefunctionTable.build(grid, state.cutoff)
-    phases = np.exp(1j * phi * np.arange(state.cutoff + 1))
-    amps = phases[None, :] * table.values.T  # (n_points, d); <n|X,phi> conjugated below
+    amps = _quadrature_amplitudes(state.cutoff, phi, grid)
+    reduced = partial_trace(state, [mode]).tensor
+    pdf = np.einsum("gm,mn,gn->g", amps.conj(), reduced, amps).real
+    return HomodyneFockResult(grid=grid, pdf=pdf)
 
-    if state.modes == 1:
-        pdf = np.einsum("gm,mn,gn->g", amps.conj(), state.tensor, amps).real
-        cond = None
-    else:
-        letters = "abcdef"
-        kets = [("m" if i == mode else letters[i]) for i in range(state.modes)]
-        bras = [("n" if i == mode else letters[state.modes + i]) for i in range(state.modes)]
-        rest = [c for c in kets + bras if c not in ("m", "n")]
-        spec = f"gm,{''.join(kets + bras)},gn->g{''.join(rest)}"
-        sigma = np.einsum(spec, amps.conj(), state.tensor, amps, optimize=True)
-        rest_dim = (state.cutoff + 1) ** (state.modes - 1)
-        sigma = sigma.reshape(grid.size, rest_dim, rest_dim)
-        pdf = np.einsum("gii->g", sigma).real
-        cond = np.zeros_like(sigma)
-        ok = pdf > 1e-300
-        cond[ok] = sigma[ok] / pdf[ok, None, None]
-    return HomodyneFockResult(grid=grid, pdf=pdf, conditionals=cond)
+
+def homodyne_conditional_fock(state: FockState, mode: int, x: float, phi: float = 0.0) -> FockState:
+    """Renormalised state of the other modes after the quadrature of
+    ``mode`` at angle phi reads x; ValueError if x has zero density."""
+    if state.modes < 2:
+        raise ValueError("conditioning needs a state of at least two modes")
+    if not 0 <= mode < state.modes:
+        raise ValueError("mode index out of range")
+    if not np.isfinite(x):
+        raise ValueError(f"homodyne record must be finite, got {x!r}")
+    amp = _quadrature_amplitudes(state.cutoff, phi, np.array([float(x)]))[0]
+    moved = np.moveaxis(state.tensor, (mode, state.modes + mode), (0, 1))
+    sigma = np.einsum("m,mn...,n->...", amp.conj(), moved, amp)
+    rest = (state.cutoff + 1) ** (state.modes - 1)
+    prob = np.trace(sigma.reshape(rest, rest)).real
+    if not prob > 0.0:
+        raise ValueError(f"homodyne record {x!r} has zero density")
+    return FockState(state.modes - 1, state.cutoff, sigma / prob, state.trunc_weight)
 
 
 def _squeeze_unitary(d: int, zeta: float) -> np.ndarray:
     """Fock-space squeezer whose phase-space action is diag(e^zeta, e^-zeta)."""
     a = _destroy(d)
-    gen = (-zeta / 2.0) * (a @ a - a.T @ a.T)
-    return expm(gen)
+    return _expm_antisymmetric((-zeta / 2.0) * (a @ a - a.T @ a.T))
 
 
 def _rotation_unitary(d: int, theta: float) -> np.ndarray:

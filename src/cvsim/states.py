@@ -41,6 +41,12 @@ class GaussianState:
         return self.gamma.shape[0] // 2
 
 
+def _check_occupation(n_mean) -> None:
+    """Mean thermal photon numbers (scalar or array) must be >= 0; NaN fails."""
+    if not np.all(np.asarray(n_mean) >= 0.0):
+        raise ValueError("mean thermal photon number must be non-negative")
+
+
 def vacuum_state(n_modes: int = 1) -> GaussianState:
     return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
@@ -54,8 +60,7 @@ def thermal_state(n_mean, n_modes: int | None = None) -> GaussianState:
     ns = np.atleast_1d(np.asarray(n_mean, dtype=float))
     if n_modes is not None and ns.size == 1:
         ns = np.full(n_modes, ns[0])
-    if np.any(ns < 0):
-        raise ValueError("mean thermal photon number must be non-negative")
+    _check_occupation(ns)
     diag = 2.0 * np.repeat(ns, 2) + 1.0
     return GaussianState(np.zeros(diag.size), np.diag(diag))
 
@@ -134,8 +139,7 @@ def max_classical_squeezing(n_mean: float) -> float:
     Equals 0.5*ln(2n + 1); squeezing the vacuum by any amount is
     non-classical.
     """
-    if n_mean < 0:
-        raise ValueError("mean thermal photon number must be non-negative")
+    _check_occupation(n_mean)
     return 0.5 * np.log(2.0 * n_mean + 1.0)
 
 

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,11 +19,28 @@ DEFAULT_TOL = 1e-9  # absolute tolerance of every validity test; not a parameter
 _SIGMA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+@lru_cache(maxsize=16)
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Return the 2N x 2N symplectic form, N blocks of [[0, 1], [-1, 0]]."""
+    """Return the 2N x 2N symplectic form, N blocks of [[0, 1], [-1, 0]].
+
+    The array is built once per mode count and shared, so it is read-only.
+    """
     if n_modes < 1:
         raise ValueError("mode count must be positive")
-    return np.kron(np.eye(n_modes), _SIGMA_1)
+    sigma = np.kron(np.eye(n_modes), _SIGMA_1)
+    sigma.setflags(write=False)
+    return sigma
+
+
+def _block_diag(*mats) -> np.ndarray:
+    """Square matrices placed corner to corner on the diagonal, zeros elsewhere."""
+    n = sum(len(m) for m in mats)
+    out = np.zeros((n, n))
+    i = 0
+    for m in mats:
+        out[i : i + len(m), i : i + len(m)] = m
+        i += len(m)
+    return out
 
 
 def rotation_matrix(theta: float) -> np.ndarray:

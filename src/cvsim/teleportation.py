@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .channels import IDEAL_FIBER, FiberParams, degraded_tmsv
 from .measurement import HomodyneResult, OutcomeDensity, homodyne_project
 from .states import GaussianState
-from .symplectic import _SIGMA_1, beamsplitter, build_symplectic, rotation_matrix, validate_covariance
+from .symplectic import _SIGMA_1, _block_diag, beamsplitter, build_symplectic, rotation_matrix, validate_covariance
 
 
 @dataclass(frozen=True)
@@ -107,7 +106,7 @@ def teleport(setup: TeleportSetup) -> TeleportResult:
     """
     gamma_dec = degraded_tmsv(setup.zeta, setup.f1, setup.f2)
     s_mix = build_symplectic([beamsplitter(0, 1)], 3)
-    gamma_012 = s_mix @ block_diag(setup.gamma_in, gamma_dec) @ s_mix.T
+    gamma_012 = s_mix @ _block_diag(setup.gamma_in, gamma_dec) @ s_mix.T
     kappa_012 = s_mix @ np.concatenate([setup.kappa_in, np.zeros(4)])
 
     hom: HomodyneResult = homodyne_project(gamma_012, measured=(0, 3), kappa=kappa_012)

@@ -205,6 +205,25 @@ class TestSeparabilityLength:
     def test_zero_temperature_diverges(self):
         assert math.isinf(cv.separability_length(0.5, 0.0, 1.0))
 
+    @pytest.mark.parametrize("n_th", [-0.1, float("nan")])
+    def test_rejects_bad_occupation(self, n_th):
+        with pytest.raises(ValueError, match="thermal photon number"):
+            cv.separability_length(0.5, n_th, 1.0)
+
+    @pytest.mark.parametrize(
+        "length, l_abs, match",
+        [(0.3, 0.0, "absorption length"), (0.3, -1.0, "absorption length"), (0.3, float("nan"), "absorption length"),
+         (-0.1, 1.0, "fiber length"), (float("nan"), 1.0, "fiber length")],
+    )
+    def test_length_rule_is_shared(self, length, l_abs, match):
+        with pytest.raises(ValueError, match=match):
+            cv.fiber_from_length(length, l_abs)
+        with pytest.raises(ValueError, match=match):
+            cv.max_transmittable(length, l_abs)
+        if match == "absorption length":
+            with pytest.raises(ValueError, match=match):
+                cv.separability_length(0.5, 0.1, l_abs)
+
     def test_round_trip_with_threshold(self):
         # a fiber of length l_S sits exactly on the separability boundary
         zeta, n_th, l_abs = 0.7, 0.25, 2.0

@@ -76,6 +76,38 @@ class TestAgainstReferenceImplementations:
             fock.covariance_from_fock(_random_density(rng, 3, 4))
 
 
+def _dense_loss_kraus(cutoff, tau):
+    """E_k = <k|U|0> from the dense exponential of the two-mode generator."""
+    d = cutoff + 1
+    a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1)
+    theta = np.arccos(np.sqrt(tau))
+    u = expm(theta * (np.kron(a.T, a) - np.kron(a, a.T))).reshape(d, d, d, d)
+    return np.stack([u[:, k, :, 0] for k in range(d)])
+
+
+class TestUnitariesAgainstScipy:
+    @pytest.mark.parametrize("cutoff", [4, 12, 25])
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 0.7, 0.99])
+    def test_blockwise_loss_kraus_matches_dense_expm(self, cutoff, tau):
+        kraus = fock._loss_kraus(cutoff, tau)
+        assert kraus.shape == (cutoff + 1,) * 3
+        assert np.max(np.abs(kraus - _dense_loss_kraus(cutoff, tau))) <= 1e-12
+
+    @pytest.mark.parametrize("zeta", [-0.8, 0.1, 0.8, 1.5])
+    def test_squeeze_unitary_matches_expm(self, zeta):
+        d = 26
+        a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1)
+        ref = expm((-zeta / 2.0) * (a @ a - a.T @ a.T))
+        assert np.max(np.abs(fock._squeeze_unitary(d, zeta) - ref)) <= 1e-12
+
+    def test_repeated_loss_call_hits_the_cache(self):
+        fock._loss_kraus(7, 0.4321)
+        hits = fock._loss_kraus.cache_info().hits
+        again = fock._loss_kraus(7, 0.4321)
+        assert fock._loss_kraus.cache_info().hits == hits + 1
+        assert not again.flags.writeable
+
+
 class TestTmsvConstruction:
     def test_zero_squeezing_is_double_vacuum(self):
         st = fock.build_tmsv_fock(0.0, cutoff=10)
@@ -264,14 +296,39 @@ class TestHomodynePovm:
         # conjugate-projector naming, is homodyne_project of the p index)
         zeta = 0.4
         st = fock.build_tmsv_fock(zeta, cutoff=25)
-        res = fock.homodyne_povm_fock(st, 0, phi=0.0)
-        idx = int(np.argmin(np.abs(res.grid - 0.7)))
-        cond = fock.FockState(1, 25, res.conditionals[idx].reshape(26, 26))
+        grid = fock.default_grid()
+        x = grid[int(np.argmin(np.abs(grid - 0.7)))]
+        cond = fock.homodyne_conditional_fock(st, 0, x, phi=0.0)
+        assert cond.modes == 1 and abs(cond.trace() - 1.0) <= 1e-12
         kappa, gamma_cond = fock.covariance_from_fock(cond)
         expected = cv.homodyne_project(cv.tmsv_state(zeta).gamma, measured={1}).gamma_out
         assert np.max(np.abs(gamma_cond - expected)) <= 1e-6
         # the conditional mean lands where the arm correlations say it should
         assert kappa[0] != 0.0
+
+    def test_conditional_density_is_the_measured_pdf(self, rng):
+        # the unnormalised conditional traces to the outcome density, so the
+        # two functions agree on a random non-Gaussian two-mode state
+        st = _random_density(rng, 2, 6)
+        grid = np.linspace(-2.0, 2.0, 5)
+        pdf = fock.homodyne_povm_fock(st, 1, phi=0.3, grid=grid).pdf
+        table = fock.QuadratureWavefunctionTable.build(grid, 6).values.T * np.exp(0.3j * np.arange(7))
+        for x, p, amp in zip(grid, pdf, table):
+            cond = fock.homodyne_conditional_fock(st, 1, x, phi=0.3)
+            sigma = np.einsum("m,ambn,n->ab", amp.conj(), st.tensor, amp)
+            assert abs(np.trace(sigma).real - p) <= 1e-12
+            assert np.max(np.abs(cond.matrix - sigma / p)) <= 1e-12
+
+    def test_conditional_rejects_bad_requests(self):
+        st = fock.build_tmsv_fock(0.3, cutoff=10)
+        with pytest.raises(ValueError, match="two modes"):
+            fock.homodyne_conditional_fock(fock.vacuum_fock(1, 10), 0, 0.0)
+        with pytest.raises(ValueError, match="mode index"):
+            fock.homodyne_conditional_fock(st, 2, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            fock.homodyne_conditional_fock(st, 0, float("nan"))
+        with pytest.raises(ValueError, match="zero density"):
+            fock.homodyne_conditional_fock(st, 0, 40.0)
 
 
 class TestPartialTrace:

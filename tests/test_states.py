@@ -17,8 +17,9 @@ class TestConstructors:
         assert_allclose(cv.thermal_state([0.5, 2.0]).gamma, np.diag([2.0, 2.0, 5.0, 5.0]))
 
     def test_thermal_negative_n(self):
-        with pytest.raises(ValueError):
-            cv.thermal_state(-0.1)
+        for n in (-0.1, float("nan"), [0.5, float("nan")]):
+            with pytest.raises(ValueError, match="non-negative"):
+                cv.thermal_state(n)
 
     def test_tmsv_zero_squeezing(self):
         assert_allclose(cv.tmsv_state(0.0).gamma, np.eye(4))
@@ -101,8 +102,9 @@ class TestMaxClassicalSqueezing:
         assert_allclose(cv.max_classical_squeezing(n), expected, atol=1e-14)
 
     def test_negative_n(self):
-        with pytest.raises(ValueError):
-            cv.max_classical_squeezing(-1.0)
+        for n in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="non-negative"):
+                cv.max_classical_squeezing(n)
 
     def test_boundary_matches_classicality_flip(self):
         n = 0.7

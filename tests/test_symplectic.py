@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cvsim as cv
+from cvsim.symplectic import _block_diag
 from conftest import random_single_mode_physical, random_symplectic, random_two_mode_physical
 
 SIGMA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -31,6 +32,28 @@ class TestSymplecticForm:
     def test_rejects_zero_modes(self):
         with pytest.raises(ValueError):
             cv.symplectic_form(0)
+
+    def test_shared_array_is_read_only(self):
+        sigma = cv.symplectic_form(2)
+        assert cv.symplectic_form(2) is sigma
+        assert not sigma.flags.writeable
+        with pytest.raises(ValueError):
+            sigma[0, 1] = 5.0
+
+
+class TestBlockDiag:
+    @pytest.mark.parametrize(
+        "shapes",
+        [[(3, 3)], [(2, 2), (4, 4)], [(1, 1), (4, 4), (2, 2)]],
+    )
+    def test_matches_scipy(self, rng, shapes):
+        from scipy.linalg import block_diag
+
+        mats = [rng.normal(size=shape) for shape in shapes]
+        out = _block_diag(*mats)
+        ref = block_diag(*mats)
+        assert out.shape == ref.shape and out.dtype == ref.dtype
+        assert np.array_equal(out, ref)
 
 
 class TestValidateCovariance:
