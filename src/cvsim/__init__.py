@@ -7,12 +7,10 @@ oracle for independent verification."""
 from .symplectic import (
     DEFAULT_TOL,
     CovarianceReport,
-    Gate,
     beamsplitter,
     build_symplectic,
     check_symplectic,
     euler_decompose,
-    gate_matrix,
     rotation,
     rotation_matrix,
     squeeze,
@@ -39,7 +37,6 @@ from .channels import (
     FiberParams,
     GaussianChannel,
     apply_channel,
-    compose_channels,
     degraded_tmsv,
     fiber_channel,
     fiber_from_length,
@@ -51,11 +48,9 @@ from .measurement import (
     ConditionalResult,
     HomodyneResult,
     OutcomeDensity,
-    conjugate_quadrature,
     gaussian_project,
     homodyne_project,
     mp_inverse,
-    pseudo_determinant,
 )
 from .entanglement import (
     NegativityReport,
@@ -66,7 +61,6 @@ from .entanglement import (
     max_transmittable,
     partial_transpose,
     separability_length,
-    tmsv_entropy,
     transmitted_log_negativity,
 )
 from .teleportation import (

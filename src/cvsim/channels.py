@@ -133,13 +133,6 @@ def tensor_channels(*channels: GaussianChannel) -> GaussianChannel:
     )
 
 
-def compose_channels(ch2: GaussianChannel, ch1: GaussianChannel) -> GaussianChannel:
-    """The channel 'first ch1, then ch2': (A2 A1, A2 G1 A2^T + G2)."""
-    if ch1.n_modes != ch2.n_modes:
-        raise ValueError("channel dimensions do not match")
-    return GaussianChannel(ch2.a @ ch1.a, ch2.a @ ch1.g @ ch2.a.T + ch2.g)
-
-
 def degraded_tmsv(zeta: float, f1: FiberParams, f2: FiberParams) -> np.ndarray:
     """Covariance matrix of a TMSV sent through one fiber per arm.
 

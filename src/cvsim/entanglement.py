@@ -154,19 +154,6 @@ def log_negativity(gamma, base="e") -> NegativityReport:
     return NegativityReport(f_value=f_closed, e_n=float(e_n), log_base=base)
 
 
-def tmsv_entropy(zeta: float) -> float:
-    """Entanglement entropy of the two-mode squeezed vacuum.
-
-    E = -ln(1 - q^2) - q^2/(1 - q^2) * ln(q^2) with q = tanh(zeta);
-    bounded above by 2*zeta and zero at zeta = 0.
-    """
-    q = math.tanh(zeta)
-    q2 = q * q
-    if q2 == 0.0:
-        return 0.0
-    return -math.log1p(-q2) - q2 / (1.0 - q2) * math.log(q2)
-
-
 def fiber_separability_threshold(zeta: float, t_mag: float, r_mag: float = 0.0) -> float:
     """Thermal occupation at which the degraded TMSV turns separable.
 

@@ -32,7 +32,10 @@ from .entanglement import _check_base, _to_base
 DEFAULT_CUTOFF = 25
 DEFAULT_GRID = (-8.0, 8.0, 801)
 
-_BOUNDARY_BUDGET = 1e-6
+# Probability the truncation may cost: the weight dropped by a state
+# constructor (else ValueError) and the population at the cutoff level
+# that log_negativity_fock tolerates (else a warning).
+_TRUNCATION_BUDGET = 1e-6
 _PURITY_TOL = 1e-6
 
 
@@ -100,19 +103,19 @@ def number_state_fock(ns, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     return _from_matrix(np.outer(vec, vec.conj()), len(ns), cutoff)
 
 
-def build_tmsv_fock(zeta: float, cutoff: int = DEFAULT_CUTOFF, max_truncation: float = 1e-6) -> FockState:
+def build_tmsv_fock(zeta: float, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     """Two-mode squeezed vacuum sqrt(1-q^2) sum_n q^n |nn>, q = tanh(zeta).
 
     The expansion is truncated at the cutoff and renormalised; the dropped
     weight q^(2(cutoff+1)) is reported on the state and must not exceed
-    ``max_truncation``.
+    the truncation budget 1e-6.
     """
     q = np.tanh(zeta)
     d = cutoff + 1
     weight = float(q ** (2 * d))
-    if weight > max_truncation:
+    if weight > _TRUNCATION_BUDGET:
         raise ValueError(
-            f"truncation weight {weight:.3e} exceeds the budget {max_truncation:.1e}; raise the cutoff"
+            f"truncation weight {weight:.3e} exceeds the budget {_TRUNCATION_BUDGET:.1e}; raise the cutoff"
         )
     amps = np.sqrt(1.0 - q * q) * q ** np.arange(d)
     psi = np.zeros((d, d), dtype=complex)
@@ -223,7 +226,7 @@ def covariance_from_fock(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     return kappa, gamma
 
 
-def boundary_population(state: FockState) -> float:
+def _boundary_population(state: FockState) -> float:
     """Largest diagonal probability with any mode at the cutoff level."""
     diag = np.real(np.diagonal(state.matrix))
     d = state.cutoff + 1
@@ -243,7 +246,7 @@ def log_negativity_fock(state: FockState, base="e") -> float:
     if state.modes != 2:
         raise ValueError("log negativity needs a bipartite state")
     _check_base(base)
-    if boundary_population(state) > _BOUNDARY_BUDGET:
+    if _boundary_population(state) > _TRUNCATION_BUDGET:
         warnings.warn("cutoff boundary population exceeds budget; result may be truncation dominated")
     d = state.cutoff + 1
     pt = state.tensor.transpose(0, 3, 2, 1).reshape(d * d, d * d)
@@ -347,11 +350,12 @@ def _rotation_unitary(d: int, theta: float) -> np.ndarray:
     return np.diag(np.exp(1j * theta * n))
 
 
-def gaussian_fock(gamma, cutoff: int = DEFAULT_CUTOFF, max_truncation: float = 1e-6) -> FockState:
+def gaussian_fock(gamma, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     """Single-mode Gaussian state (zero mean) as a Fock density matrix.
 
     Decomposes gamma = R(theta) diag(nu k^2, nu/k^2) R(theta)^T and builds
-    the rotated, squeezed thermal state with the matching unitaries.
+    the rotated, squeezed thermal state with the matching unitaries; the
+    thermal tail beyond the cutoff must not exceed the budget 1e-6.
     """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (2, 2):
@@ -373,7 +377,7 @@ def gaussian_fock(gamma, cutoff: int = DEFAULT_CUTOFF, max_truncation: float = 1
         mu = n_bar / (n_bar + 1.0)
         probs = (1.0 - mu) * mu ** np.arange(d)
         weight = float(mu**d)
-        if weight > max_truncation:
+        if weight > _TRUNCATION_BUDGET:
             raise ValueError(f"thermal tail {weight:.3e} exceeds the budget; raise the cutoff")
         probs = probs / probs.sum()
     rho = np.diag(probs).astype(complex)

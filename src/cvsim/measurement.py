@@ -57,7 +57,7 @@ def mp_inverse(mat, tol: float = MP_REL_TOL) -> np.ndarray:
     return (evecs * inv) @ evecs.T
 
 
-def pseudo_determinant(mat, tol: float = MP_REL_TOL) -> float:
+def _pseudo_determinant(mat, tol: float = MP_REL_TOL) -> float:
     """Product of the eigenvalues of a symmetric matrix kept by the rank cut
     of :func:`mp_inverse`; 1.0 when none is kept."""
     evals, _, keep = _spectral_cut(np.asarray(mat, dtype=float), tol)
@@ -141,11 +141,11 @@ def gaussian_project(blocks: BlockedCovariance, d_matrix) -> ConditionalResult:
     # the default rank cutoff of mp_inverse would discard genuine directions
     core_inv = mp_inverse(core, tol=1e-15)
     gamma_out = blocks.c1 - blocks.c3 @ core_inv @ blocks.c3.T
-    prob = float(pseudo_determinant(core, tol=1e-15) ** -0.5)
+    prob = float(_pseudo_determinant(core, tol=1e-15) ** -0.5)
     return ConditionalResult(gamma_out, prob, blocks.c3 @ core_inv)
 
 
-def conjugate_quadrature(q: int) -> int:
+def _conjugate_quadrature(q: int) -> int:
     """p-index of an x-quadrature and vice versa, interleaved ordering."""
     return q + 1 if q % 2 == 0 else q - 1
 
@@ -174,7 +174,7 @@ class OutcomeDensity:
         dev = pts * self.signs - self.mean
         quad = np.einsum("ni,ij,nj->n", dev, mp_inverse(self.block), dev)
         m = self.block.shape[0]
-        norm = np.pi ** (m / 2.0) * np.sqrt(pseudo_determinant(self.block))
+        norm = np.pi ** (m / 2.0) * np.sqrt(_pseudo_determinant(self.block))
         vals = np.exp(-quad) / norm
         return float(vals[0]) if single else vals
 
@@ -221,7 +221,7 @@ def homodyne_project(gamma, measured, kappa=None) -> HomodyneResult:
     blocks = BlockedCovariance.from_gamma(gamma, modes)
     # measured modes are ascending and distinct, so the conjugate of the
     # i-th measured quadrature sits at row 2i or 2i + 1 of the measured block
-    conj = [conjugate_quadrature(q) for q in measured]
+    conj = [_conjugate_quadrature(q) for q in measured]
     support = [2 * i + q % 2 for i, q in enumerate(conj)]
     block = blocks.c2[np.ix_(support, support)]
     c3 = blocks.c3[:, support]

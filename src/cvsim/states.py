@@ -55,11 +55,13 @@ def thermal_state(n_mean, n_modes: int | None = None) -> GaussianState:
     """Thermal state, gamma = 2*diag(n1, n1, ..., nN, nN) + 1.
 
     ``n_mean`` is a scalar (same occupation in every mode) or a sequence
-    of per-mode occupations.
+    of per-mode occupations, whose length must equal ``n_modes`` if given.
     """
     ns = np.atleast_1d(np.asarray(n_mean, dtype=float))
     if n_modes is not None and ns.size == 1:
         ns = np.full(n_modes, ns[0])
+    elif n_modes is not None and ns.size != n_modes:
+        raise ValueError(f"{ns.size} occupations given for {n_modes} modes")
     _check_occupation(ns)
     diag = 2.0 * np.repeat(ns, 2) + 1.0
     return GaussianState(np.zeros(diag.size), np.diag(diag))
@@ -98,8 +100,11 @@ def tmsv_state(zeta: float) -> GaussianState:
 
 
 def displace(state: GaussianState, delta) -> GaussianState:
-    """Shift the phase-space mean by delta; the covariance is unchanged."""
+    """Shift the phase-space mean by delta, a vector of the shape of
+    ``state.kappa``; the covariance is unchanged."""
     delta = np.asarray(delta, dtype=float)
+    if delta.shape != state.kappa.shape:
+        raise ValueError(f"displacement shape {delta.shape} != mean shape {state.kappa.shape}")
     return GaussianState(state.kappa + delta, state.gamma)
 
 

@@ -125,7 +125,7 @@ def _embed_single(block: np.ndarray, mode: int, n_modes: int) -> np.ndarray:
     return s
 
 
-def gate_matrix(gate: Gate, n_modes: int) -> np.ndarray:
+def _gate_matrix(gate: Gate, n_modes: int) -> np.ndarray:
     """The 2N x 2N symplectic matrix of one gate."""
     for m in gate.modes:
         if not 0 <= m < n_modes:
@@ -154,7 +154,7 @@ def build_symplectic(gates, n_modes: int) -> np.ndarray:
     """
     s = np.eye(2 * n_modes)
     for gate in gates:
-        s = s @ gate_matrix(gate, n_modes)
+        s = s @ _gate_matrix(gate, n_modes)
     return s
 
 

@@ -125,15 +125,22 @@ def teleport(setup: TeleportSetup) -> TeleportResult:
     )
 
 
+def _overlap_prefactor(total: np.ndarray) -> float:
+    """2^N / sqrt(det(total)), the zero-mean Gaussian overlap for the
+    covariance sum ``total`` = Ga + Gb."""
+    det = np.linalg.det(total)
+    if det <= 0:
+        raise ValueError("covariance sum has non-positive determinant")
+    return 2.0 ** (total.shape[0] // 2) / math.sqrt(det)
+
+
 def _overlap_rows(total: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """The Gaussian overlap 2^N / sqrt(det(Ga + Gb)) * exp(-d^T (Ga + Gb)^-1 d)
     for every row d of ``deltas`` (shape (n, 2N)), given the covariance sum
     ``total`` = Ga + Gb shared by all rows."""
-    det = np.linalg.det(total)
-    if det <= 0:
-        raise ValueError("covariance sum has non-positive determinant")
+    prefactor = _overlap_prefactor(total)
     quad = np.einsum("ni,in->n", deltas, np.linalg.solve(total, deltas.T))
-    return 2.0 ** (total.shape[0] // 2) / math.sqrt(det) * np.exp(-quad)
+    return prefactor * np.exp(-quad)
 
 
 def fidelity(gamma_in, gamma_rec) -> float:
@@ -143,7 +150,7 @@ def fidelity(gamma_in, gamma_rec) -> float:
     if np.shape(gamma_in) != (2, 2) or np.shape(gamma_rec) != (2, 2):
         raise ValueError("fidelity expects two 2x2 covariance matrices")
     total = np.asarray(gamma_in, dtype=float) + np.asarray(gamma_rec, dtype=float)
-    return float(_overlap_rows(total, np.zeros((1, 2)))[0])
+    return float(_overlap_prefactor(total))
 
 
 def state_overlap(state_a: GaussianState, state_b: GaussianState) -> float:

@@ -125,17 +125,3 @@ class TestDegradedTmsv:
         for _ in range(100):
             out = cv.degraded_tmsv(rng.uniform(0, 1.5), random_fiber(rng), random_fiber(rng))
             assert cv.validate_covariance(out).physical
-
-
-class TestComposition:
-    def test_compose_matches_sequential_application(self, rng):
-        for _ in range(100):
-            f1, f2 = random_fiber(rng), random_fiber(rng)
-            ch1 = cv.tensor_channels(cv.fiber_channel(f1), cv.fiber_channel(f2))
-            f3, f4 = random_fiber(rng), random_fiber(rng)
-            ch2 = cv.tensor_channels(cv.fiber_channel(f3), cv.fiber_channel(f4))
-            st = cv.GaussianState(rng.normal(size=4), random_two_mode_physical(rng))
-            seq = cv.apply_channel(cv.apply_channel(st, ch1), ch2)
-            combined = cv.apply_channel(st, cv.compose_channels(ch2, ch1))
-            assert np.max(np.abs(seq.gamma - combined.gamma)) <= 1e-10
-            assert np.max(np.abs(seq.kappa - combined.kappa)) <= 1e-10

@@ -136,23 +136,6 @@ class TestLogNegativity:
                 call()
 
 
-class TestTmsvEntropy:
-    def test_zero(self):
-        assert cv.tmsv_entropy(0.0) == 0.0
-
-    def test_value_against_hyperbolic_oracle(self):
-        # independent oracle: cosh^2 ln cosh^2 - sinh^2 ln sinh^2
-        for zeta in (0.3, 0.5, 1.1):
-            ch2, sh2 = np.cosh(zeta) ** 2, np.sinh(zeta) ** 2
-            oracle = ch2 * np.log(ch2) - sh2 * np.log(sh2)
-            assert_allclose(cv.tmsv_entropy(zeta), oracle, atol=1e-12)
-        assert_allclose(cv.tmsv_entropy(0.5), 0.6594529591680364, atol=1e-12)
-
-    def test_bounded_by_log_negativity(self):
-        for zeta in np.linspace(0.05, 3.0, 25):
-            assert cv.tmsv_entropy(zeta) <= 2.0 * zeta
-
-
 class TestThresholds:
     def test_infinite_squeezing_limit(self):
         assert_allclose(cv.fiber_separability_threshold(50.0, np.sqrt(0.5)), 0.5, atol=1e-12)

@@ -130,7 +130,7 @@ class TestTmsvConstruction:
 
     def test_truncation_budget_enforced(self):
         with pytest.raises(ValueError):
-            fock.build_tmsv_fock(2.0, cutoff=5, max_truncation=1e-9)
+            fock.build_tmsv_fock(2.0, cutoff=5)
 
     def test_reported_weight(self):
         st = fock.build_tmsv_fock(0.4, cutoff=15)
@@ -235,7 +235,9 @@ class TestLogNegativityFock:
             fock.log_negativity_fock(st, base="10")
 
     def test_truncation_warning(self):
-        st = fock.build_tmsv_fock(1.4, cutoff=8, max_truncation=1.0)
+        # truncation weight 9.2e-7 is within the 1e-6 budget, the boundary
+        # population 3.4e-6 is not
+        st = fock.build_tmsv_fock(0.5, cutoff=8)
         with pytest.warns(UserWarning):
             fock.log_negativity_fock(st)
 
@@ -396,4 +398,4 @@ class TestGaussianFock:
 
     def test_thermal_tail_budget(self):
         with pytest.raises(ValueError):
-            fock.gaussian_fock(cv.thermal_state(5.0).gamma, cutoff=10, max_truncation=1e-9)
+            fock.gaussian_fock(cv.thermal_state(5.0).gamma, cutoff=10)

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
 import cvsim as cv
+from cvsim.measurement import _conjugate_quadrature, _pseudo_determinant
 from conftest import random_symplectic, random_two_mode_physical
 
 
@@ -49,16 +50,16 @@ class TestMpInverse:
 
 class TestPseudoDeterminant:
     def test_skips_zero_eigenvalue(self):
-        assert cv.pseudo_determinant(np.diag([2.0, 0.0, 3.0])) == pytest.approx(6.0, rel=1e-15)
+        assert _pseudo_determinant(np.diag([2.0, 0.0, 3.0])) == pytest.approx(6.0, rel=1e-15)
 
     def test_shares_the_rank_cut_of_mp_inverse(self):
         mat = np.diag([1.0, 1e-13])
-        assert cv.pseudo_determinant(mat) == 1.0
+        assert _pseudo_determinant(mat) == 1.0
         assert_allclose(cv.mp_inverse(mat), np.diag([1.0, 0.0]), atol=0.0)
 
     def test_empty_matrix(self):
         empty = np.zeros((0, 0))
-        assert cv.pseudo_determinant(empty) == 1.0
+        assert _pseudo_determinant(empty) == 1.0
         assert cv.mp_inverse(empty).shape == (0, 0)
 
 
@@ -171,7 +172,7 @@ class TestHomodyneProject:
             cv.homodyne_project(0.4 * np.eye(4), measured={0})
 
     def test_conjugate_indexing(self):
-        assert cv.conjugate_quadrature(0) == 1
-        assert cv.conjugate_quadrature(1) == 0
-        assert cv.conjugate_quadrature(4) == 5
-        assert cv.conjugate_quadrature(5) == 4
+        assert _conjugate_quadrature(0) == 1
+        assert _conjugate_quadrature(1) == 0
+        assert _conjugate_quadrature(4) == 5
+        assert _conjugate_quadrature(5) == 4

@@ -21,6 +21,18 @@ class TestConstructors:
             with pytest.raises(ValueError, match="non-negative"):
                 cv.thermal_state(n)
 
+    def test_thermal_mode_count(self):
+        assert_allclose(cv.thermal_state(0.5, n_modes=2).gamma, 2.0 * np.eye(4))
+        assert_allclose(cv.thermal_state([0.5, 2.0], n_modes=2).gamma, np.diag([2.0, 2.0, 5.0, 5.0]))
+        with pytest.raises(ValueError, match="2 occupations given for 3 modes"):
+            cv.thermal_state([0.1, 0.2], n_modes=3)
+
+    def test_displace_needs_full_vector(self):
+        assert_allclose(cv.displace(cv.vacuum_state(2), [1.0, 0.0, 0.0, -2.0]).kappa, [1.0, 0.0, 0.0, -2.0])
+        for delta in (1.0, [1.0, 0.0], np.ones((1, 4))):
+            with pytest.raises(ValueError, match="displacement shape"):
+                cv.displace(cv.vacuum_state(2), delta)
+
     def test_tmsv_zero_squeezing(self):
         assert_allclose(cv.tmsv_state(0.0).gamma, np.eye(4))
 

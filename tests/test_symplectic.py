@@ -109,7 +109,7 @@ class TestBuildSymplectic:
     def test_leftmost_gate_applied_last(self):
         gates = [cv.beamsplitter(0, 1), cv.squeeze(0, -0.3)]
         s = cv.build_symplectic(gates, 2)
-        oracle = cv.gate_matrix(gates[0], 2) @ cv.gate_matrix(gates[1], 2)
+        oracle = cv.build_symplectic([gates[0]], 2) @ cv.build_symplectic([gates[1]], 2)
         assert_allclose(s, oracle)
 
     def test_mode_out_of_range(self):
