@@ -9,6 +9,7 @@ import numpy as np
 
 from .symplectic import (
     DEFAULT_TOL,
+    _check_mode_count,
     _even_square,
     check_symplectic,
     rotation_matrix,
@@ -19,7 +20,10 @@ from .symplectic import (
 
 @dataclass(frozen=True)
 class GaussianState:
-    """First moments kappa (length 2N) and covariance matrix gamma (2N x 2N)."""
+    """First moments kappa (length 2N) and covariance matrix gamma (2N x 2N).
+
+    N must be at least 1: a 0 x 0 covariance raises ValueError.
+    """
 
     kappa: np.ndarray
     gamma: np.ndarray
@@ -29,6 +33,7 @@ class GaussianState:
         # later setflags surprise them
         kappa = np.array(self.kappa, dtype=float)
         gamma = _even_square(self.gamma, "covariance matrix").copy()
+        _check_mode_count(gamma.shape[0] // 2)
         if kappa.shape != (gamma.shape[0],):
             raise ValueError("mean vector length does not match covariance dimension")
         kappa.setflags(write=False)
@@ -48,6 +53,8 @@ def _check_occupation(n_mean) -> None:
 
 
 def vacuum_state(n_modes: int = 1) -> GaussianState:
+    """Vacuum of n_modes >= 1 modes, gamma = 1; ValueError for fewer."""
+    _check_mode_count(n_modes)
     return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
@@ -56,7 +63,10 @@ def thermal_state(n_mean, n_modes: int | None = None) -> GaussianState:
 
     ``n_mean`` is a scalar (same occupation in every mode) or a sequence
     of per-mode occupations, whose length must equal ``n_modes`` if given.
+    A state without modes (``[]`` or ``n_modes < 1``) raises ValueError.
     """
+    if n_modes is not None:
+        _check_mode_count(n_modes)
     ns = np.atleast_1d(np.asarray(n_mean, dtype=float))
     if n_modes is not None and ns.size == 1:
         ns = np.full(n_modes, ns[0])

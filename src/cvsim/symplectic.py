@@ -19,14 +19,19 @@ DEFAULT_TOL = 1e-9  # absolute tolerance of every validity test; not a parameter
 _SIGMA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def _check_mode_count(n_modes) -> None:
+    """Every state and symplectic form has at least one mode."""
+    if not n_modes >= 1:
+        raise ValueError(f"mode count must be positive, got {n_modes!r}")
+
+
 @lru_cache(maxsize=16)
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Return the 2N x 2N symplectic form, N blocks of [[0, 1], [-1, 0]].
 
     The array is built once per mode count and shared, so it is read-only.
     """
-    if n_modes < 1:
-        raise ValueError("mode count must be positive")
+    _check_mode_count(n_modes)
     sigma = np.kron(np.eye(n_modes), _SIGMA_1)
     sigma.setflags(write=False)
     return sigma

@@ -28,6 +28,36 @@ def _reference_loss(state, mode, tau):
     return out
 
 
+def _dense_loss(state, mode, tau):
+    """The loss superoperator as one dense d^2 x d^2 product on the mode's (ket, bra) axes."""
+    d = state.cutoff + 1
+    kraus = fock._loss_kraus(state.cutoff, float(tau))
+    sup = np.einsum("kam,kbn->abmn", kraus, kraus).reshape(d * d, d * d)
+    axes = (mode, state.modes + mode)
+    moved = np.moveaxis(state.tensor, axes, (0, 1))
+    return np.moveaxis((sup @ moved.reshape(d * d, -1)).reshape(moved.shape), (0, 1), axes)
+
+
+def _dense_log_negativity(state):
+    """log of the trace norm of the partial transpose from one dense eigvalsh."""
+    d = state.cutoff + 1
+    pt = state.tensor.transpose(0, 3, 2, 1).reshape(d * d, d * d)
+    return float(np.log(np.sum(np.abs(np.linalg.eigvalsh(pt)))))
+
+
+def _random_block_matrix(rng, n, n_blocks):
+    """Random Hermitian n x n matrix, zero between n_blocks randomly
+    interleaved index sets."""
+    labels = rng.permutation(np.arange(n) % n_blocks)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (g + g.conj().T) * (labels[:, None] == labels[None, :])
+
+
+def _lossy_tmsv(zeta=0.4, cutoff=25, taus=(0.7, 0.8)):
+    st = fock.build_tmsv_fock(zeta, cutoff)
+    return fock.apply_loss_fock(fock.apply_loss_fock(st, 0, taus[0]), 1, taus[1])
+
+
 def _reference_moments(state):
     """Means and gamma from dense quadratures on the full space, Tr[rho Q]."""
     d = state.cutoff + 1
@@ -74,6 +104,81 @@ class TestAgainstReferenceImplementations:
     def test_moments_reject_three_modes(self, rng):
         with pytest.raises(ValueError, match="at most two modes"):
             fock.covariance_from_fock(_random_density(rng, 3, 4))
+
+    @pytest.mark.parametrize("modes, cutoff", [(1, 6), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 0.99])
+    def test_loss_matches_dense_superoperator(self, rng, modes, cutoff, tau):
+        st = _random_density(rng, modes, cutoff)
+        for mode in range(modes):
+            ref = _dense_loss(st, mode, tau)
+            assert np.max(np.abs(fock.apply_loss_fock(st, mode, tau).tensor - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("taus", [(0.7, 0.8), (0.0, 0.5), (0.99, 0.3)])
+    def test_loss_of_lossy_tmsv_matches_dense_superoperator(self, taus):
+        st = _lossy_tmsv(0.5, 12, taus)
+        for mode in range(2):
+            ref = _dense_loss(st, mode, 0.6)
+            assert np.max(np.abs(fock.apply_loss_fock(st, mode, 0.6).tensor - ref)) <= 1e-12
+
+    # random states fill the cutoff level, which the oracle warns about
+    @pytest.mark.filterwarnings("ignore:cutoff boundary population")
+    @pytest.mark.parametrize("cutoff", [3, 6, 9])
+    def test_log_negativity_matches_dense_eigvalsh(self, rng, cutoff):
+        dense = _random_density(rng, 2, cutoff)  # its partial transpose is one block
+        n = (cutoff + 1) ** 2
+        pt = _random_block_matrix(rng, n, 4)
+        structured = fock.FockState(2, cutoff, pt.reshape((cutoff + 1,) * 4).transpose(0, 3, 2, 1))
+        blocks = fock._blocks(pt)
+        assert len(blocks) == 4 and all(np.any(np.diff(idx) > 1) for idx in blocks)  # interleaved
+        for st in (dense, structured):
+            assert abs(fock.log_negativity_fock(st) - _dense_log_negativity(st)) <= 1e-12
+
+    @pytest.mark.parametrize("n, n_blocks", [(1, 1), (9, 1), (40, 3), (60, 7)])
+    def test_blocks_partition_the_indices(self, rng, n, n_blocks):
+        m = _random_block_matrix(rng, n, n_blocks)
+        blocks = fock._blocks(m)
+        assert len(blocks) == n_blocks
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n))
+        owner = np.empty(n, dtype=int)
+        for b, idx in enumerate(blocks):
+            assert np.all(np.diff(idx) > 0)
+            owner[idx] = b
+        rows, cols = np.nonzero(m)
+        assert np.array_equal(owner[rows], owner[cols])  # no nonzero entry joins two blocks
+
+    def test_blocks_follow_one_sided_chains(self, rng):
+        # each set is a directed path of tiny entries: one triangle only, and
+        # many search steps from end to end
+        perm = rng.permutation(30)
+        chains = (perm[:17], perm[17:])
+        m = np.zeros((30, 30))
+        for chain in chains:
+            m[chain[:-1], chain[1:]] = 1e-300
+        blocks = sorted(idx.tolist() for idx in fock._blocks(m))
+        assert blocks == sorted(sorted(chain.tolist()) for chain in chains)
+
+    def test_lossy_tmsv_is_solved_in_51_blocks(self, monkeypatch):
+        st = _lossy_tmsv()
+        ref = _dense_log_negativity(st)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(matrix):
+            shapes.append(matrix.shape)
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(fock.np.linalg, "eigvalsh", recording)
+        assert abs(fock.log_negativity_fock(st) - ref) <= 1e-12
+        assert len(shapes) == 51  # total photon numbers 0..50 of the partial transpose
+        assert max(shapes) == (26, 26)
+
+    def test_trace_products_match_matrix_products(self, rng):
+        mixed = _random_density(rng, 2, 6)
+        pure = fock.gaussian_fock(cv.squeezed_state(0.3, 0.2).gamma, cutoff=30)
+        thermal = fock.gaussian_fock(cv.thermal_state(0.2).gamma, cutoff=30)
+        ref_purity = np.trace(mixed.matrix @ mixed.matrix).real
+        assert abs(mixed.purity() - ref_purity) <= 1e-12 * ref_purity
+        assert abs(fock.overlap_fock(pure, thermal) - np.trace(pure.matrix @ thermal.matrix).real) <= 1e-12
 
 
 def _dense_loss_kraus(cutoff, tau):
@@ -131,6 +236,10 @@ class TestTmsvConstruction:
     def test_truncation_budget_enforced(self):
         with pytest.raises(ValueError):
             fock.build_tmsv_fock(2.0, cutoff=5)
+
+    def test_rejects_non_finite_squeezing(self):
+        with pytest.raises(ValueError, match="squeezing must be finite, got nan"):
+            fock.build_tmsv_fock(float("nan"))
 
     def test_reported_weight(self):
         st = fock.build_tmsv_fock(0.4, cutoff=15)
@@ -399,3 +508,25 @@ class TestGaussianFock:
     def test_thermal_tail_budget(self):
         with pytest.raises(ValueError):
             fock.gaussian_fock(cv.thermal_state(5.0).gamma, cutoff=10)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_covariance(self, bad):
+        with pytest.raises(ValueError, match=f"covariance matrix must be finite, got .*{bad}"):
+            fock.gaussian_fock([[1.0, 0.0], [0.0, bad]])
+
+
+class TestConstructorInputs:
+    @pytest.mark.parametrize("build, count", [
+        pytest.param(lambda: fock.vacuum_fock(0), 0, id="vacuum-0"),
+        pytest.param(lambda: fock.vacuum_fock(-1), -1, id="vacuum-minus-1"),
+        pytest.param(lambda: fock.number_state_fock([]), 0, id="number-state-empty"),
+        pytest.param(lambda: fock.FockState(0, 3, np.ones(())), 0, id="FockState-0"),
+    ])
+    def test_rejects_fewer_than_one_mode(self, build, count):
+        with pytest.raises(ValueError, match=f"mode count must be positive, got {count}$"):
+            build()
+
+    @pytest.mark.parametrize("ns", [[1.7], [0, 0.5], [-1], [9], [float("nan")]])
+    def test_rejects_occupations_that_are_not_levels(self, ns):
+        with pytest.raises(ValueError, match=r"occupations must be integers in \[0, 8\], got"):
+            fock.number_state_fock(ns, cutoff=8)

@@ -27,6 +27,18 @@ class TestConstructors:
         with pytest.raises(ValueError, match="2 occupations given for 3 modes"):
             cv.thermal_state([0.1, 0.2], n_modes=3)
 
+    @pytest.mark.parametrize("build, count", [
+        pytest.param(lambda: cv.vacuum_state(0), 0, id="vacuum-0"),
+        pytest.param(lambda: cv.vacuum_state(-1), -1, id="vacuum-minus-1"),
+        pytest.param(lambda: cv.thermal_state([]), 0, id="thermal-empty"),
+        pytest.param(lambda: cv.thermal_state(0.5, n_modes=0), 0, id="thermal-n_modes-0"),
+        pytest.param(lambda: cv.thermal_state(0.5, n_modes=-1), -1, id="thermal-n_modes-minus-1"),
+        pytest.param(lambda: cv.GaussianState(np.zeros(0), np.zeros((0, 0))), 0, id="GaussianState-0x0"),
+    ])
+    def test_rejects_fewer_than_one_mode(self, build, count):
+        with pytest.raises(ValueError, match=f"mode count must be positive, got {count}$"):
+            build()
+
     def test_displace_needs_full_vector(self):
         assert_allclose(cv.displace(cv.vacuum_state(2), [1.0, 0.0, 0.0, -2.0]).kappa, [1.0, 0.0, 0.0, -2.0])
         for delta in (1.0, [1.0, 0.0], np.ones((1, 4))):
