@@ -54,8 +54,7 @@ print()
 print("Projecting one arm of the TMSV onto the vacuum leaves the other arm")
 print("in the vacuum; the bare Schur-complement probability factor carries a")
 print("constant of 2 per measured mode relative to the true probability:")
-blocks = cv.BlockedCovariance.from_gamma(cv.tmsv_state(zeta).gamma, measured_modes=[1])
-proj = cv.gaussian_project(blocks, np.eye(2))
+proj = cv.gaussian_project(cv.tmsv_state(zeta).gamma, [1], np.eye(2))
 reduced = fock.partial_trace(st, keep=[1])
 p_true = float(fock.overlap_fock(fock.vacuum_fock(1, cutoff), reduced))
 print(f"  conditional covariance: \n{proj.gamma_out.round(10)}")

@@ -44,7 +44,6 @@ from .channels import (
     validate_channel,
 )
 from .measurement import (
-    BlockedCovariance,
     ConditionalResult,
     HomodyneResult,
     OutcomeDensity,

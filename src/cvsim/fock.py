@@ -253,14 +253,20 @@ def covariance_from_fock(state: FockState) -> tuple[np.ndarray, np.ndarray]:
 
     Each moment contracts the ket/bra tensor with d x d quadratures: a
     same-mode pair is a trace of the one-mode reduced matrix, a cross-mode
-    pair is 2 Tr[rho (A (x) B)].  One or two modes cover every oracle check.
+    pair is 2 Tr[rho (A (x) B)], with mode 0 contracted against both
+    quadratures in one pass over the tensor.  One or two modes cover every
+    oracle check.
     """
     if state.modes > 2:
         raise ValueError("moment extraction supports at most two modes")
-    x, p = _quadrature_ops(state.cutoff)
+    ops = np.stack(_quadrature_ops(state.cutoff))
     reduced = [partial_trace(state, [m]).tensor for m in range(state.modes)]
-    quads = [(m, op) for m in range(state.modes) for op in (x, p)]
+    quads = [(m, op) for m in range(state.modes) for op in ops]
     kappa = np.array([np.trace(reduced[m] @ op).real for m, op in quads])
+    if state.modes == 2:
+        # (j, l, a) = sum_ik rho[i, j, k, l] A_a[k, i], then closed with B_b[l, j]
+        half = np.tensordot(state.tensor, ops, axes=([0, 2], [2, 1]))
+        cross = 2.0 * np.einsum("jla,blj->ab", half, ops).real
     dim = 2 * state.modes
     gamma = np.empty((dim, dim))
     for i in range(dim):
@@ -269,7 +275,7 @@ def covariance_from_fock(state: FockState) -> tuple[np.ndarray, np.ndarray]:
             if mi == mj:
                 second = np.trace(reduced[mi] @ (a @ b + b @ a)).real
             else:
-                second = 2.0 * np.einsum("ijkl,ki,lj->", state.tensor, a, b).real
+                second = cross[i % 2, j % 2]
             gamma[i, j] = gamma[j, i] = second - 2.0 * kappa[i] * kappa[j]
     return kappa, gamma
 

@@ -22,84 +22,73 @@ import numpy as np
 from .symplectic import DEFAULT_TOL, _even_square, validate_covariance
 
 MP_REL_TOL = 1e-12
+# near-eps rank cut of gaussian_project: the core C2 + D^2 is invertible for
+# any positive D, and the homodyne limit D = diag(1/d, d) makes it ill
+# conditioned on purpose, so MP_REL_TOL would discard genuine directions
+_PROJECT_REL_TOL = 1e-15
 
 
-def _require_physical(gamma: np.ndarray, message: str) -> None:
-    """Raise ValueError(message) unless gamma + i*Sigma >= -gate, with the gate
-    DEFAULT_TOL * max(1, max|gamma|): eigenvalue noise of a representable
-    boundary state grows with its norm."""
-    gate = DEFAULT_TOL * max(1.0, float(np.max(np.abs(gamma))))
-    if not validate_covariance(gamma).min_eigenvalue >= -gate:
-        raise ValueError(message)
+def _require_symmetric(mat: np.ndarray, scale: float, name: str) -> None:
+    if np.max(np.abs(mat - mat.T), initial=0.0) > 1e-10 * scale:
+        raise ValueError(f"{name} must be symmetric")
 
 
-def _spectral_cut(mat, tol: float):
-    """Eigenpairs of the symmetrised matrix and the mask of the eigenvalues
-    that survive the rank cut |e| > tol * max|e|."""
-    evals, evecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    return evals, evecs, np.abs(evals) > tol * np.max(np.abs(evals), initial=0.0)
+def _spectral_cut(mat, tol: float) -> tuple[np.ndarray, float]:
+    """Moore-Penrose inverse and pseudo-determinant of a symmetric matrix,
+    from one eigen-solve of its symmetrised form.
 
-
-def mp_inverse(mat, tol: float = MP_REL_TOL) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric matrix via spectral decomposition.
-
-    Eigenvalues with |e| <= tol * max|e| are treated as exactly zero.
+    Eigenvalues with |e| <= tol * max|e| count as exactly zero: the inverse
+    drops them and the pseudo-determinant is the product of the others
+    (1.0 when none is kept).
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
-    if mat.shape[0] == 0:
-        return mat.copy()
-    if np.max(np.abs(mat - mat.T)) > 1e-10 * max(1.0, np.max(np.abs(mat))):
-        raise ValueError("matrix must be symmetric")
-    evals, evecs, keep = _spectral_cut(mat, tol)
-    inv = np.where(keep, 1.0 / np.where(evals == 0.0, 1.0, evals), 0.0)
-    return (evecs * inv) @ evecs.T
+    _require_symmetric(mat, np.max(np.abs(mat), initial=1.0), "matrix")
+    evals, evecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    keep = np.abs(evals) > tol * np.max(np.abs(evals), initial=0.0)
+    inv = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
+    return (evecs * inv) @ evecs.T, float(np.prod(evals[keep]))
 
 
-def _pseudo_determinant(mat, tol: float = MP_REL_TOL) -> float:
-    """Product of the eigenvalues of a symmetric matrix kept by the rank cut
-    of :func:`mp_inverse`; 1.0 when none is kept."""
-    evals, _, keep = _spectral_cut(np.asarray(mat, dtype=float), tol)
-    return float(np.prod(evals[keep]))
+def mp_inverse(mat) -> np.ndarray:
+    """Moore-Penrose inverse of a symmetric matrix via spectral decomposition.
+
+    Eigenvalues with |e| <= MP_REL_TOL * max|e| are treated as exactly zero.
+    """
+    return _spectral_cut(mat, MP_REL_TOL)[0]
 
 
-@dataclass(frozen=True)
-class BlockedCovariance:
-    """Bipartite covariance blocks: kept c1, measured c2, correlations c3."""
+def _checked_input(gamma, measured, per_mode: int) -> tuple[np.ndarray, list[int]]:
+    """The covariance matrix and the measured indices, sorted and distinct.
 
-    c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
+    ``per_mode`` is 1 for mode indices and 2 for quadrature indices.
+    ValueError unless gamma is finite, symmetric and physical and every
+    index is an integer in range; 1.5 is not read as 1.
+    """
+    gamma = _even_square(gamma, "covariance matrix")
+    scale = float(np.max(np.abs(gamma), initial=1.0))  # NaN and inf propagate
+    if not np.isfinite(scale):
+        raise ValueError("covariance matrix has non-finite entries")
+    _require_symmetric(gamma, scale, "covariance matrix")
+    bound = gamma.shape[0] // 2 * per_mode
+    indices = sorted(set(measured))
+    if not all(float(i).is_integer() and 0 <= i < bound for i in indices):
+        raise ValueError(f"measured indices must be integers in [0, {bound}), got {indices}")
+    # the gate grows with max|gamma|: eigenvalue noise of a representable
+    # boundary state grows with its norm
+    if not validate_covariance(gamma).min_eigenvalue >= -DEFAULT_TOL * scale:
+        raise ValueError("covariance matrix is unphysical")
+    return gamma, [int(i) for i in indices]
 
-    def __post_init__(self):
-        c1 = np.asarray(self.c1, dtype=float)
-        c2 = np.asarray(self.c2, dtype=float)
-        c3 = np.asarray(self.c3, dtype=float)
-        if c3.shape != (c1.shape[0], c2.shape[0]):
-            raise ValueError("correlation block shape does not match c1/c2")
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "c3", c3)
 
-    @classmethod
-    def from_gamma(cls, gamma, measured_modes) -> "BlockedCovariance":
-        """Split a covariance matrix into kept and measured mode blocks."""
-        gamma = _even_square(gamma, "covariance matrix")
-        n_modes = gamma.shape[0] // 2
-        measured = sorted(set(measured_modes))
-        if any(not 0 <= m < n_modes for m in measured):
-            raise ValueError("measured mode index out of range")
-        meas_q = [q for m in measured for q in (2 * m, 2 * m + 1)]
-        kept_q = [q for q in range(2 * n_modes) if q not in meas_q]
-        return cls(
-            gamma[np.ix_(kept_q, kept_q)],
-            gamma[np.ix_(meas_q, meas_q)],
-            gamma[np.ix_(kept_q, meas_q)],
-        )
-
-    def assemble(self) -> np.ndarray:
-        return np.block([[self.c1, self.c3], [self.c3.T, self.c2]])
+def _split(gamma: np.ndarray, support: list[int]):
+    """Blocks (c1, c2, c3) of a covariance matrix for the measured
+    quadratures ``support``: c1 over every mode that ``support`` leaves
+    untouched, c2 over ``support``, c3 their correlations."""
+    touched = {q // 2 for q in support}
+    kept = [q for q in range(gamma.shape[0]) if q // 2 not in touched]
+    return gamma[np.ix_(kept, kept)], gamma[np.ix_(support, support)], gamma[np.ix_(kept, support)]
 
 
 @dataclass(frozen=True)
@@ -118,31 +107,26 @@ class ConditionalResult:
     mean_map: np.ndarray
 
 
-def gaussian_project(blocks: BlockedCovariance, d_matrix) -> ConditionalResult:
-    """Project the measured subsystem onto a Gaussian state of covariance D^2.
+def gaussian_project(gamma, measured_modes, d_matrix) -> ConditionalResult:
+    """Project ``measured_modes`` onto a Gaussian state of covariance D^2.
 
-    Returns the Schur complement C1 - C3 (C2 + D^2)^-1 C3^T, falling back to
+    With C1, C2, C3 the kept, measured and correlation blocks of ``gamma``,
+    returns the Schur complement C1 - C3 (C2 + D^2)^-1 C3^T, falling back to
     the Moore-Penrose inverse and pseudo-determinant when C2 + D^2 is
     singular.  ``mean_map`` is C3 (C2 + D^2)^MP, acting on the displacement
     of the projection center relative to the measured-block mean.
     """
+    gamma, modes = _checked_input(gamma, measured_modes, per_mode=1)
+    c1, c2, c3 = _split(gamma, [q for m in modes for q in (2 * m, 2 * m + 1)])
     d_matrix = np.asarray(d_matrix, dtype=float)
-    m_dim = blocks.c2.shape[0]
-    if d_matrix.shape != (m_dim, m_dim):
+    if d_matrix.shape != c2.shape:
         raise ValueError("D must match the measured block dimension")
+    if not np.all(np.isfinite(d_matrix)):
+        raise ValueError("D has non-finite entries")
     if np.any(d_matrix != np.diag(np.diagonal(d_matrix))) or np.any(np.diagonal(d_matrix) < 0):
         raise ValueError("D must be diagonal with non-negative entries")
-    if m_dim == 0:
-        return ConditionalResult(blocks.c1.copy(), 1.0, np.zeros((blocks.c1.shape[0], 0)))
-    _require_physical(blocks.assemble(), "assembled covariance matrix is unphysical")
-    core = blocks.c2 + d_matrix @ d_matrix
-    # near-eps threshold: the core is invertible for any positive D, and the
-    # homodyne limit D = diag(1/d, d) makes it ill conditioned on purpose, so
-    # the default rank cutoff of mp_inverse would discard genuine directions
-    core_inv = mp_inverse(core, tol=1e-15)
-    gamma_out = blocks.c1 - blocks.c3 @ core_inv @ blocks.c3.T
-    prob = float(_pseudo_determinant(core, tol=1e-15) ** -0.5)
-    return ConditionalResult(gamma_out, prob, blocks.c3 @ core_inv)
+    core_inv, core_det = _spectral_cut(c2 + d_matrix @ d_matrix, _PROJECT_REL_TOL)
+    return ConditionalResult(c1 - c3 @ core_inv @ c3.T, core_det**-0.5, c3 @ core_inv)
 
 
 def _conjugate_quadrature(q: int) -> int:
@@ -172,9 +156,9 @@ class OutcomeDensity:
         if pts.shape[1] != self.block.shape[0]:
             raise ValueError("outcome dimension does not match the record size")
         dev = pts * self.signs - self.mean
-        quad = np.einsum("ni,ij,nj->n", dev, mp_inverse(self.block), dev)
-        m = self.block.shape[0]
-        norm = np.pi ** (m / 2.0) * np.sqrt(_pseudo_determinant(self.block))
+        inv, det = _spectral_cut(self.block, MP_REL_TOL)
+        quad = np.einsum("ni,ij,nj->n", dev, inv, dev)
+        norm = np.pi ** (self.block.shape[0] / 2.0) * np.sqrt(det)
         vals = np.exp(-quad) / norm
         return float(vals[0]) if single else vals
 
@@ -205,29 +189,19 @@ def homodyne_project(gamma, measured, kappa=None) -> HomodyneResult:
     ``mean_map`` columns follow the measured indices in ascending order; see
     the module docstring for the record convention it consumes.
     """
-    gamma = _even_square(gamma, "covariance matrix")
-    n_modes = gamma.shape[0] // 2
-    measured = sorted(set(int(q) for q in measured))
-    if any(not 0 <= q < 2 * n_modes for q in measured):
-        raise ValueError("measured quadrature index out of range")
+    gamma, measured = _checked_input(gamma, measured, per_mode=2)
     modes = [q // 2 for q in measured]
     if len(set(modes)) != len(modes):
         raise ValueError("cannot homodyne both quadratures of one mode")
-    if kappa is None:
-        kappa = np.zeros(2 * n_modes)
-    kappa = np.asarray(kappa, dtype=float)
-    _require_physical(gamma, "covariance matrix is unphysical")
+    dim = gamma.shape[0]
+    kappa = np.zeros(dim) if kappa is None else np.asarray(kappa, dtype=float)
+    if kappa.shape != (dim,) or not np.all(np.isfinite(kappa)):
+        raise ValueError(f"kappa must be a finite vector of length {dim}, got shape {kappa.shape}")
 
-    blocks = BlockedCovariance.from_gamma(gamma, modes)
-    # measured modes are ascending and distinct, so the conjugate of the
-    # i-th measured quadrature sits at row 2i or 2i + 1 of the measured block
     conj = [_conjugate_quadrature(q) for q in measured]
-    support = [2 * i + q % 2 for i, q in enumerate(conj)]
-    block = blocks.c2[np.ix_(support, support)]
-    c3 = blocks.c3[:, support]
-
+    c1, block, c3 = _split(gamma, conj)
     full_map = c3 @ mp_inverse(block)
-    gamma_out = blocks.c1 - full_map @ c3.T
+    gamma_out = c1 - full_map @ c3.T
     mean_map = full_map / np.sqrt(2.0)
 
     signs = np.array([1.0 if q % 2 == 0 else -1.0 for q in measured])

@@ -293,8 +293,7 @@ def test_criterion_11_vacuum_projection_calibration():
         sq = np.diag([math.exp(2 * zeta), math.exp(-2 * zeta)])
         gamma = r @ sq @ r.T * (2.0 * n_th + 1.0)
 
-        blocks = cv.BlockedCovariance(np.empty((0, 0)), gamma, np.empty((0, 2)))
-        literal = cv.gaussian_project(blocks, np.eye(2)).prob_factor
+        literal = cv.gaussian_project(gamma, [0], np.eye(2)).prob_factor
         exact = float(fock.gaussian_fock(gamma, cutoff=40).matrix[0, 0].real)
         ratios.append(exact / literal)
     spread = max(ratios) - min(ratios)

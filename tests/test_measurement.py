@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
 import cvsim as cv
-from cvsim.measurement import _conjugate_quadrature, _pseudo_determinant
+from cvsim.measurement import _conjugate_quadrature
 from conftest import random_symplectic, random_two_mode_physical
 
 
@@ -48,51 +48,123 @@ class TestMpInverse:
             cv.mp_inverse(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def _count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recording(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return calls
+
+
 class TestPseudoDeterminant:
+    """The normalisation of the outcome density and the projection
+    probability use the product of the eigenvalues kept by the rank cut."""
+
     def test_skips_zero_eigenvalue(self):
-        assert _pseudo_determinant(np.diag([2.0, 0.0, 3.0])) == pytest.approx(6.0, rel=1e-15)
+        density = cv.OutcomeDensity(np.diag([2.0, 0.0, 3.0]), np.zeros(3), np.ones(3))
+        expected = 1.0 / (np.pi**1.5 * np.sqrt(6.0))
+        assert density.pdf(np.zeros(3)) == pytest.approx(expected, rel=1e-15)
 
     def test_shares_the_rank_cut_of_mp_inverse(self):
         mat = np.diag([1.0, 1e-13])
-        assert _pseudo_determinant(mat) == 1.0
+        # the cut direction enters neither the quadratic form nor the norm
+        density = cv.OutcomeDensity(mat, np.zeros(2), np.ones(2))
+        assert density.pdf(np.array([0.0, 1.0])) == pytest.approx(1.0 / np.pi, rel=1e-15)
         assert_allclose(cv.mp_inverse(mat), np.diag([1.0, 0.0]), atol=0.0)
 
     def test_empty_matrix(self):
         empty = np.zeros((0, 0))
-        assert _pseudo_determinant(empty) == 1.0
+        assert cv.OutcomeDensity(empty, np.zeros(0), np.zeros(0)).pdf(np.zeros(0)) == 1.0
+        assert cv.gaussian_project(np.eye(2), [], empty).prob_factor == 1.0
         assert cv.mp_inverse(empty).shape == (0, 0)
+
+    def test_pdf_solves_the_block_once(self, monkeypatch):
+        density = cv.homodyne_project(cv.tmsv_state(0.3).gamma, measured={0, 3}).density
+        calls = _count_eigh(monkeypatch)
+        density.pdf(np.array([[0.1, -0.2], [0.3, 0.0]]))
+        assert calls == [(2, 2)]
 
 
 class TestGaussianProject:
     def test_product_state_untouched(self, rng):
         c1 = random_two_mode_physical(rng)[:2, :2]
-        blocks = cv.BlockedCovariance(c1, np.eye(2), np.zeros((2, 2)))
-        res = cv.gaussian_project(blocks, np.eye(2))
+        res = cv.gaussian_project(block_diag(c1, np.eye(2)), [1], np.eye(2))
         assert_allclose(res.gamma_out, c1)
         assert_allclose(res.prob_factor, np.linalg.det(2.0 * np.eye(2)) ** -0.5)
         assert_allclose(res.prob_factor, 0.5)
 
     def test_tmsv_vacuum_projection_yields_vacuum(self):
-        blocks = cv.BlockedCovariance.from_gamma(cv.tmsv_state(0.5).gamma, measured_modes=[1])
-        res = cv.gaussian_project(blocks, np.eye(2))
+        res = cv.gaussian_project(cv.tmsv_state(0.5).gamma, [1], np.eye(2))
         assert_allclose(res.gamma_out, np.eye(2), atol=1e-12)
 
     def test_empty_measured_block(self):
         c1 = np.diag([2.0, 2.0])
-        blocks = cv.BlockedCovariance(c1, np.empty((0, 0)), np.empty((2, 0)))
-        res = cv.gaussian_project(blocks, np.empty((0, 0)))
+        res = cv.gaussian_project(c1, [], np.empty((0, 0)))
         assert_allclose(res.gamma_out, c1)
         assert res.prob_factor == 1.0
+        assert res.mean_map.shape == (2, 0)
 
     def test_rejects_unphysical_assembly(self):
-        blocks = cv.BlockedCovariance(0.5 * np.eye(2), np.eye(2), np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            cv.gaussian_project(blocks, np.eye(2))
+        with pytest.raises(ValueError, match="unphysical"):
+            cv.gaussian_project(block_diag(0.5 * np.eye(2), np.eye(2)), [1], np.eye(2))
 
     def test_rejects_bad_d(self):
-        blocks = cv.BlockedCovariance.from_gamma(np.eye(4), [1])
         with pytest.raises(ValueError):
-            cv.gaussian_project(blocks, np.array([[1.0, 0.2], [0.2, 1.0]]))
+            cv.gaussian_project(np.eye(4), [1], np.array([[1.0, 0.2], [0.2, 1.0]]))
+
+    def test_rejects_non_finite_d(self):
+        with pytest.raises(ValueError, match="D has non-finite"):
+            cv.gaussian_project(np.eye(4), [1], np.diag([np.inf, 1.0]))
+
+    def test_solves_the_core_once(self, monkeypatch):
+        gamma = cv.tmsv_state(0.5).gamma
+        calls = _count_eigh(monkeypatch)
+        cv.gaussian_project(gamma, [1], np.diag([2.0, 0.5]))
+        assert calls == [(2, 2)]
+
+
+class TestProjectionInput:
+    """Both projections reject the same malformed covariances and indices."""
+
+    @staticmethod
+    def _project(kind, gamma, index):
+        if kind == "gaussian":
+            return cv.gaussian_project(gamma, [index], np.eye(2))
+        return cv.homodyne_project(gamma, [index])
+
+    @pytest.mark.parametrize("kind", ["gaussian", "homodyne"])
+    def test_rejects_asymmetric(self, kind):
+        gamma = np.eye(4)
+        gamma[0, 2] = 0.3
+        with pytest.raises(ValueError, match="symmetric"):
+            self._project(kind, gamma, 1)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "homodyne"])
+    def test_rejects_unphysical(self, kind):
+        with pytest.raises(ValueError, match="unphysical"):
+            self._project(kind, 0.4 * np.eye(4), 1)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "homodyne"])
+    @pytest.mark.parametrize("index", [0.7, 1.5, -1, 4, np.nan])
+    def test_rejects_bad_index(self, kind, index):
+        with pytest.raises(ValueError, match="integers"):
+            self._project(kind, np.eye(4), index)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "homodyne"])
+    def test_accepts_integral_float_index(self, kind):
+        assert self._project(kind, cv.tmsv_state(0.5).gamma, 1.0).gamma_out.shape == (2, 2)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "homodyne"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_covariance(self, kind, bad):
+        gamma = np.eye(4)
+        gamma[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            self._project(kind, gamma, 1)
 
 
 class TestHomodyneProject:
@@ -132,8 +204,7 @@ class TestHomodyneProject:
         for _ in range(50):
             gamma = random_two_mode_physical(rng)
             hom = cv.homodyne_project(gamma, measured={2})  # x of mode 1
-            blocks = cv.BlockedCovariance.from_gamma(gamma, measured_modes=[1])
-            proj = cv.gaussian_project(blocks, np.diag([1.0 / d, d]))
+            proj = cv.gaussian_project(gamma, [1], np.diag([1.0 / d, d]))
             assert np.max(np.abs(hom.gamma_out - proj.gamma_out)) <= 1e-4
 
             # p of mode 0 and x of mode 2, with the kept mode 1 between them
@@ -141,8 +212,7 @@ class TestHomodyneProject:
             s = random_symplectic(rng, 3)
             gamma3 = s @ np.diag(np.repeat(2.0 * n + 1.0, 2)) @ s.T
             hom = cv.homodyne_project(gamma3, measured={1, 4})
-            blocks = cv.BlockedCovariance.from_gamma(gamma3, measured_modes=[0, 2])
-            proj = cv.gaussian_project(blocks, np.diag([d, 1.0 / d, 1.0 / d, d]))
+            proj = cv.gaussian_project(gamma3, [0, 2], np.diag([d, 1.0 / d, 1.0 / d, d]))
             assert np.max(np.abs(hom.gamma_out - proj.gamma_out)) <= 1e-4
 
     def test_density_normalises(self, rng):
@@ -170,6 +240,15 @@ class TestHomodyneProject:
     def test_rejects_unphysical(self):
         with pytest.raises(ValueError):
             cv.homodyne_project(0.4 * np.eye(4), measured={0})
+
+    @pytest.mark.parametrize("size", [2, 7])
+    def test_rejects_kappa_of_wrong_length(self, size):
+        with pytest.raises(ValueError, match="kappa"):
+            cv.homodyne_project(np.eye(4), measured={0}, kappa=np.zeros(size))
+
+    def test_rejects_non_finite_kappa(self):
+        with pytest.raises(ValueError, match="kappa"):
+            cv.homodyne_project(np.eye(4), measured={0}, kappa=[0.0, np.nan, 0.0, 0.0])
 
     def test_conjugate_indexing(self):
         assert _conjugate_quadrature(0) == 1

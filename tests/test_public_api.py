@@ -5,9 +5,17 @@ import fnmatch
 import inspect
 
 import cvsim as cv
-from cvsim import fock
+from cvsim import fock, measurement
 
-REMOVED = ("tmsv_entropy", "compose_channels", "Gate", "gate_matrix", "conjugate_quadrature", "pseudo_determinant")
+REMOVED = (
+    "tmsv_entropy",
+    "compose_channels",
+    "Gate",
+    "gate_matrix",
+    "conjugate_quadrature",
+    "pseudo_determinant",
+    "BlockedCovariance",
+)
 KNOB_PATTERNS = ("*tol*", "*budget*", "max_truncation", "band")
 
 
@@ -33,6 +41,7 @@ def test_audited_names_are_gone():
     for name in REMOVED:
         assert name not in cv.__all__ and not hasattr(cv, name), name
     assert not hasattr(fock, "boundary_population")
+    assert not hasattr(measurement, "_pseudo_determinant")
 
 
 def test_scan_reaches_methods_and_fock():
@@ -40,11 +49,11 @@ def test_scan_reaches_methods_and_fock():
     assert {"mp_inverse", "build_tmsv_fock", "gaussian_fock", "OutcomeDensity.pdf"} <= set(names)
 
 
-def test_only_mp_inverse_takes_a_tolerance():
+def test_no_public_callable_takes_a_tolerance():
     knobs = set()
     for qualname, obj in _public_callables().items():
         for param in inspect.signature(obj).parameters.values():
             keyword = param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
             if keyword and any(fnmatch.fnmatch(param.name, p) for p in KNOB_PATTERNS):
                 knobs.add(f"{qualname}.{param.name}")
-    assert knobs == {"mp_inverse.tol"}
+    assert knobs == set()
