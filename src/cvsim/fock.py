@@ -15,16 +15,15 @@ and Teich, PRA 40, 1371 (1989)), so its generator is a direct sum of
 blocks of size at most d; each input |m, 0> needs only the (m + 1)-sized
 block n1 + n2 = m, never the dense d^2 x d^2 generator.
 
-The two d^2 x d^2 kernels, the loss superoperator product and the
-eigen-solve of the partial transpose, run block by block.  Loss keeps the
-ket-minus-bra photon number of its mode, so the superoperator is zero
-between different values of it.  A state that commutes with n1 - n2 (a
+Loss keeps the ket-minus-bra photon number of its mode, so it acts on
+each diagonal of the mode's (ket, bra) plane by itself, never through a
+d^2 x d^2 superoperator.  A state that commutes with n1 - n2 (a
 TMSV, with or without loss on either arm) has a partial transpose that is
 zero between different total photon numbers; E_N is the log of its trace
-norm (Vidal and Werner, PRA 65, 032314 (2002)).  At cutoff 25 either
-matrix is 51 blocks of size at most 26.  _blocks reads the blocks off the
-exact zeros of the matrix at hand, not off this physics, so the result is
-the dense one for any input, and a dense matrix is one block.
+norm (Vidal and Werner, PRA 65, 032314 (2002)), solved block by block.
+At cutoff 25 that is 51 blocks of size at most 26.  _blocks reads the
+blocks off the exact zeros of the matrix, not off this physics, so the
+result is the dense one for any input, and a dense matrix is one block.
 
 Loss with thermal occupation is out of scope; all oracle checks run at
 n_th = 0.
@@ -95,6 +94,13 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b.T).real)
 
 
+def _check_mode(state: FockState, mode) -> int:
+    """The mode index as an int; ValueError unless an integer in [0, modes)."""
+    if not (float(mode).is_integer() and 0 <= mode < state.modes):
+        raise ValueError(f"mode index must be an integer in [0, {state.modes}), got {mode!r}")
+    return int(mode)
+
+
 def _from_matrix(matrix: np.ndarray, modes: int, cutoff: int, weight: float = 0.0) -> FockState:
     d = cutoff + 1
     return FockState(modes, cutoff, matrix.reshape((d,) * (2 * modes)), weight)
@@ -150,11 +156,9 @@ def build_tmsv_fock(zeta: float, cutoff: int = DEFAULT_CUTOFF) -> FockState:
 
 def _blocks(m: np.ndarray) -> list[np.ndarray]:
     """Index sets of the connected components of the nonzero pattern
-    (m != 0) | (m.T != 0) of a square matrix, each sorted.
-
-    m is block diagonal over these sets up to a permutation, exactly, so a
-    product or eigen-solve may run block by block; a dense m is one block.
-    """
+    (m != 0) | (m.T != 0) of a square matrix, each sorted; m is block
+    diagonal over them up to a permutation, so the partial transpose behind
+    E_N is eigen-solved block by block.  A dense m is one block."""
     nonzero = m != 0
     linked = nonzero | nonzero.T
     label = np.full(len(m), -1)
@@ -206,34 +210,33 @@ def apply_loss_fock(state: FockState, mode: int, transmittance: float) -> FockSt
     """Transmit one mode through a beamsplitter of the given power
     transmittance with a vacuum ancilla behind it, tracing out the ancilla.
 
-    The Kraus sum is the superoperator L[(a, b), (m, n)] = sum_k E_k[a, m]
-    E_k[b, n]* applied to the mode's (ket, bra) axes as a matrix product,
-    one per block of L's nonzero pattern (a - b = m - n, since
-    E_k[a, m] = 0 unless a = m - k); E_k and so L are real, which lets one
-    real product cover both parts.
+    Every Kraus operator sits on one diagonal (E_k[a, m] = 0 unless
+    a = m - k), so sum_k E_k x E_k^T keeps a - b on the mode's (ket, bra)
+    plane: on the diagonal a - b = +-s it is one real matrix, the Kraus sum
+    of E_k[s:, s:] * E_k[:d-s, :d-s] elementwise, acting on the rows
+    (j + s, j), or (j, j + s), of the real view of x.
     """
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError("transmittance must lie in [0, 1]")
-    if not 0 <= mode < state.modes:
-        raise ValueError("mode index out of range")
+    mode = _check_mode(state, mode)
     if transmittance == 1.0:
         return state
     d = state.cutoff + 1
     kraus = _loss_kraus(state.cutoff, float(transmittance))  # (k, a, m)
-    pairs = kraus.transpose(1, 2, 0).reshape(d * d, d) @ kraus.reshape(d, d * d)  # ((a, m), (b, n))
-    sup = pairs.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     axes = (mode, state.modes + mode)
     moved = np.ascontiguousarray(np.moveaxis(state.tensor, axes, (0, 1)))
     flat = moved.reshape(d * d, -1).view(float)
     out = np.empty_like(flat)
-    for idx in _blocks(sup):
-        out[idx] = sup[np.ix_(idx, idx)] @ flat[idx]
+    for s in range(d):
+        block = np.sum(kraus[:, s:, s:] * kraus[:, : d - s, : d - s], axis=0)
+        for start in {s * d, s}:  # the rows (j + s, j) and (j, j + s), strided views
+            out[start :: d + 1][: d - s] = block @ flat[start :: d + 1][: d - s]
     out = np.ascontiguousarray(np.moveaxis(out.view(complex).reshape(moved.shape), (0, 1), axes))
     return FockState(state.modes, state.cutoff, out, state.trunc_weight)
 
 
 def partial_trace(state: FockState, keep) -> FockState:
-    keep = sorted(set(keep))
+    keep = sorted({_check_mode(state, m) for m in keep})
     drop = [m for m in range(state.modes) if m not in keep]
     tensor = state.tensor
     for m in sorted(drop, reverse=True):
@@ -366,11 +369,9 @@ def homodyne_povm_fock(state: FockState, mode: int, phi: float = 0.0, grid=None)
     phi = 0 is an x measurement and phi = pi/2 a p measurement.  The density
     p(X) = <X,phi| rho_mode |X,phi> needs only the mode's reduced matrix.
     """
-    if not 0 <= mode < state.modes:
-        raise ValueError("mode index out of range")
+    reduced = partial_trace(state, [mode]).tensor
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     amps = _quadrature_amplitudes(state.cutoff, phi, grid)
-    reduced = partial_trace(state, [mode]).tensor
     pdf = np.einsum("gm,mn,gn->g", amps.conj(), reduced, amps).real
     return HomodyneFockResult(grid=grid, pdf=pdf)
 
@@ -380,8 +381,7 @@ def homodyne_conditional_fock(state: FockState, mode: int, x: float, phi: float 
     ``mode`` at angle phi reads x; ValueError if x has zero density."""
     if state.modes < 2:
         raise ValueError("conditioning needs a state of at least two modes")
-    if not 0 <= mode < state.modes:
-        raise ValueError("mode index out of range")
+    mode = _check_mode(state, mode)
     if not np.isfinite(x):
         raise ValueError(f"homodyne record must be finite, got {x!r}")
     amp = _quadrature_amplitudes(state.cutoff, phi, np.array([float(x)]))[0]

@@ -67,9 +67,7 @@ def _checked_input(gamma, measured, per_mode: int) -> tuple[np.ndarray, list[int
     index is an integer in range; 1.5 is not read as 1.
     """
     gamma = _even_square(gamma, "covariance matrix")
-    scale = float(np.max(np.abs(gamma), initial=1.0))  # NaN and inf propagate
-    if not np.isfinite(scale):
-        raise ValueError("covariance matrix has non-finite entries")
+    scale = float(np.max(np.abs(gamma), initial=1.0))
     _require_symmetric(gamma, scale, "covariance matrix")
     bound = gamma.shape[0] // 2 * per_mode
     indices = sorted(set(measured))

@@ -60,6 +60,8 @@ def _even_square(m, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if m.shape[0] % 2 != 0:
         raise ValueError(f"{name} must have even dimension, got {m.shape[0]}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has non-finite entries")
     return m
 
 

@@ -39,8 +39,8 @@ class TeleportSetup:
         kappa = np.asarray(self.kappa_in, dtype=float)
         if gamma.shape != (2, 2):
             raise ValueError("signal covariance must be 2x2")
-        if kappa.shape != (2,):
-            raise ValueError("signal mean must have length 2")
+        if kappa.shape != (2,) or not np.isfinite(kappa).all():
+            raise ValueError(f"signal mean must be a finite vector of length 2, got {kappa.tolist()}")
         if not validate_covariance(gamma).physical:
             raise ValueError("signal covariance is unphysical")
         object.__setattr__(self, "gamma_in", gamma)

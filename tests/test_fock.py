@@ -82,7 +82,9 @@ def _reference_moments(state):
 
 
 class TestAgainstReferenceImplementations:
-    @pytest.mark.parametrize("modes, cutoff", [(1, 4), (1, 8), (2, 5), (2, 8), (3, 4), (3, 6)])
+    @pytest.mark.parametrize(
+        "modes, cutoff", [(1, 0), (2, 0), (1, 1), (3, 1), (1, 4), (1, 8), (2, 5), (2, 8), (3, 4), (3, 6)]
+    )
     @pytest.mark.parametrize("tau", [0.0, 0.3, 0.99])
     def test_loss_matches_kraus_sum(self, rng, modes, cutoff, tau):
         st = _random_density(rng, modes, cutoff)
@@ -112,6 +114,17 @@ class TestAgainstReferenceImplementations:
         for mode in range(modes):
             ref = _dense_loss(st, mode, tau)
             assert np.max(np.abs(fock.apply_loss_fock(st, mode, tau).tensor - ref)) <= 1e-12
+
+    def test_loss_searches_no_blocks_and_gathers_nothing(self, rng, monkeypatch):
+        def forbidden(*_args):
+            raise AssertionError("loss must run on the diagonals it keeps")
+
+        st = _random_density(rng, 2, 6)
+        refs = [_reference_loss(st, mode, 0.3) for mode in range(2)]
+        monkeypatch.setattr(fock, "_blocks", forbidden)
+        monkeypatch.setattr(fock.np, "ix_", forbidden)
+        for mode, ref in enumerate(refs):
+            assert np.max(np.abs(fock.apply_loss_fock(st, mode, 0.3).tensor - ref)) <= 1e-12
 
     @pytest.mark.parametrize("taus", [(0.7, 0.8), (0.0, 0.5), (0.99, 0.3)])
     def test_loss_of_lossy_tmsv_matches_dense_superoperator(self, taus):
@@ -440,6 +453,30 @@ class TestHomodynePovm:
             fock.homodyne_conditional_fock(st, 0, float("nan"))
         with pytest.raises(ValueError, match="zero density"):
             fock.homodyne_conditional_fock(st, 0, 40.0)
+
+
+_MODE_ENTRY_POINTS = {
+    "apply_loss_fock": lambda st, mode: fock.apply_loss_fock(st, mode, 0.7),
+    "homodyne_povm_fock": fock.homodyne_povm_fock,
+    "homodyne_conditional_fock": lambda st, mode: fock.homodyne_conditional_fock(st, mode, 0.1),
+    "partial_trace": lambda st, mode: fock.partial_trace(st, [mode]),
+}
+
+
+class TestModeIndex:
+    @pytest.mark.parametrize("entry", sorted(_MODE_ENTRY_POINTS))
+    @pytest.mark.parametrize("mode", [0.5, -1, 2, 7, float("nan"), float("inf")])
+    def test_rejects_bad_index(self, entry, mode):
+        st = fock.build_tmsv_fock(0.3, cutoff=6)
+        with pytest.raises(ValueError, match=r"mode index must be an integer in \[0, 2\)"):
+            _MODE_ENTRY_POINTS[entry](st, mode)
+
+    @pytest.mark.parametrize("entry", sorted(_MODE_ENTRY_POINTS))
+    def test_integral_float_is_that_mode(self, entry):
+        st = fock.apply_loss_fock(fock.build_tmsv_fock(0.3, cutoff=6), 0, 0.6)
+        as_float, as_int = (_MODE_ENTRY_POINTS[entry](st, mode) for mode in (1.0, 1))
+        field = "pdf" if entry == "homodyne_povm_fock" else "tensor"
+        assert np.array_equal(getattr(as_float, field), getattr(as_int, field))
 
 
 class TestPartialTrace:

@@ -56,6 +56,35 @@ class TestBlockDiag:
         assert np.array_equal(out, ref)
 
 
+# every entry point that takes a covariance or symplectic matrix through
+# the shared shape check; none may reach an eigen-solve with NaN or inf
+_MATRIX_ENTRY_POINTS = {
+    "validate_covariance": cv.validate_covariance,
+    "symplectic_eigenvalues": cv.symplectic_eigenvalues,
+    "check_symplectic": cv.check_symplectic,
+    "classicality_test": cv.classicality_test,
+    "GaussianState": lambda gamma: cv.GaussianState(np.zeros(len(gamma)), gamma),
+    "log_negativity": cv.log_negativity,
+    "is_separable": cv.is_separable,
+}
+
+
+class TestNonFiniteMatrix:
+    @pytest.mark.parametrize("entry", sorted(_MATRIX_ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_before_any_eigen_solve(self, entry, bad):
+        gamma = cv.tmsv_state(0.5).gamma.copy()
+        gamma[1, 2] = gamma[2, 1] = bad
+        with pytest.raises(ValueError, match="has non-finite entries"):
+            _MATRIX_ENTRY_POINTS[entry](gamma)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_single_mode_is_not_a_silent_verdict(self, bad):
+        # a 2x2 NaN covariance used to return physical=False, min_eigenvalue=nan
+        with pytest.raises(ValueError, match="covariance matrix has non-finite entries"):
+            cv.validate_covariance(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
 class TestValidateCovariance:
     def test_vacuum_saturates(self):
         report = cv.validate_covariance(np.eye(2))

@@ -40,6 +40,11 @@ class TestTeleport:
         with pytest.raises(ValueError):
             cv.TeleportSetup(0.5 * np.eye(2), zeta=0.5)
 
+    @pytest.mark.parametrize("kappa_in", [[np.nan, 0.0], [0.0, np.inf], [0.0, 0.0, 0.0]])
+    def test_rejects_bad_signal_mean(self, kappa_in):
+        with pytest.raises(ValueError, match="signal mean must be a finite vector of length 2"):
+            cv.TeleportSetup(np.eye(2), zeta=0.5, kappa_in=kappa_in)
+
     def test_explicit_equals_generic_schur(self, rng):
         for _ in range(50):
             gamma_in = random_pure_signal(rng)
