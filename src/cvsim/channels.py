@@ -136,9 +136,13 @@ def tensor_channels(*channels: GaussianChannel) -> GaussianChannel:
 def degraded_tmsv(zeta: float, f1: FiberParams, f2: FiberParams) -> np.ndarray:
     """Covariance matrix of a TMSV sent through one fiber per arm.
 
-    Built by composing the two single-mode fiber channels, so the Re/Im
-    structure of the cross block arises from the phase rotations rather
-    than a special-cased formula.
+    gamma = A gamma_TMSV A^T + diag(G1, G1, G2, G2), A = |T1| R(phase1) (+)
+    |T2| R(phase2): the products ``apply_channel`` forms for the two
+    ``fiber_channel``s, so the Re/Im structure of the cross block arises
+    from the phase rotations rather than a special-cased formula.  The fiber
+    rule implies complete positivity, so no certificate is solved:
+    G - |1 - |T|^2| = 2 n_th (1 - |T|^2 - |R|^2) >= 0, and inside the rule's
+    1e-12 slack it equals |T|^2 + |R|^2 - 1 >= 0.
     """
-    ch = tensor_channels(fiber_channel(f1), fiber_channel(f2))
-    return apply_channel(tmsv_state(zeta), ch).gamma
+    a = _block_diag(f1.t_mag * rotation_matrix(f1.phase), f2.t_mag * rotation_matrix(f2.phase))
+    return a @ tmsv_state(zeta).gamma @ a.T + np.diag([f1.noise, f1.noise, f2.noise, f2.noise])

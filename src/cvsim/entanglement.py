@@ -41,6 +41,16 @@ def _as_two_mode(gamma) -> np.ndarray:
     return gamma
 
 
+def _physical_two_mode(gamma):
+    """The 4x4 covariance, once it passes the physicality check, and the
+    determinants of its blocks C1, C2 and C3; else ValueError."""
+    gamma = _as_two_mode(gamma)
+    if not validate_covariance(gamma).physical:
+        raise ValueError("covariance matrix is unphysical")
+    det1, det2, det3 = (np.linalg.det(b) for b in (gamma[:2, :2], gamma[2:, 2:], gamma[:2, 2:]))
+    return gamma, det1, det2, det3
+
+
 def partial_transpose(gamma) -> np.ndarray:
     """Flip the sign of the second mode's momentum row and column."""
     gamma = _as_two_mode(gamma)
@@ -67,14 +77,8 @@ _BORDERLINE_BAND = 1e-8  # relative width of the boundary band of is_separable
 
 
 def is_separable(gamma) -> SeparabilityVerdict:
-    gamma = _as_two_mode(gamma)
-    if not validate_covariance(gamma).physical:
-        raise ValueError("covariance matrix is unphysical")
-
-    c1 = gamma[:2, :2]
-    c2 = gamma[2:, 2:]
-    c3 = gamma[:2, 2:]
-    det1, det2, det3 = (np.linalg.det(b) for b in (c1, c2, c3))
+    gamma, det1, det2, det3 = _physical_two_mode(gamma)
+    c1, c2, c3 = gamma[:2, :2], gamma[2:, 2:], gamma[:2, 2:]
     trace_term = np.trace(c1 @ _SIGMA_1 @ c3 @ _SIGMA_1 @ c2 @ _SIGMA_1 @ c3.T @ _SIGMA_1)
     lhs = float(det1 * det2 + (1.0 - abs(det3)) ** 2 - trace_term)
     rhs = float(det1 + det2)
@@ -118,13 +122,7 @@ def log_negativity(gamma, base="e") -> NegativityReport:
     backends must agree to DEFAULT_TOL (relatively, once E_N grows large).
     """
     base = _check_base(base)
-    gamma = _as_two_mode(gamma)
-    if not validate_covariance(gamma).physical:
-        raise ValueError("covariance matrix is unphysical")
-
-    det1 = np.linalg.det(gamma[:2, :2])
-    det2 = np.linalg.det(gamma[2:, 2:])
-    det3 = np.linalg.det(gamma[:2, 2:])
+    gamma, det1, det2, det3 = _physical_two_mode(gamma)
     det_g = np.linalg.det(gamma)
     a_half = 0.5 * (det1 + det2) - det3
     disc = a_half**2 - det_g

@@ -22,7 +22,8 @@ from .symplectic import (
 class GaussianState:
     """First moments kappa (length 2N) and covariance matrix gamma (2N x 2N).
 
-    N must be at least 1: a 0 x 0 covariance raises ValueError.
+    N must be at least 1: a 0 x 0 covariance raises ValueError, and so
+    does a non-finite entry in either moment.
     """
 
     kappa: np.ndarray
@@ -36,6 +37,8 @@ class GaussianState:
         _check_mode_count(gamma.shape[0] // 2)
         if kappa.shape != (gamma.shape[0],):
             raise ValueError("mean vector length does not match covariance dimension")
+        if not np.isfinite(kappa).all():
+            raise ValueError("mean vector has non-finite entries")
         kappa.setflags(write=False)
         gamma.setflags(write=False)
         object.__setattr__(self, "kappa", kappa)
@@ -110,7 +113,7 @@ def tmsv_state(zeta: float) -> GaussianState:
 
 
 def displace(state: GaussianState, delta) -> GaussianState:
-    """Shift the phase-space mean by delta, a vector of the shape of
+    """Shift the phase-space mean by delta, a finite vector of the shape of
     ``state.kappa``; the covariance is unchanged."""
     delta = np.asarray(delta, dtype=float)
     if delta.shape != state.kappa.shape:

@@ -98,70 +98,53 @@ def check_symplectic(s) -> bool:
     return bool(np.max(np.abs(s @ sigma @ s.T - sigma)) <= DEFAULT_TOL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gate:
-    """One elementary symplectic gate.
+    """One elementary symplectic gate: the 2k x 2k matrix ``block`` acting on
+    the k listed ``modes`` (in that order) and as the identity elsewhere."""
 
-    kind is "rotation" (modes=(m,), param=theta), "squeeze"
-    (modes=(m,), param=zeta, matrix diag(e^zeta, e^-zeta)) or
-    "beamsplitter" (modes=(i, j), symmetric 50:50, no parameter).
-    """
-
-    kind: str
     modes: tuple[int, ...]
-    param: float = 0.0
+    block: np.ndarray
 
 
 def rotation(mode: int, theta: float) -> Gate:
-    return Gate("rotation", (mode,), float(theta))
+    return Gate((mode,), rotation_matrix(theta))
 
 
 def squeeze(mode: int, zeta: float) -> Gate:
-    return Gate("squeeze", (mode,), float(zeta))
+    return Gate((mode,), np.diag([np.exp(zeta), np.exp(-zeta)]))
+
+
+_BEAMSPLITTER = np.kron([[1.0, 1.0], [-1.0, 1.0]], np.eye(2)) / np.sqrt(2.0)
+_BEAMSPLITTER.setflags(write=False)
 
 
 def beamsplitter(mode_i: int, mode_j: int) -> Gate:
+    """Symmetric 50:50 beamsplitter [[1, 1], [-1, 1]] / sqrt(2) on (i, j)."""
     if mode_i == mode_j:
         raise ValueError("beamsplitter needs two distinct modes")
-    return Gate("beamsplitter", (mode_i, mode_j))
-
-
-def _embed_single(block: np.ndarray, mode: int, n_modes: int) -> np.ndarray:
-    s = np.eye(2 * n_modes)
-    s[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = block
-    return s
-
-
-def _gate_matrix(gate: Gate, n_modes: int) -> np.ndarray:
-    """The 2N x 2N symplectic matrix of one gate."""
-    for m in gate.modes:
-        if not 0 <= m < n_modes:
-            raise ValueError(f"mode index {m} out of range for {n_modes} modes")
-    if gate.kind == "rotation":
-        return _embed_single(rotation_matrix(gate.param), gate.modes[0], n_modes)
-    if gate.kind == "squeeze":
-        z = gate.param
-        return _embed_single(np.diag([np.exp(z), np.exp(-z)]), gate.modes[0], n_modes)
-    if gate.kind == "beamsplitter":
-        i, j = gate.modes
-        s = np.eye(2 * n_modes)
-        eye2 = np.eye(2) / np.sqrt(2.0)
-        s[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = eye2
-        s[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = eye2
-        s[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = eye2
-        s[2 * j : 2 * j + 2, 2 * i : 2 * i + 2] = -eye2
-        return s
-    raise ValueError(f"unknown gate kind {gate.kind!r}")
+    return Gate((mode_i, mode_j), _BEAMSPLITTER)
 
 
 def build_symplectic(gates, n_modes: int) -> np.ndarray:
     """Ordered product of gate matrices; the leftmost gate acts last.
 
-    An empty gate list yields the identity.
+    Each gate's block is written into the 2N x 2N identity by 2 x 2
+    sub-blocks, one per pair of its modes.  An empty gate list yields the
+    identity; a mode outside [0, N) raises ValueError.
     """
     s = np.eye(2 * n_modes)
     for gate in gates:
-        s = s @ _gate_matrix(gate, n_modes)
+        for m in gate.modes:
+            if not 0 <= m < n_modes:
+                raise ValueError(f"mode index {m} out of range for {n_modes} modes")
+        g = np.eye(2 * n_modes)
+        g_modes = g.reshape(n_modes, 2, n_modes, 2)  # a view: [mode, q, mode, q]
+        block = gate.block.reshape(len(gate.modes), 2, len(gate.modes), 2)
+        for r, mr in enumerate(gate.modes):
+            for c, mc in enumerate(gate.modes):
+                g_modes[mr, :, mc] = block[r, :, c]
+        s = s @ g
     return s
 
 

@@ -6,6 +6,19 @@ import cvsim as cv
 from conftest import random_fiber, random_two_mode_physical
 
 
+# corners of the fiber rule that random_fiber never reaches
+FIBER_RULE_CORNERS = [
+    cv.FiberParams(t_mag=0.0),
+    cv.FiberParams(t_mag=0.0, n_th=100.0),
+    cv.FiberParams(t_mag=1.0, phase=2.0),
+    cv.FiberParams(t_mag=1.0, r_mag=7e-7),  # |T|^2 + |R|^2 = 1 + 4.9e-13, inside the slack
+    cv.FiberParams(t_mag=0.6, r_mag=0.8, phase=-1.0),  # |T|^2 + |R|^2 = 1
+    cv.FiberParams(t_mag=0.6, r_mag=np.sqrt(0.64 + 5e-13)),  # inside the slack
+    cv.FiberParams(t_mag=0.0, r_mag=1.0, n_th=100.0),
+    cv.FiberParams(t_mag=0.5, r_mag=0.5, phase=0.3, n_th=100.0),
+]
+
+
 class TestApplyChannel:
     def test_thermalisation_from_vacuum(self):
         n = 0.8
@@ -44,8 +57,8 @@ class TestValidateChannel:
         assert not cv.validate_channel(cv.GaussianChannel(np.eye(2), -0.1 * np.eye(2)))
 
     def test_fiber_channels_always_valid(self, rng):
-        for _ in range(300):
-            assert cv.validate_channel(cv.fiber_channel(random_fiber(rng)))
+        for f in [*FIBER_RULE_CORNERS, *(random_fiber(rng) for _ in range(300))]:
+            assert cv.validate_channel(cv.fiber_channel(f)), f
 
     def test_valid_channels_preserve_physicality(self, rng):
         sigma = cv.symplectic_form(1)
@@ -125,3 +138,13 @@ class TestDegradedTmsv:
         for _ in range(100):
             out = cv.degraded_tmsv(rng.uniform(0, 1.5), random_fiber(rng), random_fiber(rng))
             assert cv.validate_covariance(out).physical
+
+    def test_matches_the_channel_api_bit_for_bit(self, rng):
+        # the channel API, with its complete-positivity certificate, is the
+        # reference for the direct products degraded_tmsv forms
+        fibers = [*FIBER_RULE_CORNERS, *(random_fiber(rng, max_n=2.0) for _ in range(1000))]
+        for f1, f2 in zip(fibers, fibers[1:] + fibers[:1]):
+            zeta = rng.uniform(0, 3)
+            ch = cv.tensor_channels(cv.fiber_channel(f1), cv.fiber_channel(f2))
+            ref = cv.apply_channel(cv.tmsv_state(zeta), ch).gamma
+            assert np.array_equal(cv.degraded_tmsv(zeta, f1, f2), ref), (zeta, f1, f2)

@@ -70,6 +70,12 @@ class TestConstructors:
     def test_mean_vector_mismatch(self):
         with pytest.raises(ValueError):
             cv.GaussianState(np.zeros(3), np.eye(4))
+        for build in (
+            lambda: cv.GaussianState([np.nan, 0.0], np.eye(2)),
+            lambda: cv.displace(cv.vacuum_state(1), [np.inf, 0.0]),
+        ):
+            with pytest.raises(ValueError, match="mean vector has non-finite entries"):
+                build()
 
     def test_states_are_frozen(self):
         st = cv.vacuum_state(1)

@@ -129,8 +129,15 @@ class TestBuildSymplectic:
         assert_allclose(s, np.diag([np.exp(0.7), np.exp(-0.7)]))
 
     def test_beamsplitter_matches_printed_form(self):
-        s = cv.build_symplectic([cv.beamsplitter(0, 1)], 2)
-        assert_allclose(s, bs_printed())
+        b, o, one = np.eye(2) / np.sqrt(2.0), np.zeros((2, 2)), np.eye(2)
+        printed = {
+            ((0, 1), 2): bs_printed(),
+            ((1, 0), 2): np.block([[b, -b], [b, b]]),
+            ((0, 2), 3): np.block([[b, o, b], [o, one, o], [-b, o, b]]),
+            ((2, 0), 3): np.block([[b, o, -b], [o, one, o], [b, o, b]]),
+        }
+        for (modes, n_modes), longhand in printed.items():
+            assert_allclose(cv.build_symplectic([cv.beamsplitter(*modes)], n_modes), longhand)
 
     def test_empty_is_identity(self):
         assert_allclose(cv.build_symplectic([], 3), np.eye(6))
