@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .entanglement import _check_base, _to_base
-from .symplectic import _check_mode_count
+from .symplectic import _check_mode_count, _mode_index
 
 DEFAULT_CUTOFF = 25
 DEFAULT_GRID = (-8.0, 8.0, 801)
@@ -94,18 +94,6 @@ def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(a * b.T).real)
 
 
-def _check_mode(state: FockState, mode) -> int:
-    """The mode index as an int; ValueError unless an integer in [0, modes)."""
-    if not (float(mode).is_integer() and 0 <= mode < state.modes):
-        raise ValueError(f"mode index must be an integer in [0, {state.modes}), got {mode!r}")
-    return int(mode)
-
-
-def _from_matrix(matrix: np.ndarray, modes: int, cutoff: int, weight: float = 0.0) -> FockState:
-    d = cutoff + 1
-    return FockState(modes, cutoff, matrix.reshape((d,) * (2 * modes)), weight)
-
-
 def vacuum_fock(modes: int = 1, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     """Vacuum |0, ..., 0> of ``modes`` modes, at least 1, else ValueError."""
     _check_mode_count(modes)
@@ -121,13 +109,9 @@ def number_state_fock(ns, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     ns = np.atleast_1d(np.asarray(ns, dtype=float))
     if not np.all((ns >= 0) & (ns <= cutoff) & (ns == np.round(ns))):
         raise ValueError(f"occupations must be integers in [0, {cutoff}], got {ns.tolist()}")
-    d = cutoff + 1
-    idx = 0
-    for n in ns:
-        idx = idx * d + int(n)
-    vec = np.zeros(d ** len(ns), dtype=complex)
-    vec[idx] = 1.0
-    return _from_matrix(np.outer(vec, vec.conj()), len(ns), cutoff)
+    tensor = np.zeros((cutoff + 1,) * (2 * len(ns)), dtype=complex)
+    tensor[tuple(ns.astype(int)) * 2] = 1.0
+    return FockState(len(ns), cutoff, tensor)
 
 
 def build_tmsv_fock(zeta: float, cutoff: int = DEFAULT_CUTOFF) -> FockState:
@@ -136,6 +120,7 @@ def build_tmsv_fock(zeta: float, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     The expansion is truncated at the cutoff and renormalised; the dropped
     weight q^(2(cutoff+1)) is reported on the state and must not exceed
     the truncation budget 1e-6.  A non-finite zeta raises ValueError.
+    Only the d^2 nonzero entries rho[n, n, m, m] are written.
     """
     if not np.isfinite(zeta):
         raise ValueError(f"squeezing must be finite, got {zeta!r}")
@@ -149,9 +134,11 @@ def build_tmsv_fock(zeta: float, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     amps = np.sqrt(1.0 - q * q) * q ** np.arange(d)
     psi = np.zeros((d, d), dtype=complex)
     np.fill_diagonal(psi, amps)
-    psi = psi.reshape(-1)
-    psi /= np.linalg.norm(psi)
-    return _from_matrix(np.outer(psi, psi.conj()), 2, cutoff, weight)
+    # the norm of the d^2 state vector rounds unlike that of the d amplitudes
+    amps = np.diagonal(psi) / np.linalg.norm(psi)
+    rho = np.zeros((d,) * 4, dtype=complex)
+    rho.reshape(d * d, d * d)[:: d + 1, :: d + 1] = np.outer(amps, amps.conj())
+    return FockState(2, cutoff, rho, weight)
 
 
 def _blocks(m: np.ndarray) -> list[np.ndarray]:
@@ -214,29 +201,31 @@ def apply_loss_fock(state: FockState, mode: int, transmittance: float) -> FockSt
     a = m - k), so sum_k E_k x E_k^T keeps a - b on the mode's (ket, bra)
     plane: on the diagonal a - b = +-s it is one real matrix, the Kraus sum
     of E_k[s:, s:] * E_k[:d-s, :d-s] elementwise, acting on the rows
-    (j + s, j), or (j, j + s), of the real view of x.
+    (j + s, j), or (j, j + s), of the real view of x, in place in one copy
+    of the state with the mode's axes moved to the front.
     """
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError("transmittance must lie in [0, 1]")
-    mode = _check_mode(state, mode)
+    mode = _mode_index(mode, state.modes)
     if transmittance == 1.0:
         return state
     d = state.cutoff + 1
     kraus = _loss_kraus(state.cutoff, float(transmittance))  # (k, a, m)
     axes = (mode, state.modes + mode)
-    moved = np.ascontiguousarray(np.moveaxis(state.tensor, axes, (0, 1)))
+    # a copy, never the caller's array: for one mode moveaxis is the identity
+    moved = np.moveaxis(state.tensor, axes, (0, 1)).copy()
     flat = moved.reshape(d * d, -1).view(float)
-    out = np.empty_like(flat)
     for s in range(d):
         block = np.sum(kraus[:, s:, s:] * kraus[:, : d - s, : d - s], axis=0)
         for start in {s * d, s}:  # the rows (j + s, j) and (j, j + s), strided views
-            out[start :: d + 1][: d - s] = block @ flat[start :: d + 1][: d - s]
-    out = np.ascontiguousarray(np.moveaxis(out.view(complex).reshape(moved.shape), (0, 1), axes))
+            rows = flat[start :: d + 1][: d - s]
+            rows[...] = block @ rows
+    out = np.ascontiguousarray(np.moveaxis(moved, (0, 1), axes))
     return FockState(state.modes, state.cutoff, out, state.trunc_weight)
 
 
 def partial_trace(state: FockState, keep) -> FockState:
-    keep = sorted({_check_mode(state, m) for m in keep})
+    keep = sorted({_mode_index(m, state.modes) for m in keep})
     drop = [m for m in range(state.modes) if m not in keep]
     tensor = state.tensor
     for m in sorted(drop, reverse=True):
@@ -256,8 +245,9 @@ def covariance_from_fock(state: FockState) -> tuple[np.ndarray, np.ndarray]:
 
     Each moment contracts the ket/bra tensor with d x d quadratures: a
     same-mode pair is a trace of the one-mode reduced matrix, a cross-mode
-    pair is 2 Tr[rho (A (x) B)], with mode 0 contracted against both
-    quadratures in one pass over the tensor.  One or two modes cover every
+    pair is 2 Tr[rho (A (x) B)].  x and p vanish off k = i +- 1, so mode 0
+    is contracted against both on those two diagonals of its (ket, bra)
+    plane, np.diagonal views of the tensor.  One or two modes cover every
     oracle check.
     """
     if state.modes > 2:
@@ -267,8 +257,8 @@ def covariance_from_fock(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     quads = [(m, op) for m in range(state.modes) for op in ops]
     kappa = np.array([np.trace(reduced[m] @ op).real for m, op in quads])
     if state.modes == 2:
-        # (j, l, a) = sum_ik rho[i, j, k, l] A_a[k, i], then closed with B_b[l, j]
-        half = np.tensordot(state.tensor, ops, axes=([0, 2], [2, 1]))
+        # (j, l, a) = sum_ik rho[i, j, k, l] A_a[k, i] over k = i +- 1, then closed with B_b[l, j]
+        half = sum(np.diagonal(state.tensor, s, 0, 2) @ np.diagonal(ops, -s, 1, 2).T for s in (1, -1))
         cross = 2.0 * np.einsum("jla,blj->ab", half, ops).real
     dim = 2 * state.modes
     gamma = np.empty((dim, dim))
@@ -367,12 +357,13 @@ def homodyne_povm_fock(state: FockState, mode: int, phi: float = 0.0, grid=None)
     """Outcome density of projecting one mode onto quadrature eigenstates |X, phi>.
 
     phi = 0 is an x measurement and phi = pi/2 a p measurement.  The density
-    p(X) = <X,phi| rho_mode |X,phi> needs only the mode's reduced matrix.
+    p(X) = <X,phi| rho_mode |X,phi> needs only the mode's reduced matrix R;
+    with A[X, n] = <n|X,phi> it is the row sum of (A^* R) * A.
     """
     reduced = partial_trace(state, [mode]).tensor
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     amps = _quadrature_amplitudes(state.cutoff, phi, grid)
-    pdf = np.einsum("gm,mn,gn->g", amps.conj(), reduced, amps).real
+    pdf = np.sum((amps.conj() @ reduced) * amps, axis=1).real
     return HomodyneFockResult(grid=grid, pdf=pdf)
 
 
@@ -381,7 +372,7 @@ def homodyne_conditional_fock(state: FockState, mode: int, x: float, phi: float 
     ``mode`` at angle phi reads x; ValueError if x has zero density."""
     if state.modes < 2:
         raise ValueError("conditioning needs a state of at least two modes")
-    mode = _check_mode(state, mode)
+    mode = _mode_index(mode, state.modes)
     if not np.isfinite(x):
         raise ValueError(f"homodyne record must be finite, got {x!r}")
     amp = _quadrature_amplitudes(state.cutoff, phi, np.array([float(x)]))[0]
@@ -442,4 +433,4 @@ def gaussian_fock(gamma, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     rho = np.diag(probs).astype(complex)
     u = _rotation_unitary(d, theta) @ _squeeze_unitary(d, float(zeta))
     rho = u @ rho @ u.conj().T
-    return _from_matrix(rho, 1, cutoff, weight)
+    return FockState(1, cutoff, rho, weight)

@@ -37,6 +37,13 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return sigma
 
 
+def _mode_index(mode, n_modes: int) -> int:
+    """The mode index as an int; ValueError unless an integer in [0, n_modes)."""
+    if not (float(mode).is_integer() and 0 <= mode < n_modes):
+        raise ValueError(f"mode index must be an integer in [0, {n_modes}), got {mode!r}")
+    return int(mode)
+
+
 def _block_diag(*mats) -> np.ndarray:
     """Square matrices placed corner to corner on the diagonal, zeros elsewhere."""
     n = sum(len(m) for m in mats)
@@ -131,18 +138,16 @@ def build_symplectic(gates, n_modes: int) -> np.ndarray:
 
     Each gate's block is written into the 2N x 2N identity by 2 x 2
     sub-blocks, one per pair of its modes.  An empty gate list yields the
-    identity; a mode outside [0, N) raises ValueError.
+    identity; a mode that is not an integer in [0, N) raises ValueError.
     """
     s = np.eye(2 * n_modes)
     for gate in gates:
-        for m in gate.modes:
-            if not 0 <= m < n_modes:
-                raise ValueError(f"mode index {m} out of range for {n_modes} modes")
+        modes = [_mode_index(m, n_modes) for m in gate.modes]
         g = np.eye(2 * n_modes)
         g_modes = g.reshape(n_modes, 2, n_modes, 2)  # a view: [mode, q, mode, q]
-        block = gate.block.reshape(len(gate.modes), 2, len(gate.modes), 2)
-        for r, mr in enumerate(gate.modes):
-            for c, mc in enumerate(gate.modes):
+        block = gate.block.reshape(len(modes), 2, len(modes), 2)
+        for r, mr in enumerate(modes):
+            for c, mc in enumerate(modes):
                 g_modes[mr, :, mc] = block[r, :, c]
         s = s @ g
     return s

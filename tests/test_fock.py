@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +45,13 @@ def _dense_log_negativity(state):
     d = state.cutoff + 1
     pt = state.tensor.transpose(0, 3, 2, 1).reshape(d * d, d * d)
     return float(np.log(np.sum(np.abs(np.linalg.eigvalsh(pt)))))
+
+
+def _einsum_pdf(state, mode, phi):
+    """Homodyne density as the three-operand einsum <X,phi| rho_mode |X,phi>."""
+    reduced = fock.partial_trace(state, [mode]).tensor
+    amps = fock._quadrature_amplitudes(state.cutoff, phi, fock.default_grid())
+    return np.einsum("gm,mn,gn->g", amps.conj(), reduced, amps).real
 
 
 def _random_block_matrix(rng, n, n_blocks):
@@ -94,14 +103,41 @@ class TestAgainstReferenceImplementations:
             assert np.max(np.abs(out.tensor - _reference_loss(st, mode, tau))) <= 1e-12
 
     @pytest.mark.parametrize("modes", [1, 2])
-    @pytest.mark.parametrize("cutoff", [4, 6, 8])
+    @pytest.mark.parametrize("cutoff", [0, 1, 4, 6, 8])
     def test_moments_match_dense_quadratures(self, rng, modes, cutoff):
+        # at cutoff 0 the quadratures vanish and their off-diagonals are empty
         st = _random_density(rng, modes, cutoff)
         kappa, gamma = fock.covariance_from_fock(st)
         ref_kappa, ref_gamma = _reference_moments(st)
-        assert np.min(np.abs(ref_kappa)) > 1e-3  # the mean terms are exercised
+        assert cutoff == 0 or np.min(np.abs(ref_kappa)) > 1e-3  # the mean terms are exercised
         assert np.max(np.abs(kappa - ref_kappa)) <= 1e-12
         assert np.max(np.abs(gamma - ref_gamma)) <= 1e-12
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    @pytest.mark.parametrize("cutoff", [4, 5, 6, 7, 8])
+    def test_homodyne_pdf_matches_einsum(self, rng, modes, cutoff):
+        st = _random_density(rng, modes, cutoff)
+        for mode in range(modes):
+            for phi in (0.0, 0.7, np.pi / 2):
+                ref = _einsum_pdf(st, mode, phi)
+                assert np.max(np.abs(fock.homodyne_povm_fock(st, mode, phi).pdf - ref)) <= 1e-12 * np.max(ref)
+
+    @pytest.mark.parametrize("zeta, cutoff", [(0.0, 0), (0.0, 4), (-0.3, 6), (0.4, 25), (1.0, 25), (0.9, 40)])
+    def test_tmsv_matches_outer_product(self, zeta, cutoff):
+        st = fock.build_tmsv_fock(zeta, cutoff)
+        d = cutoff + 1
+        q = np.tanh(zeta)
+        psi = np.zeros((d, d), dtype=complex)
+        np.fill_diagonal(psi, np.sqrt(1.0 - q * q) * q ** np.arange(d))
+        psi = psi.reshape(-1) / np.linalg.norm(psi)
+        assert np.array_equal(st.matrix, np.outer(psi, psi.conj()))
+
+    @pytest.mark.parametrize("ns, cutoff", [([0], 0), ([2], 5), ([3, 0], 4), ([1, 4, 2], 4)])
+    def test_number_state_matches_outer_product(self, ns, cutoff):
+        vec = np.zeros((cutoff + 1,) * len(ns), dtype=complex)
+        vec[tuple(ns)] = 1.0
+        vec = vec.reshape(-1)
+        assert np.array_equal(fock.number_state_fock(ns, cutoff).matrix, np.outer(vec, vec.conj()))
 
     def test_moments_reject_three_modes(self, rng):
         with pytest.raises(ValueError, match="at most two modes"):
@@ -201,6 +237,79 @@ def _dense_loss_kraus(cutoff, tau):
     theta = np.arccos(np.sqrt(tau))
     u = expm(theta * (np.kron(a.T, a) - np.kron(a, a.T))).reshape(d, d, d, d)
     return np.stack([u[:, k, :, 0] for k in range(d)])
+
+
+def _random_pure(rng, modes, cutoff):
+    d = cutoff + 1
+    psi = rng.normal(size=d**modes) + 1j * rng.normal(size=d**modes)
+    psi /= np.linalg.norm(psi)
+    return fock.FockState(modes, cutoff, np.outer(psi, psi.conj()).reshape((d,) * (2 * modes)))
+
+
+class TestInputsStayUnwritten:
+    """No public function may write into the state it is given: with the
+    tensor read-only, any in-place write raises."""
+
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_read_only_inputs(self, rng, modes):
+        st = _random_pure(rng, modes, 3)
+        st.tensor.setflags(write=False)
+        before = st.tensor.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # random states fill the cutoff level
+            for mode in range(modes):
+                fock.apply_loss_fock(st, mode, 0.6)
+                fock.partial_trace(st, [mode])
+                fock.homodyne_povm_fock(st, mode, 0.7)
+                if modes > 1:
+                    fock.homodyne_conditional_fock(st, mode, 0.2, 0.7)
+            if modes <= 2:
+                fock.covariance_from_fock(st)
+            if modes == 2:
+                fock.log_negativity_fock(st)
+            fock.overlap_fock(st, st)
+        assert np.array_equal(st.tensor, before)
+
+
+def _peak_tensors(fn):
+    """Peak memory that fn() allocates, in units of one cutoff-25 two-mode
+    complex tensor (26^4 entries)."""
+    unit = 26**4 * np.dtype(complex).itemsize
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / unit
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestMemory:
+    """The oracle's kernels allocate no more of the d^4 tensor than their
+    results need (lossy TMSV at cutoff 25)."""
+
+    def test_warm_loss_holds_its_copy_and_its_result(self):
+        st = _lossy_tmsv()
+        assert _peak_tensors(lambda: fock.apply_loss_fock(st, 1, 0.8)) <= 2.05
+
+    def test_moments_copy_no_tensor(self):
+        st = _lossy_tmsv()
+        assert _peak_tensors(lambda: fock.covariance_from_fock(st)) <= 0.25
+
+    def test_oracle_chain(self):
+        def chain():
+            st = fock.build_tmsv_fock(0.4)
+            st = fock.apply_loss_fock(st, 0, 0.7)
+            st = fock.apply_loss_fock(st, 1, 0.8)
+            fock.log_negativity_fock(st)
+            fock.covariance_from_fock(st)
+            fock.homodyne_povm_fock(st, 0)
+
+        assert _peak_tensors(chain) <= 3.05
 
 
 class TestUnitariesAgainstScipy:

@@ -152,6 +152,22 @@ class TestBuildSymplectic:
         with pytest.raises(ValueError):
             cv.build_symplectic([cv.squeeze(2, 0.1)], 2)
 
+    @pytest.mark.parametrize("gate", [
+        pytest.param(lambda: cv.squeeze(0.5, 0.1), id="squeeze-0.5"),
+        pytest.param(lambda: cv.beamsplitter(0, 1.5), id="beamsplitter-1.5"),
+        pytest.param(lambda: cv.rotation(float("nan"), 0.3), id="rotation-nan"),
+    ])
+    def test_rejects_mode_that_is_not_an_index(self, gate):
+        with pytest.raises(ValueError, match=r"mode index must be an integer in \[0, 2\)"):
+            cv.build_symplectic([gate()], 2)
+
+    def test_integral_float_is_that_mode(self):
+        for as_float, as_int in [
+            (cv.squeeze(1.0, 0.3), cv.squeeze(1, 0.3)),
+            (cv.beamsplitter(1.0, 0), cv.beamsplitter(1, 0)),
+        ]:
+            assert np.array_equal(cv.build_symplectic([as_float], 2), cv.build_symplectic([as_int], 2))
+
     def test_products_stay_symplectic(self, rng):
         for _ in range(200):
             s = random_symplectic(rng, 2)
