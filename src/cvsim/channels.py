@@ -56,7 +56,8 @@ class FiberParams:
     n_th: float = 0.0
 
     def __post_init__(self):
-        _check_fiber(self.t_mag, self.r_mag, self.n_th)
+        _check_fiber(self.t_mag, self.r_mag)
+        _check_occupation(self.n_th)
 
     @property
     def noise(self) -> float:
@@ -65,16 +66,15 @@ class FiberParams:
         return self.r_mag**2 + (2.0 * self.n_th + 1.0) * absorbed
 
 
-def _check_fiber(t_mag: float, r_mag: float = 0.0, n_th: float = 0.0) -> None:
-    """The fiber-parameter rule, else ValueError: |T| and |R| in [0, 1],
-    |T|^2 + |R|^2 <= 1 and n_th >= 0."""
+def _check_fiber(t_mag: float, r_mag: float = 0.0) -> None:
+    """The fiber-magnitude rule, else ValueError: |T| and |R| in [0, 1]
+    and |T|^2 + |R|^2 <= 1."""
     if not 0.0 <= t_mag <= 1.0:
         raise ValueError("transmission magnitude must lie in [0, 1]")
     if not 0.0 <= r_mag <= 1.0:
         raise ValueError("reflection magnitude must lie in [0, 1]")
     if t_mag**2 + r_mag**2 > 1.0 + _PARAM_TOL:
         raise ValueError("energy conservation requires |T|^2 + |R|^2 <= 1")
-    _check_occupation(n_th)
 
 
 def _check_length(l_abs: float, length: float = 0.0) -> None:

@@ -46,6 +46,10 @@ _HELP = {
     "absorption_length": "Lambert-Beer absorption length",
 }
 
+# Common flags: their defaults, and the values the enumerated ones accept.
+_COMMON = {"log_base": "e", "format": "csv", "seed": None}
+_CHOICES = {"log_base": ("e", "2"), "format": ("csv", "json")}
+
 _BASE_LABEL = {"e": "ln", "2": "log2"}
 
 
@@ -88,13 +92,6 @@ def _scalar(grid: np.ndarray, name: str) -> float:
     if grid.size != 1:
         raise SpecError(f"{name} must be a single value for this command")
     return float(grid[0])
-
-
-def _absorption_length(args) -> float:
-    l_abs = _scalar(parse_grid(args.absorption_length), "absorption length")
-    if l_abs <= 0:
-        raise SpecError("absorption length must be positive")
-    return l_abs
 
 
 def load_config(path: str) -> dict:
@@ -158,18 +155,18 @@ def _emit(command: str, params: dict, columns: list[str], rows: list[list], args
 def _run_entanglement_sweep(args):
     lengths = _check_grid(parse_grid(args.length), "length")
     zeta = _scalar(parse_grid(args.zeta), "zeta")
-    l_abs = _absorption_length(args)
+    l_abs = _scalar(parse_grid(args.absorption_length), "absorption length")
     label = _BASE_LABEL[args.log_base]
     columns = ["l_over_lA", "t_squared", f"en_max_{label}", f"en_zeta_{label}"]
     rows = []
     for l in lengths:
-        t_sq = math.exp(-2.0 * l / l_abs)
         # the closed forms raise ValueError only for inputs outside their domain
         try:
             en_max = ent.max_transmittable(float(l), l_abs, args.log_base)
+            t_sq = math.exp(-2.0 * l / l_abs)
             en_zeta = ent.transmitted_log_negativity(zeta, math.sqrt(t_sq), args.log_base)
         except ValueError as exc:
-            raise SpecError(f"length={l!r}, zeta={zeta!r}: {exc}") from exc
+            raise SpecError(f"length={float(l)!r}, zeta={zeta!r}: {exc}") from exc
         rows.append([float(l / l_abs), t_sq, en_max, en_zeta])
     params = {"zeta": zeta, "absorption_length": l_abs}
     return params, columns, rows
@@ -191,18 +188,22 @@ def _run_separability(args):
     t2s = _check_grid(parse_grid(args.t2), "t2")
     r2 = _scalar(parse_grid(args.r2), "r2")
     nth = _scalar(parse_grid(args.nth), "nth")
-    l_abs = _absorption_length(args)
+    l_abs = _scalar(parse_grid(args.absorption_length), "absorption length")
     columns = ["zeta", "t_squared", "r_squared", "nth_crit", "l_s_over_lA"]
     rows = []
-    for zeta in zetas:
-        for t2 in t2s:
-            # the closed forms raise ValueError only for inputs outside their domain
+    # the closed forms raise ValueError only for inputs outside their domain
+    for zeta in map(float, zetas):
+        try:
+            l_s = ent.separability_length(zeta, nth, l_abs)
+        except ValueError as exc:
+            raise SpecError(f"zeta={zeta!r}: {exc}") from exc
+        l_s_over_la = l_s / l_abs if math.isfinite(l_s) else l_s
+        for t2 in map(float, t2s):
             try:
-                n_crit = ent.fiber_separability_threshold(float(zeta), math.sqrt(t2), math.sqrt(r2))
-                l_s = ent.separability_length(float(zeta), nth, l_abs) if zeta > 0 else 0.0
+                n_crit = ent.fiber_separability_threshold(zeta, math.sqrt(t2), math.sqrt(r2))
             except ValueError as exc:
-                raise SpecError(f"zeta={float(zeta)!r}, t2={float(t2)!r}: {exc}") from exc
-            rows.append([float(zeta), float(t2), r2, n_crit, l_s / l_abs if math.isfinite(l_s) else l_s])
+                raise SpecError(f"zeta={zeta!r}, t2={t2!r}: {exc}") from exc
+            rows.append([zeta, t2, r2, n_crit, l_s_over_la])
     return {"nth": nth, "absorption_length": l_abs}, columns, rows
 
 
@@ -277,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command)
         for key in _DEFAULTS[command]:
             p.add_argument("--" + key.replace("_", "-"), dest=key, default=None, help=_HELP[key])
-        p.add_argument("--log-base", dest="log_base", choices=("e", "2"), default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--log-base", dest="log_base", choices=_CHOICES["log_base"], default=None)
+        p.add_argument("--format", choices=_CHOICES["format"], default=None)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None, help="key=value config file")
@@ -288,24 +289,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve(args) -> None:
     """Apply precedence: command line > config file > defaults."""
     config = load_config(args.config) if args.config else {}
-    for key, default in _DEFAULTS[args.command].items():
-        if getattr(args, key) is None:
-            setattr(args, key, config.get(key, default))
-    if args.log_base is None:
-        base = config.get("log_base", "e")
-        if base not in ("e", "2"):
-            raise SpecError(f"log_base must be e or 2, got {base!r}")
-        args.log_base = base
-    if args.format is None:
-        fmt = config.get("format", "csv")
-        if fmt not in ("csv", "json"):
-            raise SpecError(f"format must be csv or json, got {fmt!r}")
-        args.format = fmt
-    if args.seed is None and "seed" in config:
-        try:
-            args.seed = int(config["seed"])
-        except ValueError as exc:
-            raise SpecError(f"seed must be an integer, got {config['seed']!r}") from exc
+    for key, default in {**_DEFAULTS[args.command], **_COMMON}.items():
+        if getattr(args, key) is not None:
+            continue
+        value = config.get(key, default)
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise SpecError(f"{key} must be {' or '.join(_CHOICES[key])}, got {value!r}")
+        if key == "seed" and value is not None:
+            try:
+                value = int(value)
+            except ValueError as exc:
+                raise SpecError(f"seed must be an integer, got {value!r}") from exc
+        setattr(args, key, value)
 
 
 def main(argv=None) -> int:

@@ -19,6 +19,10 @@ from .measurement import HomodyneResult, OutcomeDensity, homodyne_project
 from .states import GaussianState
 from .symplectic import _SIGMA_1, _block_diag, beamsplitter, build_symplectic, rotation_matrix, validate_covariance
 
+# The 50:50 beamsplitter that mixes the signal (mode 0) with the near arm (mode 1).
+_MIX = build_symplectic([beamsplitter(0, 1)], 3)
+_MIX.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class TeleportSetup:
@@ -105,9 +109,8 @@ def teleport(setup: TeleportSetup) -> TeleportResult:
     squeezed resources).
     """
     gamma_dec = degraded_tmsv(setup.zeta, setup.f1, setup.f2)
-    s_mix = build_symplectic([beamsplitter(0, 1)], 3)
-    gamma_012 = s_mix @ _block_diag(setup.gamma_in, gamma_dec) @ s_mix.T
-    kappa_012 = s_mix @ np.concatenate([setup.kappa_in, np.zeros(4)])
+    gamma_012 = _MIX @ _block_diag(setup.gamma_in, gamma_dec) @ _MIX.T
+    kappa_012 = _MIX @ np.concatenate([setup.kappa_in, np.zeros(4)])
 
     hom: HomodyneResult = homodyne_project(gamma_012, measured=(0, 3), kappa=kappa_012)
     gamma_explicit = _gamma_rec_explicit(setup.gamma_in, setup.zeta, setup.f1, setup.f2)

@@ -1,4 +1,8 @@
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -6,8 +10,10 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
+import cvsim as cv
 from cvsim import cli
 
+ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_PATH = "schema/sweep.schema.json"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "cli"
 
@@ -64,6 +70,30 @@ class TestEntanglementSweep:
         )
         row = out.strip().split("\n")[1].split(",")
         assert float(row[2]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_failing_point_is_named_with_a_plain_float(self, capsys):
+        code = cli.main(["entanglement-sweep", "--length=-1"])
+        assert code == 2
+        assert "length=-1.0," in capsys.readouterr().err
+
+
+class TestSeparability:
+    def test_rows_match_the_closed_forms_point_by_point(self, capsys):
+        """zeta = 0 rows included: both closed forms run once per distinct
+        input and every row carries their exact values."""
+        code, out = run_cli(
+            capsys,
+            ["separability", "--zeta", "0,0.3,0.3,1", "--t2", "0.2,0.2,0.9", "--nth", "0.4", "--format", "json"],
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        expected = [
+            [zeta, t2, 0.0, cv.fiber_separability_threshold(zeta, math.sqrt(t2)),
+             cv.separability_length(zeta, 0.4, 1.0) / 1.0]
+            for zeta in (0.0, 0.3, 0.3, 1.0)
+            for t2 in (0.2, 0.2, 0.9)
+        ]
+        assert rows == expected
 
 
 class TestJsonOutput:
@@ -201,6 +231,9 @@ class TestExitCodes:
             ["separability", "--absorption-length", "nan"],
             ["entanglement-sweep", "--absorption-length", "-1"],
             ["entanglement-sweep", "--absorption-length", "inf"],
+            ["separability", "--zeta", "0", "--nth", "-1"],
+            ["separability", "--zeta", "0", "--absorption-length", "0"],
+            ["entanglement-sweep", "--absorption-length", "0"],
         ],
     )
     def test_malformed_value_exits_2(self, capsys, argv):
@@ -245,3 +278,17 @@ def test_readme_example_matches_golden(capsys, name, fmt):
     code, out = run_cli(capsys, README_EXAMPLES[name] + ["--format", fmt])
     assert code == 0
     assert out == (GOLDEN_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(README_EXAMPLES["separability"], 0), (["separability", "--zeta", "0", "--nth", "-1"], 2)],
+)
+def test_module_entry_point_exit_code(argv, code):
+    """``python -m cvsim.cli`` hands main's return value to sys.exit."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "cvsim.cli", *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == code
+    if code == 0:
+        assert proc.stdout == (GOLDEN_DIR / "separability.csv").read_text(encoding="utf-8")
