@@ -52,6 +52,10 @@ _CHOICES = {"log_base": ("e", "2"), "format": ("csv", "json")}
 
 _BASE_LABEL = {"e": "ln", "2": "log2"}
 
+# The C encoder (indent= turns it off) with the depth-2 item separator of indent=2; it
+# escapes newlines in strings, so for a list of flat lists "],\n      [" only joins rows.
+_ROWS = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
 
 class SpecError(ValueError):
     """Malformed request: bad flag value, bad grid, bad config."""
@@ -128,17 +132,8 @@ def _emit(command: str, params: dict, columns: list[str], rows: list[list], args
         lines.extend(",".join(_fmt_csv(v) for v in row) for row in rows)
         return "\n".join(lines) + "\n"
 
-    infinite = []
-    json_rows = []
-    for i, row in enumerate(rows):
-        out_row = []
-        for j, v in enumerate(row):
-            if isinstance(v, float) and math.isinf(v):
-                out_row.append(None)
-                infinite.append([i, j])
-            else:
-                out_row.append(v)
-        json_rows.append(out_row)
+    json_rows = [[None if isinstance(v, float) and math.isinf(v) else v for v in row] for row in rows]
+    infinite = [[i, j] for i, row in enumerate(json_rows) for j, v in enumerate(row) if v is None]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -149,7 +144,20 @@ def _emit(command: str, params: dict, columns: list[str], rows: list[list], args
         "rows": json_rows,
         "infinite_flags": infinite,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc) + "\n"
+
+
+def _json_text(doc: dict) -> str:
+    """json.dumps(doc, indent=2) byte for byte; "rows" and "infinite_flags" are lists of flat lists."""
+    fields = []
+    for key, value in doc.items():
+        if key in ("rows", "infinite_flags") and value and all(value):
+            rows = _ROWS(value)[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+            text = "[\n    [\n      " + rows + "\n    ]\n  ]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}"
 
 
 def _run_entanglement_sweep(args):

@@ -177,7 +177,7 @@ def separability_length(zeta: float, n_th: float, l_abs: float) -> float:
 
     l_S = (l_abs/2) ln[1 + (1 - e^(-2 zeta)) / (2 n_th)]; diverges for
     n_th -> 0, in which case math.inf is returned.  Raises ValueError for
-    zeta < 0, n_th < 0 or l_abs <= 0, NaN included.
+    zeta < 0, n_th < 0 or infinite, or l_abs <= 0, NaN included.
     """
     _check_squeezing(zeta)
     _check_occupation(n_th)

@@ -86,7 +86,13 @@ def _split(gamma: np.ndarray, support: list[int]):
     untouched, c2 over ``support``, c3 their correlations."""
     touched = {q // 2 for q in support}
     kept = [q for q in range(gamma.shape[0]) if q // 2 not in touched]
-    return gamma[np.ix_(kept, kept)], gamma[np.ix_(support, support)], gamma[np.ix_(kept, support)]
+    kept_rows = gamma.take(kept, 0)
+    return kept_rows.take(kept, 1), gamma.take(support, 0).take(support, 1), kept_rows.take(support, 1)
+
+
+def _quadratic_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """d^T M d per row d of ``rows``, for pdf and overlap exponents; einsum and axis sums are slow on short rows."""
+    return ((rows @ mat) * rows) @ np.ones(mat.shape[0])
 
 
 @dataclass(frozen=True)
@@ -148,6 +154,7 @@ class OutcomeDensity:
     signs: np.ndarray
 
     def pdf(self, outcomes) -> np.ndarray | float:
+        """exp(-d^T B^MP d) / (pi^(n/2) sqrt(pdet B)) per record, d its sign-adjusted deviation from ``mean``."""
         outcomes = np.asarray(outcomes, dtype=float)
         single = outcomes.ndim == 1
         pts = np.atleast_2d(outcomes)
@@ -155,17 +162,16 @@ class OutcomeDensity:
             raise ValueError("outcome dimension does not match the record size")
         dev = pts * self.signs - self.mean
         inv, det = _spectral_cut(self.block, MP_REL_TOL)
-        quad = np.einsum("ni,ij,nj->n", dev, inv, dev)
         norm = np.pi ** (self.block.shape[0] / 2.0) * np.sqrt(det)
-        vals = np.exp(-quad) / norm
+        vals = np.exp(-_quadratic_rows(dev, inv)) / norm
         return float(vals[0]) if single else vals
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw outcome records (rows) from the density."""
         evals, evecs = np.linalg.eigh(0.5 * (self.block + self.block.T))
         root = evecs * np.sqrt(np.clip(0.5 * evals, 0.0, None))
-        raw = self.mean + rng.standard_normal((size, self.mean.size)) @ root.T
-        return raw * self.signs
+        # (mean + z R^T) * signs with the exact +-1 factors folded into R and mean
+        return self.mean * self.signs + rng.standard_normal((size, self.mean.size)) @ (root.T * self.signs)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ characteristic function."""
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +52,9 @@ class GaussianState:
 
 
 def _check_occupation(n_mean) -> None:
-    """Mean thermal photon numbers (scalar or array) must be >= 0; NaN fails."""
-    if not np.all(np.asarray(n_mean) >= 0.0):
-        raise ValueError("mean thermal photon number must be non-negative")
+    """Mean thermal photon numbers (scalar or array) must be finite and >= 0."""
+    if not np.all(np.isfinite(n_mean) & np.greater_equal(n_mean, 0.0)):
+        raise ValueError("mean thermal photon number must be finite and non-negative")
 
 
 def vacuum_state(n_modes: int = 1) -> GaussianState:
@@ -99,7 +101,9 @@ def squeezed_signal(eta: float) -> GaussianState:
 
 
 def tmsv_state(zeta: float) -> GaussianState:
-    """Two-mode squeezed vacuum with c = cosh(2 zeta), s = sinh(2 zeta)."""
+    """Two-mode squeezed vacuum with c = cosh(2 zeta), s = sinh(2 zeta); ValueError where c overflows."""
+    if abs(zeta) > math.acosh(sys.float_info.max) / 2.0:
+        raise ValueError(f"|zeta| = {abs(zeta)!r} is past acosh(float max)/2 ~ 355.24, where cosh(2 zeta) overflows")
     c, s = np.cosh(2.0 * zeta), np.sinh(2.0 * zeta)
     gamma = np.array(
         [

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import IDEAL_FIBER, FiberParams, degraded_tmsv
-from .measurement import HomodyneResult, OutcomeDensity, homodyne_project
+from .measurement import HomodyneResult, OutcomeDensity, _quadratic_rows, homodyne_project
 from .states import GaussianState
 from .symplectic import _SIGMA_1, _block_diag, beamsplitter, build_symplectic, rotation_matrix, validate_covariance
 
@@ -140,10 +140,9 @@ def _overlap_prefactor(total: np.ndarray) -> float:
 def _overlap_rows(total: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """The Gaussian overlap 2^N / sqrt(det(Ga + Gb)) * exp(-d^T (Ga + Gb)^-1 d)
     for every row d of ``deltas`` (shape (n, 2N)), given the covariance sum
-    ``total`` = Ga + Gb shared by all rows."""
+    ``total`` = Ga + Gb shared by all rows, inverted once: solve() copies wide right-hand sides per column."""
     prefactor = _overlap_prefactor(total)
-    quad = np.einsum("ni,in->n", deltas, np.linalg.solve(total, deltas.T))
-    return prefactor * np.exp(-quad)
+    return prefactor * np.exp(-_quadratic_rows(deltas, np.linalg.inv(total)))
 
 
 def fidelity(gamma_in, gamma_rec) -> float:
@@ -196,9 +195,11 @@ def teleport_monte_carlo(
     residual displacement and therefore an extra fidelity penalty, which
     this estimator quantifies.
 
-    The records share the receiver covariance and are evaluated as one
-    batch.  ``n_samples`` must be a positive integer and ``gain`` a finite
-    2x2 matrix, else ``ValueError``.
+    The records share the receiver covariance and are evaluated as one batch:
+    with the matched gain G, a record's mean difference is the affine map
+    kappa_in + sqrt(2) G mean - record M, M = sqrt(2) diag(signs) (G - gain)^T,
+    zero for G itself; the exponents are the quadratic form of ``OutcomeDensity.pdf``.
+    ``n_samples`` must be a positive integer and ``gain`` a finite 2x2 matrix, else ``ValueError``.
     """
     if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
@@ -208,7 +209,7 @@ def teleport_monte_carlo(
             raise ValueError(f"gain must be a finite 2x2 matrix, got {gain!r}")
     result = teleport(setup)
     chosen = result.gain if gain is None else gain
-
-    w = result.density.sample(np.random.default_rng(seed), n_samples) * result.density.signs
-    means = math.sqrt(2.0) * ((w - result.density.mean) @ result.gain.T - w @ chosen.T)
-    return float(np.mean(_overlap_rows(setup.gamma_in + result.gamma_rec, setup.kappa_in - means)))
+    record_map = math.sqrt(2.0) * result.density.signs[:, np.newaxis] * (result.gain - chosen).T
+    offset = setup.kappa_in + math.sqrt(2.0) * (result.gain @ result.density.mean)
+    records = result.density.sample(np.random.default_rng(seed), n_samples)
+    return float(np.mean(_overlap_rows(setup.gamma_in + result.gamma_rec, offset - records @ record_map)))

@@ -110,6 +110,8 @@ class TestFiberChannel:
             cv.FiberParams(t_mag=0.5, n_th=-1.0)
         with pytest.raises(ValueError):
             cv.FiberParams(t_mag=0.5, n_th=float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            cv.FiberParams(t_mag=0.5, n_th=float("inf"))
 
 
 class TestDegradedTmsv:

@@ -123,6 +123,45 @@ class TestJsonOutput:
         assert [0, col] in doc["infinite_flags"]
 
 
+class TestJsonWriter:
+    @staticmethod
+    def seeded_doc(rng, n_rows, seed, flagged):
+        rows, flags = [], []
+        for i in range(n_rows):
+            row = [float(rng.normal()), float(rng.uniform()) * 1e300, int(rng.integers(-9, 9)), bool(rng.integers(2))]
+            if flagged and rng.uniform() < 0.2:
+                row[0] = None
+                flags.append([i, 0])
+            rows.append(row)
+        return {
+            "schema_version": cli.SCHEMA_VERSION,
+            "command": "separability",
+            "log_base": "e",
+            "seed": seed,
+            "parameters": {"nth": float(rng.uniform()), "zeta": "0.1:1:10", "odd": "a\n],\n      [\"b"},
+            "columns": ["x", "big", "count", "flag"],
+            "rows": rows,
+            "infinite_flags": flags,
+        }
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, 10_000])
+    @pytest.mark.parametrize("seed, flagged", [(None, True), (12, False)])
+    def test_matches_indented_dumps(self, n_rows, seed, flagged):
+        doc = self.seeded_doc(np.random.default_rng(n_rows), n_rows, seed, flagged)
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_string_cells_cannot_fake_a_row_boundary(self):
+        doc = {"rows": [["],\n      [", 1.5], ["x\n    ],\n    [", True]], "infinite_flags": [[0, 1]]}
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_emit_flags_infinities(self, capsys):
+        code, out = run_cli(capsys, ["separability", "--zeta", "0,0.5", "--t2", "0:1:3", "--nth", "0", "--format", "json"])
+        doc = json.loads(out)
+        nulls = [[i, j] for i, row in enumerate(doc["rows"]) for j, v in enumerate(row) if v is None]
+        assert code == 0 and [5, 3] in nulls and doc["infinite_flags"] == nulls
+        assert out == json.dumps(doc, indent=2) + "\n"
+
+
 class TestDeterminismAndOutput:
     def test_byte_identical_reruns(self, capsys):
         argv = ["fidelity-sweep", "--eta", "0:1:6", "--zeta", "0:1:6", "--seed", "3"]

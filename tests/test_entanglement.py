@@ -188,7 +188,7 @@ class TestSeparabilityLength:
     def test_zero_temperature_diverges(self):
         assert math.isinf(cv.separability_length(0.5, 0.0, 1.0))
 
-    @pytest.mark.parametrize("n_th", [-0.1, float("nan")])
+    @pytest.mark.parametrize("n_th", [-0.1, float("nan"), float("inf")])
     def test_rejects_bad_occupation(self, n_th):
         with pytest.raises(ValueError, match="thermal photon number"):
             cv.separability_length(0.5, n_th, 1.0)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -232,6 +234,19 @@ class TestHomodyneProject:
         sign_adjusted = samples * res.density.signs
         assert_allclose(sign_adjusted.mean(axis=0), res.density.mean, atol=2e-2)
         assert_allclose(np.cov(sign_adjusted.T), 0.5 * res.density.block, atol=2e-2)
+
+    def test_sample_folds_the_signs_exactly(self, rng):
+        # the draw the signs used to be applied to afterwards, for every sign pattern
+        for dim in (1, 2, 3):
+            a = rng.normal(size=(dim, dim))
+            block, mean = a @ a.T, rng.normal(size=dim)
+            evals, evecs = np.linalg.eigh(0.5 * (block + block.T))
+            root = evecs * np.sqrt(np.clip(0.5 * evals, 0.0, None))
+            for signs in itertools.product([1.0, -1.0], repeat=dim):
+                signs = np.array(signs)
+                drawn = cv.OutcomeDensity(block, mean, signs).sample(np.random.default_rng(5), 1000)
+                old = (mean + np.random.default_rng(5).standard_normal((1000, dim)) @ root.T) * signs
+                assert np.array_equal(drawn, old)
 
     def test_rejects_both_quadratures_of_one_mode(self):
         with pytest.raises(ValueError):

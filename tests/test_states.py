@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -17,7 +20,7 @@ class TestConstructors:
         assert_allclose(cv.thermal_state([0.5, 2.0]).gamma, np.diag([2.0, 2.0, 5.0, 5.0]))
 
     def test_thermal_negative_n(self):
-        for n in (-0.1, float("nan"), [0.5, float("nan")]):
+        for n in (-0.1, float("nan"), [0.5, float("nan")], float("inf"), [0.5, float("inf")]):
             with pytest.raises(ValueError, match="non-negative"):
                 cv.thermal_state(n)
 
@@ -55,6 +58,20 @@ class TestConstructors:
         assert_allclose(gamma, expected, atol=1e-15)
         assert_allclose(c, 1.5430806348152437)
         assert_allclose(s, 1.1752011936438014)
+
+    def test_tmsv_beyond_the_float_range_raises_before_cosh(self):
+        # the suite turns RuntimeWarning into an error, so an overflow in cosh fails here
+        limit = math.acosh(sys.float_info.max) / 2.0
+        for zeta in (np.nextafter(limit, np.inf), 400.0, -400.0, np.inf):
+            with pytest.raises(ValueError, match="overflows"):
+                cv.tmsv_state(zeta)
+        with pytest.raises(ValueError, match="overflows"):
+            cv.degraded_tmsv(400.0, cv.IDEAL_FIBER, cv.IDEAL_FIBER)
+        with pytest.raises(ValueError, match="overflows"):
+            cv.teleport(cv.TeleportSetup(np.eye(2), 400.0))
+        for zeta in (0.3, -2.0, limit, -limit):
+            gamma = cv.tmsv_state(zeta).gamma
+            assert gamma[0, 0] == np.cosh(2.0 * zeta) and gamma[0, 2] == np.sinh(2.0 * zeta)
 
     def test_tmsv_is_pure(self):
         nus = cv.symplectic_eigenvalues(cv.tmsv_state(0.8).gamma)
@@ -132,7 +149,7 @@ class TestMaxClassicalSqueezing:
         assert_allclose(cv.max_classical_squeezing(n), expected, atol=1e-14)
 
     def test_negative_n(self):
-        for n in (-1.0, float("nan")):
+        for n in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="non-negative"):
                 cv.max_classical_squeezing(n)
 

@@ -4,8 +4,8 @@ from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
 import cvsim as cv
-from cvsim.teleportation import _gamma_rec_explicit
-from conftest import random_fiber, random_single_mode_physical
+from cvsim.teleportation import _gamma_rec_explicit, _overlap_rows
+from conftest import random_fiber, random_single_mode_physical, random_symplectic
 
 SIGMA1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -260,6 +260,26 @@ class TestMonteCarlo:
             reference = self.per_record_reference(setup, 300, seed, gain)
             assert_allclose(batched, reference, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("ideal_gain", [False, True])
+    def test_batch_matches_per_record_loop_at_demo_size(self, rng, ideal_gain):
+        # the 4000 records the demos and the benchmark draw
+        for _ in range(2):
+            f1, f2 = random_fiber(rng, max_n=0.3), random_fiber(rng, max_n=0.3)
+            setup = cv.TeleportSetup(random_pure_signal(rng), rng.uniform(0.2, 1.5), f1, f2, kappa_in=rng.normal(size=2))
+            gain = cv.ideal_displacement_gain(f1, f2) if ideal_gain else None
+            seed = int(rng.integers(2**31))
+            batched = cv.teleport_monte_carlo(setup, n_samples=4000, seed=seed, gain=gain)
+            reference = self.per_record_reference(setup, 4000, seed, gain)
+            assert_allclose(batched, reference, rtol=1e-12, atol=0.0)
+
+    def test_matched_gain_zero_mean_estimate_is_the_closed_form(self, rng):
+        # the matched gain maps every record to a zero mean difference
+        for _ in range(10):
+            f1, f2 = random_fiber(rng, max_n=0.3), random_fiber(rng, max_n=0.3)
+            setup = cv.TeleportSetup(random_pure_signal(rng), rng.uniform(0.2, 1.5), f1, f2)
+            est = cv.teleport_monte_carlo(setup, n_samples=4000, seed=int(rng.integers(2**31)))
+            assert abs(est - cv.teleport(setup).fidelity_zero_mean) <= 1e-15
+
     def test_ideal_gain_matches_closed_form_expectation(self):
         # zero-mean signal: the record w ~ N(0, B/2) displaces the receiver by
         # d = -sqrt(2) D w with D = G_matched - G_ideal, so d ~ N(0, C) with
@@ -305,3 +325,25 @@ class TestMonteCarlo:
     def test_accepts_numpy_integer_sample_count(self):
         setup = cv.TeleportSetup(np.eye(2), 0.5, kappa_in=np.array([0.3, 0.1]))
         assert cv.teleport_monte_carlo(setup, np.int64(50), seed=2) == cv.teleport_monte_carlo(setup, 50, seed=2)
+
+
+class TestOverlapRows:
+    @pytest.mark.parametrize("n_modes", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows", [1, 5000])
+    def test_matches_solve_form(self, rng, n_modes, n_rows):
+        for _ in range(3):
+            s_a, s_b = random_symplectic(rng, n_modes), random_symplectic(rng, n_modes)
+            total = s_a @ s_a.T + s_b @ s_b.T
+            deltas = rng.normal(size=(n_rows, 2 * n_modes))
+            prefactor = 2.0**n_modes / np.sqrt(np.linalg.det(total))
+            quad = np.einsum("ni,in->n", deltas, np.linalg.solve(total, deltas.T))
+            assert_allclose(_overlap_rows(total, deltas), prefactor * np.exp(-quad), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "total",
+        [np.ones((2, 2)), np.zeros((2, 2)), np.diag([-1.0, 1.0]), np.diag([1.0, 0.0, 2.0, 3.0])],
+    )
+    def test_singular_total_raises_value_error(self, total):
+        with pytest.raises(ValueError, match="non-positive determinant") as err:
+            _overlap_rows(total, np.ones((3, total.shape[0])))
+        assert not isinstance(err.value, np.linalg.LinAlgError)
