@@ -20,7 +20,7 @@ import numpy as np
 
 from . import entanglement as ent
 from .channels import FiberParams, degraded_tmsv
-from .states import classicality_test, squeezed_signal
+from .states import classicality_test, squeezed_signal, tmsv_state
 from .symplectic import symplectic_eigenvalues, validate_covariance
 from .teleportation import TeleportSetup, pure_squeezed_fidelity, teleport
 
@@ -225,9 +225,19 @@ def _fibers(args) -> FiberParams:
         raise SpecError(str(exc)) from exc
 
 
+def _squeezing(args, key: str, constructor) -> float:
+    """A squeezing flag's single value; malformed past the range its state constructor holds."""
+    value = _scalar(parse_grid(getattr(args, key)), key)
+    try:
+        constructor(value)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
+    return value
+
+
 def _run_teleport(args):
-    eta = _scalar(parse_grid(args.eta), "eta")
-    zeta = _scalar(parse_grid(args.zeta), "zeta")
+    eta = _squeezing(args, "eta", squeezed_signal)
+    zeta = _squeezing(args, "zeta", tmsv_state)
     fiber = _fibers(args)
     result = teleport(TeleportSetup(squeezed_signal(eta).gamma, zeta, fiber, fiber))
     g = result.gamma_rec
@@ -246,7 +256,7 @@ def _run_teleport(args):
 
 
 def _run_check_state(args):
-    zeta = _scalar(parse_grid(args.zeta), "zeta")
+    zeta = _squeezing(args, "zeta", tmsv_state)
     fiber = _fibers(args)
     gamma = degraded_tmsv(zeta, fiber, fiber)
     report = validate_covariance(gamma)

@@ -57,7 +57,8 @@ class FockState:
     ``tensor`` has shape (d, ..., d) with the ket indices first and the bra
     indices last (d = cutoff + 1); ``trunc_weight`` is the probability lost
     to the truncation when the state was built.  ``modes`` must be at least
-    1, else ValueError.
+    1, else ValueError.  ``tensor`` may be a strided view (apply_loss_fock
+    returns one), so ``matrix`` may copy it.
     """
 
     modes: int
@@ -83,10 +84,19 @@ class FockState:
         return self.tensor.reshape(self.dim, self.dim)
 
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        # raveled, so the sum runs in the order of the matrix diagonal
+        return float(_diagonal(self.tensor, self.modes).ravel().sum().real)
 
     def purity(self) -> float:
-        return _trace_product(self.matrix, self.matrix)
+        matrix = self.matrix  # once: a strided tensor is copied
+        return _trace_product(matrix, matrix)
+
+
+def _diagonal(tensor: np.ndarray, modes: int) -> np.ndarray:
+    """The entries rho[n, n] indexed (n1, ..., nN), as np.diagonal views."""
+    for ket in range(modes, 0, -1):  # pair each ket axis with its bra axis
+        tensor = np.diagonal(tensor, 0, 0, ket)
+    return tensor
 
 
 def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
@@ -193,16 +203,30 @@ def _loss_kraus(cutoff: int, transmittance: float) -> np.ndarray:
     return kraus
 
 
+@lru_cache(maxsize=32)
+def _loss_diagonals(cutoff: int, transmittance: float) -> tuple[np.ndarray, ...]:
+    """The loss map of each diagonal a - b = +-s of the mode's (ket, bra)
+    plane, the Kraus sum of E_k[s:, s:] * E_k[:d-s, :d-s] elementwise.  A
+    miss goes through _loss_kraus; read-only, because the maps are cached."""
+    kraus = _loss_kraus(cutoff, transmittance)  # (k, a, m)
+    d = cutoff + 1
+    maps = tuple(np.sum(kraus[:, s:, s:] * kraus[:, : d - s, : d - s], axis=0) for s in range(d))
+    for block in maps:
+        block.setflags(write=False)
+    return maps
+
+
 def apply_loss_fock(state: FockState, mode: int, transmittance: float) -> FockState:
     """Transmit one mode through a beamsplitter of the given power
     transmittance with a vacuum ancilla behind it, tracing out the ancilla.
 
     Every Kraus operator sits on one diagonal (E_k[a, m] = 0 unless
     a = m - k), so sum_k E_k x E_k^T keeps a - b on the mode's (ket, bra)
-    plane: on the diagonal a - b = +-s it is one real matrix, the Kraus sum
-    of E_k[s:, s:] * E_k[:d-s, :d-s] elementwise, acting on the rows
-    (j + s, j), or (j, j + s), of the real view of x, in place in one copy
-    of the state with the mode's axes moved to the front.
+    plane: on the diagonal a - b = +-s it is one real matrix (see
+    _loss_diagonals) acting on the rows (j + s, j), or (j, j + s), of the
+    real view of x, in place in one copy of the state with the mode's axes
+    moved to the front.  The result's tensor is that copy seen in the
+    state's axis order, so it may be a strided view.
     """
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError("transmittance must lie in [0, 1]")
@@ -210,18 +234,15 @@ def apply_loss_fock(state: FockState, mode: int, transmittance: float) -> FockSt
     if transmittance == 1.0:
         return state
     d = state.cutoff + 1
-    kraus = _loss_kraus(state.cutoff, float(transmittance))  # (k, a, m)
     axes = (mode, state.modes + mode)
     # a copy, never the caller's array: for one mode moveaxis is the identity
     moved = np.moveaxis(state.tensor, axes, (0, 1)).copy()
     flat = moved.reshape(d * d, -1).view(float)
-    for s in range(d):
-        block = np.sum(kraus[:, s:, s:] * kraus[:, : d - s, : d - s], axis=0)
+    for s, block in enumerate(_loss_diagonals(state.cutoff, float(transmittance))):
         for start in {s * d, s}:  # the rows (j + s, j) and (j, j + s), strided views
             rows = flat[start :: d + 1][: d - s]
             rows[...] = block @ rows
-    out = np.ascontiguousarray(np.moveaxis(moved, (0, 1), axes))
-    return FockState(state.modes, state.cutoff, out, state.trunc_weight)
+    return FockState(state.modes, state.cutoff, np.moveaxis(moved, (0, 1), axes), state.trunc_weight)
 
 
 def partial_trace(state: FockState, keep) -> FockState:
@@ -229,7 +250,9 @@ def partial_trace(state: FockState, keep) -> FockState:
     drop = [m for m in range(state.modes) if m not in keep]
     tensor = state.tensor
     for m in sorted(drop, reverse=True):
-        tensor = np.trace(tensor, axis1=m, axis2=tensor.ndim // 2 + m)
+        # level by level, so the sum rounds alike on a strided and a contiguous tensor
+        diag = np.diagonal(tensor, 0, m, tensor.ndim // 2 + m)
+        tensor = sum(diag[..., n] for n in range(state.cutoff + 1))
     return FockState(len(keep), state.cutoff, tensor, state.trunc_weight)
 
 
@@ -275,13 +298,8 @@ def covariance_from_fock(state: FockState) -> tuple[np.ndarray, np.ndarray]:
 
 def _boundary_population(state: FockState) -> float:
     """Largest diagonal probability with any mode at the cutoff level."""
-    diag = np.real(np.diagonal(state.matrix))
-    d = state.cutoff + 1
-    probs = diag.reshape((d,) * state.modes)
-    worst = 0.0
-    for m in range(state.modes):
-        worst = max(worst, float(np.take(probs, -1, axis=m).sum()))
-    return worst
+    probs = np.real(_diagonal(state.tensor, state.modes))
+    return max(0.0, *(float(np.take(probs, -1, axis=m).sum()) for m in range(state.modes)))
 
 
 def log_negativity_fock(state: FockState, base="e") -> float:
@@ -377,7 +395,9 @@ def homodyne_conditional_fock(state: FockState, mode: int, x: float, phi: float 
         raise ValueError(f"homodyne record must be finite, got {x!r}")
     amp = _quadrature_amplitudes(state.cutoff, phi, np.array([float(x)]))[0]
     moved = np.moveaxis(state.tensor, (mode, state.modes + mode), (0, 1))
-    sigma = np.einsum("m,mn...,n->...", amp.conj(), moved, amp)
+    # ket then bra, level by level, so the sum rounds alike on any strides
+    half = sum(a * moved[m] for m, a in enumerate(amp.conj()))
+    sigma = sum(a * half[n] for n, a in enumerate(amp))
     rest = (state.cutoff + 1) ** (state.modes - 1)
     prob = np.trace(sigma.reshape(rest, rest)).real
     if not prob > 0.0:

@@ -57,6 +57,16 @@ def _check_occupation(n_mean) -> None:
         raise ValueError("mean thermal photon number must be finite and non-negative")
 
 
+_COSH_MAX = math.acosh(sys.float_info.max)  # ~710.48; cosh and sinh overflow past it
+
+
+def _check_squeezing(name: str, value: float, limit: float, overflowing: str) -> None:
+    """The constructors' range rule: ValueError where |value| > limit, before
+    ``overflowing`` would overflow; NaN is left to GaussianState."""
+    if abs(value) > limit:
+        raise ValueError(f"|{name}| = {abs(value)!r} is past {limit:.5g}, where {overflowing} overflows")
+
+
 def vacuum_state(n_modes: int = 1) -> GaussianState:
     """Vacuum of n_modes >= 1 modes, gamma = 1; ValueError for fewer."""
     _check_mode_count(n_modes)
@@ -83,7 +93,9 @@ def thermal_state(n_mean, n_modes: int | None = None) -> GaussianState:
 
 
 def squeezed_state(zeta: float, theta: float = 0.0) -> GaussianState:
-    """Single-mode squeezed vacuum, gamma = R(theta) diag(e^2z, e^-2z) R(theta)^T."""
+    """Single-mode squeezed vacuum, gamma = R(theta) diag(e^2z, e^-2z) R(theta)^T;
+    ValueError where |zeta| > ln(float max)/2 ~ 354.89, past which e^2|z| overflows."""
+    _check_squeezing("zeta", zeta, math.log(sys.float_info.max) / 2.0, "exp(2 |zeta|)")
     r = rotation_matrix(theta)
     gamma = r @ np.diag([np.exp(2.0 * zeta), np.exp(-2.0 * zeta)]) @ r.T
     return GaussianState(np.zeros(2), gamma)
@@ -94,16 +106,18 @@ def squeezed_signal(eta: float) -> GaussianState:
 
     gamma = [[cosh eta, sinh eta], [sinh eta, cosh eta]]; equivalent to
     squeezed_state(eta/2, pi/4).  Both constructors are provided because the
-    two squeezing conventions are easy to mix up.
+    two squeezing conventions are easy to mix up.  ValueError where
+    |eta| > acosh(float max) ~ 710.48, past which cosh(eta) overflows.
     """
+    _check_squeezing("eta", eta, _COSH_MAX, "cosh(eta)")
     ch, sh = np.cosh(eta), np.sinh(eta)
     return GaussianState(np.zeros(2), np.array([[ch, sh], [sh, ch]]))
 
 
 def tmsv_state(zeta: float) -> GaussianState:
-    """Two-mode squeezed vacuum with c = cosh(2 zeta), s = sinh(2 zeta); ValueError where c overflows."""
-    if abs(zeta) > math.acosh(sys.float_info.max) / 2.0:
-        raise ValueError(f"|zeta| = {abs(zeta)!r} is past acosh(float max)/2 ~ 355.24, where cosh(2 zeta) overflows")
+    """Two-mode squeezed vacuum with c = cosh(2 zeta), s = sinh(2 zeta); ValueError
+    where |zeta| > acosh(float max)/2 ~ 355.24, past which c overflows."""
+    _check_squeezing("zeta", zeta, _COSH_MAX / 2.0, "cosh(2 zeta)")
     c, s = np.cosh(2.0 * zeta), np.sinh(2.0 * zeta)
     gamma = np.array(
         [

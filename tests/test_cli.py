@@ -235,6 +235,22 @@ class TestExitCodes:
         code, _ = run_cli(capsys, ["teleport", "--t2", "0.9", "--r2", "0.9"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-state", "--zeta", "400"],
+            ["teleport", "--zeta", "400"],
+            ["teleport", "--eta", "800"],
+            ["teleport", "--eta=-800"],
+        ],
+    )
+    def test_squeezing_past_the_float_range_exits_2(self, capsys, argv):
+        # the suite turns RuntimeWarning into an error, so an overflow before the range check fails here
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "overflows" in captured.err
+
     def test_numerical_failure_exits_3(self, capsys, monkeypatch):
         def boom(args):
             raise ArithmeticError("synthetic validity failure")

@@ -293,8 +293,13 @@ class TestMemory:
     results need (lossy TMSV at cutoff 25)."""
 
     def test_warm_loss_holds_its_copy_and_its_result(self):
+        # the result is the moved copy itself, seen in the state's axis order
         st = _lossy_tmsv()
-        assert _peak_tensors(lambda: fock.apply_loss_fock(st, 1, 0.8)) <= 2.05
+        assert _peak_tensors(lambda: fock.apply_loss_fock(st, 1, 0.8)) <= 1.1
+
+    def test_diagonal_readers_copy_no_tensor(self):
+        st = _lossy_tmsv()  # a strided view, whose .matrix would be a copy
+        assert _peak_tensors(lambda: (fock._boundary_population(st), st.trace())) <= 0.05
 
     def test_moments_copy_no_tensor(self):
         st = _lossy_tmsv()
@@ -309,7 +314,95 @@ class TestMemory:
             fock.covariance_from_fock(st)
             fock.homodyne_povm_fock(st, 0)
 
-        assert _peak_tensors(chain) <= 3.05
+        assert _peak_tensors(chain) <= 2.2
+
+
+def _dense_boundary_population(state):
+    """The cutoff-level population read off the diagonal of the dense matrix."""
+    d = state.cutoff + 1
+    probs = np.real(np.diagonal(state.matrix)).reshape((d,) * state.modes)
+    return max(0.0, *(float(np.take(probs, -1, axis=m).sum()) for m in range(state.modes)))
+
+
+def _readings(state, pure):
+    """What every public fock function reads off a state, as arrays."""
+    modes = state.modes
+    out = [state.matrix, state.trace(), state.purity(), fock._boundary_population(state)]
+    out.append(fock.overlap_fock(pure, state))
+    for mode in range(modes):
+        out.append(fock.apply_loss_fock(state, mode, 0.3).tensor)
+        out.append(fock.partial_trace(state, [mode]).tensor)
+        out.append(fock.homodyne_povm_fock(state, mode, 0.7).pdf)
+        if modes > 1:
+            out.append(fock.partial_trace(state, [m for m in range(modes) if m != mode]).tensor)
+            out.append(fock.homodyne_conditional_fock(state, mode, 0.2, 0.7).tensor)
+    if modes <= 2:
+        out.extend(fock.covariance_from_fock(state))
+    if modes == 2:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # random states fill the cutoff level
+            out.append(fock.log_negativity_fock(state))
+    return out
+
+
+class TestStridedLossResults:
+    """apply_loss_fock returns its moved copy as a strided view; every public
+    function reads it bit for bit as it reads a contiguous copy."""
+
+    @pytest.mark.parametrize("modes, cutoff", [(1, 0), (1, 9), (2, 1), (2, 8), (3, 3)])
+    def test_view_reads_as_contiguous_copy(self, rng, modes, cutoff):
+        st = _random_density(rng, modes, cutoff)
+        pure = _random_pure(rng, modes, cutoff)
+        for mode in range(modes):
+            view = fock.apply_loss_fock(st, mode, 0.6)
+            assert view.tensor.flags.c_contiguous == (modes == 1)
+            dense = fock.FockState(modes, cutoff, np.ascontiguousarray(view.tensor))
+            for got, want in zip(_readings(view, pure), _readings(dense, pure), strict=True):
+                assert np.array_equal(got, want)
+
+    def test_lossy_tmsv_reads_as_contiguous_copy(self):
+        view = _lossy_tmsv()
+        dense = fock.FockState(2, 25, np.ascontiguousarray(view.tensor))
+        assert not view.tensor.flags.c_contiguous
+        assert fock.log_negativity_fock(view) == fock.log_negativity_fock(dense)
+        for got, want in zip(fock.covariance_from_fock(view), fock.covariance_from_fock(dense)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(fock.homodyne_povm_fock(view, 0).pdf, fock.homodyne_povm_fock(dense, 0).pdf)
+
+
+class TestLossDiagonals:
+    @pytest.mark.parametrize("cutoff", [0, 4, 25])
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 0.99])
+    def test_cached_maps_are_the_kraus_sums(self, cutoff, tau):
+        d = cutoff + 1
+        kraus = fock._loss_kraus(cutoff, tau)
+        maps = fock._loss_diagonals(cutoff, tau)
+        assert len(maps) == d
+        for s, block in enumerate(maps):
+            assert not block.flags.writeable
+            assert np.array_equal(block, np.sum(kraus[:, s:, s:] * kraus[:, : d - s, : d - s], axis=0))
+        assert fock._loss_diagonals(cutoff, tau) is maps
+
+
+class TestBoundaryPopulation:
+    @pytest.mark.parametrize("modes, cutoff", [(1, 0), (1, 6), (2, 0), (2, 5), (3, 3)])
+    def test_matches_dense_diagonal(self, rng, modes, cutoff):
+        st = _random_density(rng, modes, cutoff)
+        for state in [st] + [fock.apply_loss_fock(st, m, 0.4) for m in range(modes)]:
+            assert fock._boundary_population(state) == _dense_boundary_population(state)
+
+    @pytest.mark.parametrize(
+        "zeta, cutoff, taus",
+        [(0.5, 8, (1.0, 1.0)), (0.5, 8, (0.9, 0.95)), (0.5, 8, (1.0, 0.9)), (0.5, 8, (0.7, 0.8)),
+         (0.5, 8, (0.3, 0.2)), (0.3, 8, (0.9, 1.0)), (0.4, 25, (0.7, 0.8)), (0.5, 12, (0.9, 0.9))],
+    )
+    def test_cutoff_warning_fires_for_the_same_states(self, zeta, cutoff, taus):
+        st = _lossy_tmsv(zeta, cutoff, taus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fock.log_negativity_fock(st)
+        warned = any("cutoff boundary population" in str(w.message) for w in caught)
+        assert warned == (_dense_boundary_population(st) > fock._TRUNCATION_BUDGET)
 
 
 class TestUnitariesAgainstScipy:

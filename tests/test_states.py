@@ -73,6 +73,23 @@ class TestConstructors:
             gamma = cv.tmsv_state(zeta).gamma
             assert gamma[0, 0] == np.cosh(2.0 * zeta) and gamma[0, 2] == np.sinh(2.0 * zeta)
 
+    def test_single_mode_squeezing_beyond_the_float_range_raises_before_overflow(self):
+        # the suite turns RuntimeWarning into an error, so an overflow in cosh or exp fails here
+        cosh_max = math.acosh(sys.float_info.max)
+        exp_max = math.log(sys.float_info.max) / 2.0
+        for eta in (np.nextafter(cosh_max, np.inf), 800.0, -800.0, np.inf):
+            with pytest.raises(ValueError, match="overflows"):
+                cv.squeezed_signal(eta)
+        for zeta in (np.nextafter(exp_max, np.inf), 400.0, -400.0, -np.inf):
+            with pytest.raises(ValueError, match="overflows"):
+                cv.squeezed_state(zeta, 0.3)
+        for eta in (0.8, -3.0, cosh_max, -cosh_max):
+            gamma = cv.squeezed_signal(eta).gamma
+            assert gamma[0, 0] == np.cosh(eta) and gamma[0, 1] == np.sinh(eta)
+        for zeta in (0.4, -2.0, exp_max, -exp_max):
+            gamma = cv.squeezed_state(zeta).gamma
+            assert gamma[0, 0] == np.exp(2.0 * zeta) and gamma[1, 1] == np.exp(-2.0 * zeta)
+
     def test_tmsv_is_pure(self):
         nus = cv.symplectic_eigenvalues(cv.tmsv_state(0.8).gamma)
         assert_allclose(nus, [1.0, 1.0], atol=1e-10)

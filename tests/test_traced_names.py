@@ -38,3 +38,15 @@ def test_cli_and_loss_entry_points_resolve():
     for obj, attr in ((cvsim.fock, "_loss_kraus"), (cvsim.fock, "apply_loss_fock"),
                       (cvsim.cli, "main"), (cvsim.cli, "parse_grid")):
         assert callable(getattr(obj, attr, None)), attr
+
+
+def test_loss_cache_misses_go_through_the_kraus_cache():
+    # the tracer names a loss call cold when _loss_kraus missed during it
+    fock = cvsim.fock
+    st = fock.build_tmsv_fock(0.3, cutoff=6)
+    tau = 0.6180339887  # a transmittance no other test uses
+    misses = fock._loss_kraus.cache_info().misses
+    fock.apply_loss_fock(st, 0, tau)
+    assert fock._loss_kraus.cache_info().misses == misses + 1
+    fock.apply_loss_fock(st, 1, tau)
+    assert fock._loss_kraus.cache_info().misses == misses + 1
