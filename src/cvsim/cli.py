@@ -185,9 +185,12 @@ def _run_fidelity_sweep(args):
     zetas = _check_grid(parse_grid(args.zeta), "zeta")
     columns = ["eta", "zeta", "f_qu"]
     rows = []
-    for eta in etas:
-        for zeta in zetas:
-            rows.append([float(eta), float(zeta), pure_squeezed_fidelity(float(eta), float(zeta))])
+    for eta in map(float, etas):
+        for zeta in map(float, zetas):
+            try:
+                rows.append([eta, zeta, pure_squeezed_fidelity(eta, zeta)])
+            except ValueError as exc:  # its message names (eta, zeta)
+                raise SpecError(str(exc)) from exc
     return {}, columns, rows
 
 

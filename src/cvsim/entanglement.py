@@ -10,9 +10,11 @@ import numpy as np
 
 from .channels import _check_fiber, _check_length
 from .states import _check_occupation
-from .symplectic import _SIGMA_1, DEFAULT_TOL, symplectic_eigenvalues, validate_covariance
+from .symplectic import _SIGMA_1, DEFAULT_TOL, _check_each, _even_square, _min_eigenvalue, _result, _spectrum
 
-_PT = np.diag([1.0, 1.0, 1.0, -1.0])
+# gamma^PT = gamma * _PT_SIGNS + 0.0 flips the second mode's p row and column;
+# + 0.0 keeps a flipped 0.0 at 0.0, as the product with diag(1, 1, 1, -1) did
+_PT_SIGNS = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
 
 _LN2 = math.log(2.0)
 
@@ -24,8 +26,8 @@ def _check_base(base) -> str:
     raise ValueError(f'log base must be "e" or "2", got {base!r}')
 
 
-def _to_base(nats: float, base) -> float:
-    """Convert a natural logarithm to ``base`` ("e" or "2")."""
+def _to_base(nats, base):
+    """Convert natural logarithms to ``base`` ("e" or "2")."""
     return nats / _LN2 if _check_base(base) == "2" else nats
 
 
@@ -34,27 +36,28 @@ def _check_squeezing(zeta) -> None:
         raise ValueError(f"squeezing zeta must be non-negative, got {zeta!r}")
 
 
-def _as_two_mode(gamma) -> np.ndarray:
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (4, 4):
+def _two_mode(gamma, physical: bool = True) -> np.ndarray:
+    """The finite (..., 4, 4) stack, physical if ``physical``; else ValueError."""
+    gamma = _even_square(gamma, "covariance matrix", stack=True)
+    if gamma.shape[-1] != 4:
         raise ValueError("expected a 4x4 two-mode covariance matrix")
+    if physical:
+        _check_each(_min_eigenvalue(gamma) >= -DEFAULT_TOL, "covariance matrix is unphysical")
     return gamma
 
 
-def _physical_two_mode(gamma):
-    """The 4x4 covariance, once it passes the physicality check, and the
-    determinants of its blocks C1, C2 and C3; else ValueError."""
-    gamma = _as_two_mode(gamma)
-    if not validate_covariance(gamma).physical:
-        raise ValueError("covariance matrix is unphysical")
-    det1, det2, det3 = (np.linalg.det(b) for b in (gamma[:2, :2], gamma[2:, 2:], gamma[:2, 2:]))
-    return gamma, det1, det2, det3
+def _blocks(gamma: np.ndarray):
+    """The 2 x 2 blocks [..., i, j] (rows of mode i, columns of mode j) of a
+    (..., 4, 4) stack, and det C1, det C2, det C3 from one det over them."""
+    blocks = gamma.reshape(*gamma.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -2)
+    dets = np.linalg.det(blocks)
+    return blocks, dets[..., 0, 0][()], dets[..., 1, 1][()], dets[..., 0, 1][()]
 
 
 def partial_transpose(gamma) -> np.ndarray:
-    """Flip the sign of the second mode's momentum row and column."""
-    gamma = _as_two_mode(gamma)
-    return _PT @ gamma @ _PT.T
+    """Flip the sign of the second mode's momentum row and column of a (4, 4)
+    gamma or of each matrix of a stack (..., 4, 4)."""
+    return _two_mode(gamma, physical=False) * _PT_SIGNS + 0.0
 
 
 @dataclass(frozen=True)
@@ -77,28 +80,26 @@ _BORDERLINE_BAND = 1e-8  # relative width of the boundary band of is_separable
 
 
 def is_separable(gamma) -> SeparabilityVerdict:
-    gamma, det1, det2, det3 = _physical_two_mode(gamma)
-    c1, c2, c3 = gamma[:2, :2], gamma[2:, 2:], gamma[:2, 2:]
-    trace_term = np.trace(c1 @ _SIGMA_1 @ c3 @ _SIGMA_1 @ c2 @ _SIGMA_1 @ c3.T @ _SIGMA_1)
-    lhs = float(det1 * det2 + (1.0 - abs(det3)) ** 2 - trace_term)
-    rhs = float(det1 + det2)
+    """Both tests on a (4, 4) gamma, giving a bool and floats, or on a stack
+    (..., 4, 4), giving arrays of shape (...)."""
+    gamma = _two_mode(gamma)
+    blocks, det1, det2, det3 = _blocks(gamma)
+    c1, c2, c3 = blocks[..., 0, 0, :, :], blocks[..., 1, 1, :, :], blocks[..., 0, 1, :, :]
+    chain = c1 @ _SIGMA_1 @ c3 @ _SIGMA_1 @ c2 @ _SIGMA_1 @ c3.swapaxes(-1, -2) @ _SIGMA_1
+    # x^2 as C pow, as a numpy scalar's ** 2 rounds it; x * x differs in ~0.1 % of inputs
+    lhs = det1 * det2 + np.float_power(1.0 - abs(det3), 2.0) - np.trace(chain, axis1=-2, axis2=-1)
+    rhs = det1 + det2
+    pt_min = _min_eigenvalue(gamma * _PT_SIGNS + 0.0)
 
-    pt_min = validate_covariance(partial_transpose(gamma)).min_eigenvalue
-
-    scale = max(1.0, abs(lhs), abs(rhs))
+    scale = np.maximum(np.maximum(1.0, abs(lhs)), abs(rhs))
     crit_margin = (lhs - rhs) / scale
     crit_sep = crit_margin >= -_BORDERLINE_BAND
-    pt_sep = pt_min >= -DEFAULT_TOL
-
-    if crit_sep != pt_sep:
-        if abs(crit_margin) <= _BORDERLINE_BAND or abs(pt_min) <= _BORDERLINE_BAND:
-            # borderline state: the boundary counts as separable
-            return SeparabilityVerdict(True, lhs, rhs, pt_min)
-        raise RuntimeError(
-            "separability criterion and partial-transpose test disagree "
-            f"(margin {crit_margin:.3e}, PT min eigenvalue {pt_min:.3e})"
-        )
-    return SeparabilityVerdict(bool(crit_sep), lhs, rhs, pt_min)
+    disagree = crit_sep != (pt_min >= -DEFAULT_TOL)
+    # a borderline state: the boundary counts as separable
+    borderline = disagree & ((abs(crit_margin) <= _BORDERLINE_BAND) | (abs(pt_min) <= _BORDERLINE_BAND))
+    _check_each(~disagree | borderline, lambda i: "separability criterion and partial-transpose test disagree "
+                f"(margin {crit_margin[i]:.3e}, PT min eigenvalue {pt_min[i]:.3e})", error=RuntimeError)
+    return SeparabilityVerdict(_result(crit_sep | borderline), _result(lhs), _result(rhs), _result(pt_min))
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,8 @@ class NegativityReport:
 
 
 def log_negativity(gamma, base="e") -> NegativityReport:
-    """Logarithmic negativity of a two-mode covariance matrix.
+    """Logarithmic negativity of a (4, 4) gamma, giving floats, or of a stack
+    (..., 4, 4), giving arrays of shape (...).
 
     The closed form
 
@@ -122,34 +124,26 @@ def log_negativity(gamma, base="e") -> NegativityReport:
     backends must agree to DEFAULT_TOL (relatively, once E_N grows large).
     """
     base = _check_base(base)
-    gamma, det1, det2, det3 = _physical_two_mode(gamma)
+    gamma = _two_mode(gamma)
+    _, det1, det2, det3 = _blocks(gamma)
     det_g = np.linalg.det(gamma)
     a_half = 0.5 * (det1 + det2) - det3
-    disc = a_half**2 - det_g
-    if disc < 0.0:
-        if disc < -DEFAULT_TOL * max(1.0, a_half**2):
-            raise ValueError("negative discriminant: inconsistent covariance data")
-        disc = 0.0
-    denom = a_half + math.sqrt(disc)
-    f_sq = max(det_g, 0.0) / denom if denom > 0.0 else 0.0
-    f_closed = math.sqrt(max(f_sq, 0.0))
+    a_sq = np.float_power(a_half, 2.0)  # C pow, as in is_separable
+    disc = a_sq - det_g
+    _check_each(disc >= -DEFAULT_TOL * np.maximum(1.0, a_sq), "negative discriminant: inconsistent covariance data")
+    # A + sqrt(A^2 - det gamma) = nu~_+^2 >= 1 for a physical gamma
+    f_closed = np.sqrt(np.maximum(det_g, 0.0) / (a_half + np.sqrt(np.maximum(disc, 0.0))))
+    f_backend = _spectrum(gamma * _PT_SIGNS + 0.0)[..., 0][()]
 
-    nu_min = float(symplectic_eigenvalues(partial_transpose(gamma))[0])
-    f_backend = nu_min
-
-    e_closed = -math.log(f_closed) if 0.0 < f_closed < 1.0 else (math.inf if f_closed == 0.0 else 0.0)
-    e_backend = -math.log(f_backend) if 0.0 < f_backend < 1.0 else (math.inf if f_backend == 0.0 else 0.0)
-    both_deep = f_closed < 1e-8 and f_backend < 1e-8
-    if not both_deep:
-        limit = DEFAULT_TOL * max(1.0, min(e_closed, e_backend))
-        if abs(e_closed - e_backend) > limit:
-            raise RuntimeError(
-                "closed-form and symplectic-spectrum log-negativities disagree: "
-                f"{e_closed!r} vs {e_backend!r} (f = {f_closed!r}, nu = {f_backend!r})"
-            )
-
-    e_n = 0.0 if e_closed <= 0.0 else _to_base(e_closed, base)
-    return NegativityReport(f_value=f_closed, e_n=float(e_n), log_base=base)
+    # E = -ln f below f = 1, else 0; ln 0 = -inf, and inf - inf only where both f are deep
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_closed, e_backend = (0.0 - np.log(np.minimum(f, 1.0)) for f in (f_closed, f_backend))
+        limit = DEFAULT_TOL * np.maximum(1.0, np.minimum(e_closed, e_backend))
+        agree = ((f_closed < 1e-8) & (f_backend < 1e-8)) | ~(abs(e_closed - e_backend) > limit)
+    _check_each(agree, lambda i: "closed-form and symplectic-spectrum log-negativities disagree: "
+                f"{float(e_closed[i])!r} vs {float(e_backend[i])!r} (f = {float(f_closed[i])!r}, "
+                f"nu = {float(f_backend[i])!r})", error=RuntimeError)
+    return NegativityReport(f_value=_result(f_closed), e_n=_result(_to_base(e_closed, base)), log_base=base)
 
 
 def fiber_separability_threshold(zeta: float, t_mag: float, r_mag: float = 0.0) -> float:

@@ -88,8 +88,7 @@ class FockState:
         return float(_diagonal(self.tensor, self.modes).ravel().sum().real)
 
     def purity(self) -> float:
-        matrix = self.matrix  # once: a strided tensor is copied
-        return _trace_product(matrix, matrix)
+        return _trace_product(self.tensor, self.tensor)
 
 
 def _diagonal(tensor: np.ndarray, modes: int) -> np.ndarray:
@@ -100,8 +99,13 @@ def _diagonal(tensor: np.ndarray, modes: int) -> np.ndarray:
 
 
 def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Re Tr[a b] as the elementwise sum of a and b^T, without forming a b."""
-    return float(np.sum(a * b.T).real)
+    """Re Tr[a b] of two density tensors as the sum of the elementwise product
+    of a and b^T (b's ket and bra axes swapped), without forming a b.  The
+    product is laid out in C order, so the sum rounds alike on a strided and
+    a contiguous tensor, and neither argument is copied."""
+    modes = a.ndim // 2
+    b_t = b.transpose(*range(modes, 2 * modes), *range(modes))
+    return float(np.multiply(a, b_t, order="C").sum().real)
 
 
 def vacuum_fock(modes: int = 1, cutoff: int = DEFAULT_CUTOFF) -> FockState:
@@ -327,7 +331,7 @@ def overlap_fock(state_a: FockState, state_b: FockState) -> float:
         raise ValueError("states must live on the same truncated space")
     if abs(state_a.purity() - 1.0) > _PURITY_TOL:
         raise ValueError("first argument must be a pure state")
-    return _trace_product(state_a.matrix, state_b.matrix)
+    return _trace_product(state_a.tensor, state_b.tensor)
 
 
 @dataclass(frozen=True)
@@ -354,9 +358,12 @@ class QuadratureWavefunctionTable:
         return cls(grid=grid, values=values)
 
 
+@lru_cache(maxsize=1)
 def default_grid() -> np.ndarray:
-    lo, hi, num = DEFAULT_GRID
-    return np.linspace(lo, hi, num)
+    """The DEFAULT_GRID points, built once and shared, so read-only."""
+    grid = np.linspace(*DEFAULT_GRID)
+    grid.setflags(write=False)
+    return grid
 
 
 @dataclass(frozen=True)

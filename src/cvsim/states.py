@@ -11,8 +11,10 @@ import numpy as np
 
 from .symplectic import (
     DEFAULT_TOL,
+    _check_each,
     _check_mode_count,
     _even_square,
+    _result,
     check_symplectic,
     rotation_matrix,
     symplectic_form,
@@ -36,7 +38,6 @@ class GaussianState:
         # later setflags surprise them
         kappa = np.array(self.kappa, dtype=float)
         gamma = _even_square(self.gamma, "covariance matrix").copy()
-        _check_mode_count(gamma.shape[0] // 2)
         if kappa.shape != (gamma.shape[0],):
             raise ValueError("mean vector length does not match covariance dimension")
         if not np.isfinite(kappa).all():
@@ -180,11 +181,14 @@ def max_classical_squeezing(n_mean: float) -> float:
 
 
 def characteristic_function(state: GaussianState, lam) -> complex:
-    """Evaluate chi(lambda) = exp(-1/4 lam^T gamma lam + i lam^T Sigma kappa)."""
+    """Evaluate chi(lambda) = exp(-1/4 lam^T gamma lam + i lam^T Sigma kappa)
+    at a finite lam of shape (2N,), giving a complex, or at a stack (..., 2N),
+    giving a complex array of shape (...)."""
     lam = np.asarray(lam, dtype=float)
-    if lam.shape != state.kappa.shape:
+    if lam.shape[-1:] != state.kappa.shape:
         raise ValueError("lambda length does not match the state dimension")
-    sigma = symplectic_form(state.n_modes)
-    quad = -0.25 * lam @ state.gamma @ lam
-    phase = lam @ sigma @ state.kappa
-    return complex(np.exp(quad + 1j * phase))
+    _check_each(np.isfinite(lam), "lambda has non-finite entries", core=1)
+    row = lam[..., np.newaxis, :]  # 1 x 2N rows: one and many take the same vector products
+    quad = (-0.25 * row @ state.gamma @ row.swapaxes(-1, -2))[..., 0, 0]
+    phase = (row @ symplectic_form(state.n_modes) @ state.kappa)[..., 0]
+    return _result(np.exp(quad + 1j * phase))

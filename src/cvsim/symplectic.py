@@ -61,15 +61,36 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _even_square(m, name: str = "matrix") -> np.ndarray:
+def _even_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """``m`` as a finite float array of shape (2N, 2N), N >= 1, or with
+    ``stack`` of shape (..., 2N, 2N); else ValueError."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if m.shape[0] % 2 != 0:
-        raise ValueError(f"{name} must have even dimension, got {m.shape[0]}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} has non-finite entries")
+    if m.shape[-1] % 2 != 0:
+        raise ValueError(f"{name} must have even dimension, got {m.shape[-1]}")
+    _check_mode_count(m.shape[-1] // 2)
+    _check_each(np.isfinite(m), f"{name} has non-finite entries", core=2)
     return m
+
+
+def _check_each(ok, message, core: int = 0, error=ValueError) -> None:
+    """Raise error(message) unless ``ok`` holds everywhere.  ``ok`` has the
+    stack's shape followed by ``core`` axes within one matrix.  ``message``
+    may be a function of the first failing stack index; for a stack, the
+    text ends by naming that index."""
+    if not (ok.all() if ok.ndim else ok):  # a 0-d reduction costs a microsecond
+        index = tuple(np.argwhere(~ok)[0][: ok.ndim - core])
+        text = message(index) if callable(message) else message
+        raise error(text + (f" (stack index {', '.join(map(str, index))})" if index else ""))
+
+
+def _result(x):
+    """A per-matrix value: a Python scalar for one matrix, the array for a
+    stack.  One matrix is a stack of shape (); its values are taken out with
+    [()] as numpy scalars, whose arithmetic is several times faster than
+    that of 0-d arrays."""
+    return x.item() if x.ndim == 0 else x
 
 
 @dataclass(frozen=True)
@@ -84,18 +105,22 @@ class CovarianceReport:
     min_eigenvalue: float
 
 
+def _min_eigenvalue(gamma: np.ndarray):
+    """validate_covariance's min_eigenvalue of a checked stack."""
+    sym = 0.5 * (gamma + gamma.swapaxes(-1, -2))
+    return np.linalg.eigvalsh(sym + 1j * symplectic_form(gamma.shape[-1] // 2))[..., 0][()]
+
+
 def validate_covariance(gamma) -> CovarianceReport:
     """Test the uncertainty relation gamma + i*Sigma >= 0.
 
-    The input is symmetrised as (gamma + gamma.T)/2 before testing so that
-    representation noise cannot flip the verdict.
+    ``gamma`` is (2N, 2N), giving a bool and a float, or a stack
+    (..., 2N, 2N), giving arrays of shape (...).  The input is symmetrised
+    as (gamma + gamma.T)/2 before testing so that representation noise
+    cannot flip the verdict.
     """
-    gamma = _even_square(gamma, "covariance matrix")
-    n_modes = gamma.shape[0] // 2
-    sym = 0.5 * (gamma + gamma.T)
-    herm = sym + 1j * symplectic_form(n_modes)
-    min_eig = float(np.linalg.eigvalsh(herm)[0])
-    return CovarianceReport(physical=bool(min_eig >= -DEFAULT_TOL), min_eigenvalue=min_eig)
+    min_eig = _min_eigenvalue(_even_square(gamma, "covariance matrix", stack=True))
+    return CovarianceReport(physical=_result(min_eig >= -DEFAULT_TOL), min_eigenvalue=_result(min_eig))
 
 
 def check_symplectic(s) -> bool:
@@ -153,24 +178,26 @@ def build_symplectic(gates, n_modes: int) -> np.ndarray:
     return s
 
 
+def _spectrum(gamma: np.ndarray) -> np.ndarray:
+    """symplectic_eigenvalues of a checked stack."""
+    evals, evecs = np.linalg.eigh(0.5 * (gamma + gamma.swapaxes(-1, -2)))
+    psd = evals[..., 0][()] >= -DEFAULT_TOL * np.maximum(1.0, evals[..., -1][()])
+    _check_each(psd, "covariance matrix is not positive semidefinite")
+    root = (evecs * np.sqrt(np.maximum(evals, 0.0))[..., np.newaxis, :]) @ evecs.swapaxes(-1, -2)
+    herm = root @ (1j * symplectic_form(gamma.shape[-1] // 2)) @ root
+    return np.sort(np.abs(np.linalg.eigvalsh(herm)), axis=-1)[..., ::2]
+
+
 def symplectic_eigenvalues(gamma) -> np.ndarray:
-    """The N symplectic eigenvalues of gamma, sorted ascending.
+    """The N symplectic eigenvalues of gamma, sorted ascending: shape (N,)
+    for a (2N, 2N) gamma, (..., N) for a stack (..., 2N, 2N).
 
     These are the moduli of the eigenvalues of i*Sigma*gamma, which come in
     (+nu, -nu) pairs; the pairs are deduplicated to N values.  Computed via
     the Hermitian matrix gamma^(1/2) (i Sigma) gamma^(1/2), which is better
     conditioned than the plain non-symmetric eigenproblem.
     """
-    gamma = _even_square(gamma, "covariance matrix")
-    n_modes = gamma.shape[0] // 2
-    sym = 0.5 * (gamma + gamma.T)
-    evals, evecs = np.linalg.eigh(sym)
-    if evals[0] < -DEFAULT_TOL * max(1.0, evals[-1]):
-        raise ValueError("covariance matrix is not positive semidefinite")
-    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
-    herm = root @ (1j * symplectic_form(n_modes)) @ root
-    nu = np.sort(np.abs(np.linalg.eigvalsh(herm)))
-    return nu[::2]
+    return _spectrum(_even_square(gamma, "covariance matrix", stack=True))
 
 
 _PAIR_BAND = 1e-8

@@ -148,10 +148,12 @@ def _overlap_rows(total: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 def fidelity(gamma_in, gamma_rec) -> float:
     """Overlap fidelity of two zero-mean single-mode Gaussians,
     F = 2 / sqrt(det(gamma_in + gamma_rec)); the N = 1, zero-mean case of
-    :func:`state_overlap`."""
+    :func:`state_overlap`.  ValueError unless both are finite 2x2 matrices."""
     if np.shape(gamma_in) != (2, 2) or np.shape(gamma_rec) != (2, 2):
         raise ValueError("fidelity expects two 2x2 covariance matrices")
     total = np.asarray(gamma_in, dtype=float) + np.asarray(gamma_rec, dtype=float)
+    if not np.isfinite(total).all():
+        raise ValueError("fidelity expects two finite covariance matrices")
     return float(_overlap_prefactor(total))
 
 
@@ -167,8 +169,18 @@ def state_overlap(state_a: GaussianState, state_b: GaussianState) -> float:
 def pure_squeezed_fidelity(eta: float, zeta: float) -> float:
     """Closed-form teleportation fidelity of a pure squeezed signal
     through an undegraded TMSV:
-    F = sqrt(1 - sinh^2(eta) / (cosh(eta) + cosh(2 zeta))^2)."""
-    ratio = math.sinh(eta) / (math.cosh(eta) + math.cosh(2.0 * zeta))
+    F = sqrt(1 - sinh^2(eta) / (cosh(eta) + cosh(2 zeta))^2).  ValueError
+    where sinh(eta) or cosh(eta) + cosh(2 zeta) overflows, as at eta = 800,
+    zeta = 400 or (eta, zeta) = (710, 355), or is NaN."""
+    try:
+        sinh, total = math.sinh(eta), math.cosh(eta) + math.cosh(2.0 * zeta)
+    except OverflowError:
+        sinh = total = math.inf
+    if not (math.isfinite(sinh) and math.isfinite(total)):  # NaN and inf arguments too
+        raise ValueError(
+            f"sinh(eta) or cosh(eta) + cosh(2 zeta) overflows or is NaN at eta = {eta!r}, zeta = {zeta!r}"
+        )
+    ratio = sinh / total
     return math.sqrt(1.0 - ratio * ratio)
 
 

@@ -242,6 +242,9 @@ class TestExitCodes:
             ["teleport", "--zeta", "400"],
             ["teleport", "--eta", "800"],
             ["teleport", "--eta=-800"],
+            ["fidelity-sweep", "--eta", "800", "--zeta", "0"],
+            ["fidelity-sweep", "--eta", "0", "--zeta", "400"],
+            ["fidelity-sweep", "--eta", "710", "--zeta", "355"],
         ],
     )
     def test_squeezing_past_the_float_range_exits_2(self, capsys, argv):

@@ -58,8 +58,7 @@ class TestIsSeparable:
             cv.is_separable(0.3 * np.eye(4))
 
     def test_criterion_agrees_with_pt_test(self, rng):
-        for _ in range(500):
-            cv.is_separable(random_two_mode_physical(rng))  # raises on disagreement
+        cv.is_separable(np.array([random_two_mode_physical(rng) for _ in range(500)]))  # raises on disagreement
 
 
 class TestLogNegativity:
@@ -87,38 +86,34 @@ class TestLogNegativity:
         assert_allclose(expected, 0.7046054708796523, atol=1e-12)
 
     def test_zero_iff_separable(self, rng):
-        for _ in range(300):
-            gamma = random_two_mode_physical(rng)
-            rep = cv.log_negativity(gamma)
-            verdict = cv.is_separable(gamma)
-            if rep.e_n > 1e-7:
-                assert not verdict.separable
-            if verdict.separable:
-                assert rep.e_n <= 1e-7
+        gammas = np.array([random_two_mode_physical(rng) for _ in range(300)])
+        rep = cv.log_negativity(gammas)
+        verdict = cv.is_separable(gammas)
+        assert not np.any(verdict.separable[rep.e_n > 1e-7])
+        assert np.all(rep.e_n[verdict.separable] <= 1e-7)
 
     def test_matches_pt_symplectic_spectrum(self, rng):
-        for _ in range(300):
-            gamma = random_two_mode_physical(rng)
-            rep = cv.log_negativity(gamma)
-            nus = cv.symplectic_eigenvalues(cv.partial_transpose(gamma))
-            oracle = float(np.prod(np.minimum(nus, 1.0)))
-            assert abs(min(rep.f_value, 1.0) - oracle) <= 1e-9
+        gammas = np.array([random_two_mode_physical(rng) for _ in range(300)])
+        rep = cv.log_negativity(gammas)
+        nus = cv.symplectic_eigenvalues(cv.partial_transpose(gammas))
+        oracle = np.prod(np.minimum(nus, 1.0), axis=-1)
+        assert np.all(np.abs(np.minimum(rep.f_value, 1.0) - oracle) <= 1e-9)
 
     def test_local_symplectic_invariance(self, rng):
         from scipy.linalg import block_diag
 
+        gammas, moved = [], []
         for _ in range(100):
-            gamma = random_two_mode_physical(rng)
+            gammas.append(random_two_mode_physical(rng))
             s_local = block_diag(random_symplectic(rng, 1, 3), random_symplectic(rng, 1, 3))
-            before = cv.log_negativity(gamma).e_n
-            after = cv.log_negativity(s_local @ gamma @ s_local.T).e_n
-            assert abs(before - after) <= 1e-9
+            moved.append(s_local @ gammas[-1] @ s_local.T)
+        before = cv.log_negativity(np.array(gammas)).e_n
+        after = cv.log_negativity(np.array(moved)).e_n
+        assert np.all(np.abs(before - after) <= 1e-9)
 
     def test_monotone_in_fiber_length(self):
-        values = []
-        for l in np.linspace(0.0, 2.0, 21):
-            f = cv.fiber_from_length(l, 1.0)
-            values.append(cv.log_negativity(cv.degraded_tmsv(0.8, f, f)).e_n)
+        fibers = [cv.fiber_from_length(l, 1.0) for l in np.linspace(0.0, 2.0, 21)]
+        values = cv.log_negativity(np.array([cv.degraded_tmsv(0.8, f, f) for f in fibers])).e_n
         assert np.all(np.diff(values) <= 1e-12)
 
     def test_invalid_base(self):

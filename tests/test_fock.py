@@ -301,6 +301,12 @@ class TestMemory:
         st = _lossy_tmsv()  # a strided view, whose .matrix would be a copy
         assert _peak_tensors(lambda: (fock._boundary_population(st), st.trace())) <= 0.05
 
+    def test_trace_products_copy_no_tensor(self):
+        # the one elementwise product; .matrix of this view would copy it first
+        st = _lossy_tmsv()
+        pure = fock.build_tmsv_fock(0.4)
+        assert _peak_tensors(lambda: (st.purity(), fock.overlap_fock(pure, st))) <= 1.1
+
     def test_moments_copy_no_tensor(self):
         st = _lossy_tmsv()
         assert _peak_tensors(lambda: fock.covariance_from_fock(st)) <= 0.25
@@ -365,6 +371,9 @@ class TestStridedLossResults:
         dense = fock.FockState(2, 25, np.ascontiguousarray(view.tensor))
         assert not view.tensor.flags.c_contiguous
         assert fock.log_negativity_fock(view) == fock.log_negativity_fock(dense)
+        assert view.purity() == dense.purity()
+        pure = fock.build_tmsv_fock(0.4)
+        assert fock.overlap_fock(pure, view) == fock.overlap_fock(pure, dense)
         for got, want in zip(fock.covariance_from_fock(view), fock.covariance_from_fock(dense)):
             assert np.array_equal(got, want)
         assert np.array_equal(fock.homodyne_povm_fock(view, 0).pdf, fock.homodyne_povm_fock(dense, 0).pdf)
@@ -615,6 +624,12 @@ class TestHomodynePovm:
         res = fock.homodyne_povm_fock(st, 0)
         second = np.trapezoid(res.grid**2 * res.pdf, res.grid)
         assert abs(second - np.cosh(2 * zeta) / 2.0) <= 1e-6
+
+    def test_default_grid_is_shared_and_read_only(self):
+        grid = fock.default_grid()
+        assert grid is fock.default_grid() and not grid.flags.writeable
+        assert np.array_equal(grid, np.linspace(-8.0, 8.0, 801))
+        assert fock.homodyne_povm_fock(fock.vacuum_fock(1, 4), 0).grid is grid
 
     def test_conditional_state_matches_gaussian_machinery(self):
         # measuring x on one arm in Fock space reproduces the covariance the

@@ -1,8 +1,10 @@
 """cvsim runs on numpy alone: with scipy made unimportable, the package and
 its CLI import, and a README CLI example and the Fock demo print exactly
-their goldens.  scipy stays a test-only reference."""
+their goldens.  scipy stays a test-only reference.  The package also keeps
+to the numpy floor that pyproject.toml declares."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +40,18 @@ def test_cli_example_runs_without_scipy():
 def test_fock_demo_runs_without_scipy():
     out = _run_without_scipy("import runpy\nrunpy.run_path('demos/05_fock_crosscheck.py', run_name='__main__')")
     assert out == (ROOT / "tests" / "golden" / "05_fock_crosscheck.stdout").read_bytes()
+
+
+# numpy 2.0 additions that the declared floor, numpy>=1.24, lacks
+_NEWER_THAN_FLOOR = re.compile(r"\.mT\b|\b(matrix_transpose|vecdot|trapezoid|unstack)\b")
+
+
+def test_package_keeps_to_the_declared_numpy_floor():
+    assert 'numpy>=1.24"' in (ROOT / "pyproject.toml").read_text()
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted((ROOT / "src" / "cvsim").glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if _NEWER_THAN_FLOOR.search(line)
+    ]
+    assert found == []

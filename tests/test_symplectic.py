@@ -66,6 +66,10 @@ _MATRIX_ENTRY_POINTS = {
     "GaussianState": lambda gamma: cv.GaussianState(np.zeros(len(gamma)), gamma),
     "log_negativity": cv.log_negativity,
     "is_separable": cv.is_separable,
+    "partial_transpose": cv.partial_transpose,
+    "euler_decompose": cv.euler_decompose,
+    "gaussian_project": lambda gamma: cv.gaussian_project(gamma, [0], np.eye(2)),
+    "homodyne_project": lambda gamma: cv.homodyne_project(gamma, [0]),
 }
 
 
@@ -83,6 +87,14 @@ class TestNonFiniteMatrix:
         # a 2x2 NaN covariance used to return physical=False, min_eigenvalue=nan
         with pytest.raises(ValueError, match="covariance matrix has non-finite entries"):
             cv.validate_covariance(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+class TestZeroModes:
+    @pytest.mark.parametrize("entry", sorted(_MATRIX_ENTRY_POINTS))
+    def test_zero_by_zero_is_refused_alike(self, entry):
+        # symplectic_eigenvalues used to raise IndexError
+        with pytest.raises(ValueError, match="^mode count must be positive, got 0$"):
+            _MATRIX_ENTRY_POINTS[entry](np.zeros((0, 0)))
 
 
 class TestValidateCovariance:
@@ -262,12 +274,10 @@ class TestSymplecticEigenvalues:
         assert_allclose(oracle, [np.exp(-1.0), np.exp(1.0)], atol=1e-10)
 
     def test_congruence_invariance(self, rng):
-        for _ in range(100):
-            gamma = random_two_mode_physical(rng)
-            s = random_symplectic(rng, 2)
-            before = cv.symplectic_eigenvalues(gamma)
-            after = cv.symplectic_eigenvalues(s @ gamma @ s.T)
-            assert np.max(np.abs(before - after)) <= 1e-9
+        pairs = [(random_two_mode_physical(rng), random_symplectic(rng, 2)) for _ in range(100)]
+        before = cv.symplectic_eigenvalues(np.array([gamma for gamma, _ in pairs]))
+        after = cv.symplectic_eigenvalues(np.array([s @ gamma @ s.T for gamma, s in pairs]))
+        assert np.max(np.abs(before - after)) <= 1e-9
 
     def test_single_mode_purity_bound(self, rng):
         for _ in range(200):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -87,6 +89,14 @@ class TestFidelity:
         with pytest.raises(ValueError):
             cv.fidelity(np.eye(4), np.eye(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, bad):
+        # NaN used to come back as nan after an "invalid value encountered in det" warning
+        with pytest.raises(ValueError, match="finite"):
+            cv.fidelity(np.full((2, 2), bad), np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            cv.fidelity(np.eye(2), np.full((2, 2), bad))
+
     def test_matches_characteristic_function_integral(self):
         # brute-force lambda integral, and the lambda -> -lambda symmetry
         gamma_in = cv.squeezed_signal(0.6).gamma
@@ -95,15 +105,10 @@ class TestFidelity:
         st_rec = cv.GaussianState(np.zeros(2), res.gamma_rec)
         lam = np.linspace(-12.0, 12.0, 301)
         lx, lp = np.meshgrid(lam, lam, indexing="ij")
-        chi_in = np.empty_like(lx)
-        chi_rec_neg = np.empty_like(lx)
-        chi_rec_pos = np.empty_like(lx)
-        for i in range(lam.size):
-            for j in range(lam.size):
-                vec = np.array([lx[i, j], lp[i, j]])
-                chi_in[i, j] = cv.characteristic_function(st_in, vec).real
-                chi_rec_neg[i, j] = cv.characteristic_function(st_rec, -vec).real
-                chi_rec_pos[i, j] = cv.characteristic_function(st_rec, vec).real
+        vecs = np.stack([lx, lp], axis=-1)  # vecs[i, j] = (lx[i, j], lp[i, j])
+        chi_in = cv.characteristic_function(st_in, vecs).real
+        chi_rec_neg = cv.characteristic_function(st_rec, -vecs).real
+        chi_rec_pos = cv.characteristic_function(st_rec, vecs).real
         for chi_rec in (chi_rec_neg, chi_rec_pos):
             integral = np.trapezoid(np.trapezoid(chi_in * chi_rec, lam, axis=1), lam) / (2.0 * np.pi)
             assert abs(integral - res.fidelity_zero_mean) <= 1e-6
@@ -126,6 +131,20 @@ class TestPureSqueezedFidelity:
             zeta = rng.uniform(0.0, 1.5)
             res = cv.teleport(cv.TeleportSetup(cv.squeezed_signal(eta).gamma, zeta))
             assert abs(res.fidelity_zero_mean - cv.pure_squeezed_fidelity(eta, zeta)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "eta, zeta",
+        # sinh or cosh overflows; cosh(710) + cosh(710) overflows to inf, which read as F = 1.0
+        [(800.0, 0.0), (-800.0, 0.0), (0.0, 400.0), (710.0, 355.0), (np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0)],
+    )
+    def test_past_the_float_range_raises(self, eta, zeta):
+        with pytest.raises(ValueError, match="overflows or is NaN"):
+            cv.pure_squeezed_fidelity(eta, zeta)
+
+    def test_largest_finite_arguments_keep_their_value(self):
+        # cosh(709) + cosh(2 * 354) is finite; F = sqrt(1 - (sinh/total)^2) with sinh ~ e^709 / 2
+        ratio = math.sinh(709.0) / (math.cosh(709.0) + math.cosh(708.0))
+        assert cv.pure_squeezed_fidelity(709.0, 354.0) == math.sqrt(1.0 - ratio * ratio)
 
     def test_monotone_in_resource_squeezing(self):
         for eta in (0.3, 0.8, 1.4):
