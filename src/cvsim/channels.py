@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import DEFAULT_TOL, _block_diag, rotation_matrix, symplectic_form
+from .symplectic import DEFAULT_TOL, _block_diag, _check_finite, _check_matrix, rotation_matrix, symplectic_form
 from .states import GaussianState, _check_occupation, tmsv_state
 
 _PARAM_TOL = 1e-12  # slack of the energy-conservation rule |T|^2 + |R|^2 <= 1
@@ -16,22 +16,16 @@ _PARAM_TOL = 1e-12  # slack of the energy-conservation rule |T|^2 + |R|^2 <= 1
 class GaussianChannel:
     """A map gamma -> A gamma A^T + G, kappa -> A kappa.
 
-    G must be symmetric; complete positivity holds iff the Hermitian
-    matrix G + i Sigma - i A Sigma A^T is positive semidefinite.
+    A and G are finite 2N x 2N matrices, G symmetric; complete positivity
+    holds iff the Hermitian G + i Sigma - i A Sigma A^T is positive semidefinite.
     """
 
     a: np.ndarray
     g: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=float)
-        g = np.array(self.g, dtype=float)
-        if a.shape != g.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("A and G must be square matrices of equal shape")
-        if a.shape[0] % 2 != 0:
-            raise ValueError("channel dimension must be even")
-        if np.max(np.abs(g - g.T)) > DEFAULT_TOL * max(1.0, np.max(np.abs(g))):
-            raise ValueError("noise matrix G must be symmetric")
+        a = _check_matrix(self.a, "channel matrix A").copy()
+        g = _check_matrix(self.g, "noise matrix G", a.shape[0], symmetric=True).copy()
         a.setflags(write=False)
         g.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -47,7 +41,7 @@ class FiberParams:
     """Single-frequency fiber: |T|, transmission phase, |R|, thermal occupation.
 
     ``noise`` is the scalar G = |R|^2 + (2 n_th + 1)(1 - |T|^2 - |R|^2) that
-    the fiber adds to each quadrature variance.
+    the fiber adds to each quadrature variance.  The phase must be finite.
     """
 
     t_mag: float
@@ -57,6 +51,7 @@ class FiberParams:
 
     def __post_init__(self):
         _check_fiber(self.t_mag, self.r_mag)
+        _check_finite(self.phase, "phase")
         _check_occupation(self.n_th)
 
     @property

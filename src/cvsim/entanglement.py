@@ -10,7 +10,7 @@ import numpy as np
 
 from .channels import _check_fiber, _check_length
 from .states import _check_occupation
-from .symplectic import _SIGMA_1, DEFAULT_TOL, _check_each, _even_square, _min_eigenvalue, _result, _spectrum
+from .symplectic import _SIGMA_1, DEFAULT_TOL, _check_each, _check_matrix, _min_eigenvalue, _result, _spectrum
 
 # gamma^PT = gamma * _PT_SIGNS + 0.0 flips the second mode's p row and column;
 # + 0.0 keeps a flipped 0.0 at 0.0, as the product with diag(1, 1, 1, -1) did
@@ -31,16 +31,15 @@ def _to_base(nats, base):
     return nats / _LN2 if _check_base(base) == "2" else nats
 
 
-def _check_squeezing(zeta) -> None:
+def _check_non_negative_zeta(zeta) -> None:
     if not zeta >= 0.0:
         raise ValueError(f"squeezing zeta must be non-negative, got {zeta!r}")
 
 
 def _two_mode(gamma, physical: bool = True) -> np.ndarray:
-    """The finite (..., 4, 4) stack, physical if ``physical``; else ValueError."""
-    gamma = _even_square(gamma, "covariance matrix", stack=True)
-    if gamma.shape[-1] != 4:
-        raise ValueError("expected a 4x4 two-mode covariance matrix")
+    """The finite, symmetric (..., 4, 4) stack, physical if ``physical``; else
+    ValueError.  No test then reads the two triangles of a matrix differently."""
+    gamma = _check_matrix(gamma, "covariance matrix", 4, stack=True, symmetric=True)
     if physical:
         _check_each(_min_eigenvalue(gamma) >= -DEFAULT_TOL, "covariance matrix is unphysical")
     return gamma
@@ -156,7 +155,7 @@ def fiber_separability_threshold(zeta: float, t_mag: float, r_mag: float = 0.0) 
     Raises ValueError for zeta < 0 and for fiber magnitudes that
     ``FiberParams`` rejects.
     """
-    _check_squeezing(zeta)
+    _check_non_negative_zeta(zeta)
     _check_fiber(t_mag, r_mag)
     absorption = 1.0 - t_mag**2 - r_mag**2
     if zeta == 0.0:
@@ -173,7 +172,7 @@ def separability_length(zeta: float, n_th: float, l_abs: float) -> float:
     n_th -> 0, in which case math.inf is returned.  Raises ValueError for
     zeta < 0, n_th < 0 or infinite, or l_abs <= 0, NaN included.
     """
-    _check_squeezing(zeta)
+    _check_non_negative_zeta(zeta)
     _check_occupation(n_th)
     _check_length(l_abs)
     if zeta == 0.0:
@@ -191,7 +190,7 @@ def transmitted_log_negativity(zeta: float, t_mag: float, base="e") -> float:
     Raises ValueError for zeta < 0 or |T| outside [0, 1].
     """
     base = _check_base(base)
-    _check_squeezing(zeta)
+    _check_non_negative_zeta(zeta)
     _check_fiber(t_mag)
     loss_arg = t_mag**2 * (-math.expm1(-2.0 * zeta))
     if loss_arg >= 1.0:

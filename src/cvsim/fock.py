@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .entanglement import _check_base, _to_base
-from .symplectic import _check_mode_count, _mode_index
+from .symplectic import _check_finite, _check_matrix, _check_mode_count, _check_vector, _mode_index
 
 DEFAULT_CUTOFF = 25
 DEFAULT_GRID = (-8.0, 8.0, 801)
@@ -117,12 +117,13 @@ def vacuum_fock(modes: int = 1, cutoff: int = DEFAULT_CUTOFF) -> FockState:
 def number_state_fock(ns, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     """Product number state |n1, n2, ...><...|.
 
-    ValueError unless at least one occupation is given and each is an
+    ValueError unless ``ns`` is a vector of at least one occupation, each an
     integer in [0, cutoff]; 1.7 is not read as 1.
     """
     ns = np.atleast_1d(np.asarray(ns, dtype=float))
     if not np.all((ns >= 0) & (ns <= cutoff) & (ns == np.round(ns))):
         raise ValueError(f"occupations must be integers in [0, {cutoff}], got {ns.tolist()}")
+    _check_vector(ns, "occupations")  # one per mode, not a stack
     tensor = np.zeros((cutoff + 1,) * (2 * len(ns)), dtype=complex)
     tensor[tuple(ns.astype(int)) * 2] = 1.0
     return FockState(len(ns), cutoff, tensor)
@@ -136,9 +137,7 @@ def build_tmsv_fock(zeta: float, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     the truncation budget 1e-6.  A non-finite zeta raises ValueError.
     Only the d^2 nonzero entries rho[n, n, m, m] are written.
     """
-    if not np.isfinite(zeta):
-        raise ValueError(f"squeezing must be finite, got {zeta!r}")
-    q = np.tanh(zeta)
+    q = np.tanh(_check_finite(zeta, "squeezing"))
     d = cutoff + 1
     weight = float(q ** (2 * d))
     if weight > _TRUNCATION_BUDGET:
@@ -348,7 +347,8 @@ class QuadratureWavefunctionTable:
 
     @classmethod
     def build(cls, grid, n_max: int) -> "QuadratureWavefunctionTable":
-        grid = np.asarray(grid, dtype=float)
+        """The table on ``grid``; ValueError unless every grid point is finite."""
+        grid = _check_finite(np.asarray(grid, dtype=float), "grid")
         values = np.empty((n_max + 1, grid.size))
         values[0] = np.pi**-0.25 * np.exp(-0.5 * grid**2)
         if n_max >= 1:
@@ -373,9 +373,9 @@ class HomodyneFockResult:
 
 
 def _quadrature_amplitudes(cutoff: int, phi: float, grid: np.ndarray) -> np.ndarray:
-    """<n|X,phi> for every grid point X, shape (n_points, d)."""
+    """<n|X,phi> for every grid point X, shape (n_points, d); phi must be finite."""
     table = QuadratureWavefunctionTable.build(grid, cutoff)
-    return np.exp(1j * phi * np.arange(cutoff + 1))[None, :] * table.values.T
+    return np.exp(1j * _check_finite(phi, "phi") * np.arange(cutoff + 1))[None, :] * table.values.T
 
 
 def homodyne_povm_fock(state: FockState, mode: int, phi: float = 0.0, grid=None) -> HomodyneFockResult:
@@ -398,8 +398,7 @@ def homodyne_conditional_fock(state: FockState, mode: int, x: float, phi: float 
     if state.modes < 2:
         raise ValueError("conditioning needs a state of at least two modes")
     mode = _mode_index(mode, state.modes)
-    if not np.isfinite(x):
-        raise ValueError(f"homodyne record must be finite, got {x!r}")
+    _check_finite(x, "homodyne record")
     amp = _quadrature_amplitudes(state.cutoff, phi, np.array([float(x)]))[0]
     moved = np.moveaxis(state.tensor, (mode, state.modes + mode), (0, 1))
     # ket then bra, level by level, so the sum rounds alike on any strides
@@ -430,13 +429,9 @@ def gaussian_fock(gamma, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     Decomposes gamma = R(theta) diag(nu k^2, nu/k^2) R(theta)^T and builds
     the rotated, squeezed thermal state with the matching unitaries; the
     thermal tail beyond the cutoff must not exceed the budget 1e-6.  A
-    covariance with a non-finite entry raises ValueError.
+    covariance that is not a finite 2x2 matrix raises ValueError.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (2, 2):
-        raise ValueError("expected a single-mode covariance matrix")
-    if not np.all(np.isfinite(gamma)):
-        raise ValueError(f"covariance matrix must be finite, got {gamma.tolist()}")
+    gamma = _check_matrix(gamma, "covariance matrix", 2)
     nu = float(np.sqrt(np.linalg.det(gamma)))
     if nu < 1.0 - 1e-9:
         raise ValueError("covariance matrix is unphysical")

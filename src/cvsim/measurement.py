@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import DEFAULT_TOL, _even_square, validate_covariance
+from .symplectic import DEFAULT_TOL, _check_matrix, _check_symmetric, _check_vector, _min_eigenvalue
 
 MP_REL_TOL = 1e-12
 # near-eps rank cut of gaussian_project: the core C2 + D^2 is invertible for
@@ -28,23 +28,15 @@ MP_REL_TOL = 1e-12
 _PROJECT_REL_TOL = 1e-15
 
 
-def _require_symmetric(mat: np.ndarray, scale: float, name: str) -> None:
-    if np.max(np.abs(mat - mat.T), initial=0.0) > 1e-10 * scale:
-        raise ValueError(f"{name} must be symmetric")
-
-
-def _spectral_cut(mat, tol: float) -> tuple[np.ndarray, float]:
-    """Moore-Penrose inverse and pseudo-determinant of a symmetric matrix,
-    from one eigen-solve of its symmetrised form.
+def _spectral_cut(mat, tol: float, name: str = "matrix") -> tuple[np.ndarray, float]:
+    """Moore-Penrose inverse and pseudo-determinant of a finite symmetric
+    matrix (else ValueError naming ``name``), from one eigen-solve.
 
     Eigenvalues with |e| <= tol * max|e| count as exactly zero: the inverse
     drops them and the pseudo-determinant is the product of the others
     (1.0 when none is kept).
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix must be square")
-    _require_symmetric(mat, np.max(np.abs(mat), initial=1.0), "matrix")
+    mat = _check_matrix(mat, name, even=False, symmetric=True)
     evals, evecs = np.linalg.eigh(0.5 * (mat + mat.T))
     keep = np.abs(evals) > tol * np.max(np.abs(evals), initial=0.0)
     inv = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
@@ -66,16 +58,15 @@ def _checked_input(gamma, measured, per_mode: int) -> tuple[np.ndarray, list[int
     ValueError unless gamma is finite, symmetric and physical and every
     index is an integer in range; 1.5 is not read as 1.
     """
-    gamma = _even_square(gamma, "covariance matrix")
-    scale = float(np.max(np.abs(gamma), initial=1.0))
-    _require_symmetric(gamma, scale, "covariance matrix")
+    gamma = _check_matrix(gamma, "covariance matrix")
+    scale = _check_symmetric(gamma, "covariance matrix")
     bound = gamma.shape[0] // 2 * per_mode
     indices = sorted(set(measured))
     if not all(float(i).is_integer() and 0 <= i < bound for i in indices):
         raise ValueError(f"measured indices must be integers in [0, {bound}), got {indices}")
     # the gate grows with max|gamma|: eigenvalue noise of a representable
     # boundary state grows with its norm
-    if not validate_covariance(gamma).min_eigenvalue >= -DEFAULT_TOL * scale:
+    if not _min_eigenvalue(gamma) >= -DEFAULT_TOL * scale:
         raise ValueError("covariance matrix is unphysical")
     return gamma, [int(i) for i in indices]
 
@@ -122,11 +113,7 @@ def gaussian_project(gamma, measured_modes, d_matrix) -> ConditionalResult:
     """
     gamma, modes = _checked_input(gamma, measured_modes, per_mode=1)
     c1, c2, c3 = _split(gamma, [q for m in modes for q in (2 * m, 2 * m + 1)])
-    d_matrix = np.asarray(d_matrix, dtype=float)
-    if d_matrix.shape != c2.shape:
-        raise ValueError("D must match the measured block dimension")
-    if not np.all(np.isfinite(d_matrix)):
-        raise ValueError("D has non-finite entries")
+    d_matrix = _check_matrix(d_matrix, "D", c2.shape[0], even=False)
     if np.any(d_matrix != np.diag(np.diagonal(d_matrix))) or np.any(np.diagonal(d_matrix) < 0):
         raise ValueError("D must be diagonal with non-negative entries")
     core_inv, core_det = _spectral_cut(c2 + d_matrix @ d_matrix, _PROJECT_REL_TOL)
@@ -155,23 +142,23 @@ class OutcomeDensity:
 
     def pdf(self, outcomes) -> np.ndarray | float:
         """exp(-d^T B^MP d) / (pi^(n/2) sqrt(pdet B)) per record, d its sign-adjusted deviation from ``mean``."""
+        inv, det = _spectral_cut(self.block, MP_REL_TOL, "block")
         outcomes = np.asarray(outcomes, dtype=float)
         single = outcomes.ndim == 1
-        pts = np.atleast_2d(outcomes)
-        if pts.shape[1] != self.block.shape[0]:
-            raise ValueError("outcome dimension does not match the record size")
-        dev = pts * self.signs - self.mean
-        inv, det = _spectral_cut(self.block, MP_REL_TOL)
-        norm = np.pi ** (self.block.shape[0] / 2.0) * np.sqrt(det)
+        pts = _check_vector(np.atleast_2d(outcomes), "outcomes", len(inv), stack=True)
+        dev = pts * self.signs - _check_vector(self.mean, "mean", len(inv))
+        norm = np.pi ** (len(inv) / 2.0) * np.sqrt(det)
         vals = np.exp(-_quadratic_rows(dev, inv)) / norm
         return float(vals[0]) if single else vals
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw outcome records (rows) from the density."""
-        evals, evecs = np.linalg.eigh(0.5 * (self.block + self.block.T))
+        """Draw outcome records (rows) from the density of a finite block and mean."""
+        block = _check_matrix(self.block, "block", even=False)
+        mean = _check_vector(self.mean, "mean", len(block))
+        evals, evecs = np.linalg.eigh(0.5 * (block + block.T))
         root = evecs * np.sqrt(np.clip(0.5 * evals, 0.0, None))
         # (mean + z R^T) * signs with the exact +-1 factors folded into R and mean
-        return self.mean * self.signs + rng.standard_normal((size, self.mean.size)) @ (root.T * self.signs)
+        return mean * self.signs + rng.standard_normal((size, mean.size)) @ (root.T * self.signs)
 
 
 @dataclass(frozen=True)
@@ -198,9 +185,7 @@ def homodyne_project(gamma, measured, kappa=None) -> HomodyneResult:
     if len(set(modes)) != len(modes):
         raise ValueError("cannot homodyne both quadratures of one mode")
     dim = gamma.shape[0]
-    kappa = np.zeros(dim) if kappa is None else np.asarray(kappa, dtype=float)
-    if kappa.shape != (dim,) or not np.all(np.isfinite(kappa)):
-        raise ValueError(f"kappa must be a finite vector of length {dim}, got shape {kappa.shape}")
+    kappa = np.zeros(dim) if kappa is None else _check_vector(kappa, "kappa", dim)
 
     conj = [_conjugate_quadrature(q) for q in measured]
     c1, block, c3 = _split(gamma, conj)

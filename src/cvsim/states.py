@@ -10,10 +10,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .symplectic import (
+    _EXP_MAX,
     DEFAULT_TOL,
-    _check_each,
+    _check_finite,
+    _check_matrix,
     _check_mode_count,
-    _even_square,
+    _check_squeezing,
+    _check_vector,
     _result,
     check_symplectic,
     rotation_matrix,
@@ -36,12 +39,8 @@ class GaussianState:
     def __post_init__(self):
         # own copies, frozen: sharing buffers with the caller would let a
         # later setflags surprise them
-        kappa = np.array(self.kappa, dtype=float)
-        gamma = _even_square(self.gamma, "covariance matrix").copy()
-        if kappa.shape != (gamma.shape[0],):
-            raise ValueError("mean vector length does not match covariance dimension")
-        if not np.isfinite(kappa).all():
-            raise ValueError("mean vector has non-finite entries")
+        gamma = _check_matrix(self.gamma, "covariance matrix").copy()
+        kappa = _check_vector(self.kappa, "mean vector", gamma.shape[0]).copy()
         kappa.setflags(write=False)
         gamma.setflags(write=False)
         object.__setattr__(self, "kappa", kappa)
@@ -52,20 +51,16 @@ class GaussianState:
         return self.gamma.shape[0] // 2
 
 
-def _check_occupation(n_mean) -> None:
-    """Mean thermal photon numbers (scalar or array) must be finite and >= 0."""
-    if not np.all(np.isfinite(n_mean) & np.greater_equal(n_mean, 0.0)):
-        raise ValueError("mean thermal photon number must be finite and non-negative")
+def _check_occupation(n_mean) -> np.ndarray:
+    """Mean thermal photon numbers, a scalar or an array-like, as a float
+    array; ValueError unless each is finite and >= 0."""
+    n_mean = _check_finite(np.asarray(n_mean, dtype=float), "mean thermal photon number")
+    if not np.all(n_mean >= 0.0):
+        raise ValueError("mean thermal photon number must be non-negative")
+    return n_mean
 
 
 _COSH_MAX = math.acosh(sys.float_info.max)  # ~710.48; cosh and sinh overflow past it
-
-
-def _check_squeezing(name: str, value: float, limit: float, overflowing: str) -> None:
-    """The constructors' range rule: ValueError where |value| > limit, before
-    ``overflowing`` would overflow; NaN is left to GaussianState."""
-    if abs(value) > limit:
-        raise ValueError(f"|{name}| = {abs(value)!r} is past {limit:.5g}, where {overflowing} overflows")
 
 
 def vacuum_state(n_modes: int = 1) -> GaussianState:
@@ -83,20 +78,19 @@ def thermal_state(n_mean, n_modes: int | None = None) -> GaussianState:
     """
     if n_modes is not None:
         _check_mode_count(n_modes)
-    ns = np.atleast_1d(np.asarray(n_mean, dtype=float))
+    ns = np.atleast_1d(_check_occupation(n_mean))
     if n_modes is not None and ns.size == 1:
         ns = np.full(n_modes, ns[0])
     elif n_modes is not None and ns.size != n_modes:
         raise ValueError(f"{ns.size} occupations given for {n_modes} modes")
-    _check_occupation(ns)
     diag = 2.0 * np.repeat(ns, 2) + 1.0
     return GaussianState(np.zeros(diag.size), np.diag(diag))
 
 
 def squeezed_state(zeta: float, theta: float = 0.0) -> GaussianState:
     """Single-mode squeezed vacuum, gamma = R(theta) diag(e^2z, e^-2z) R(theta)^T;
-    ValueError where |zeta| > ln(float max)/2 ~ 354.89, past which e^2|z| overflows."""
-    _check_squeezing("zeta", zeta, math.log(sys.float_info.max) / 2.0, "exp(2 |zeta|)")
+    ValueError where |zeta| > ln(float max)/2 ~ 354.89 (e^2|z| overflows) or zeta or theta is NaN."""
+    _check_squeezing("zeta", zeta, _EXP_MAX / 2.0, "exp(2 |zeta|)")
     r = rotation_matrix(theta)
     gamma = r @ np.diag([np.exp(2.0 * zeta), np.exp(-2.0 * zeta)]) @ r.T
     return GaussianState(np.zeros(2), gamma)
@@ -134,17 +128,12 @@ def tmsv_state(zeta: float) -> GaussianState:
 def displace(state: GaussianState, delta) -> GaussianState:
     """Shift the phase-space mean by delta, a finite vector of the shape of
     ``state.kappa``; the covariance is unchanged."""
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != state.kappa.shape:
-        raise ValueError(f"displacement shape {delta.shape} != mean shape {state.kappa.shape}")
-    return GaussianState(state.kappa + delta, state.gamma)
+    return GaussianState(state.kappa + _check_vector(delta, "displacement", state.kappa.size), state.gamma)
 
 
 def apply_symplectic(state: GaussianState, s) -> GaussianState:
     """Transform gamma -> S gamma S^T and kappa -> S kappa."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (2 * state.n_modes, 2 * state.n_modes):
-        raise ValueError("symplectic matrix dimension does not match the state")
+    s = _check_matrix(s, "symplectic matrix", 2 * state.n_modes)
     if not check_symplectic(s):
         raise ValueError("matrix is not symplectic within tolerance")
     return GaussianState(s @ state.kappa, s @ state.gamma @ s.T)
@@ -163,7 +152,7 @@ def classicality_test(gamma) -> ClassicalityVerdict:
     iff no eigenvalue of its covariance matrix drops below 1 (i.e. below the
     vacuum level).  Eigenvalues down to 1 - DEFAULT_TOL count as classical.
     """
-    gamma = _even_square(gamma, "covariance matrix")
+    gamma = _check_matrix(gamma, "covariance matrix")
     if not validate_covariance(gamma).physical:
         raise ValueError("covariance matrix violates the uncertainty relation")
     min_eig = float(np.linalg.eigvalsh(0.5 * (gamma + gamma.T))[0])
@@ -173,21 +162,17 @@ def classicality_test(gamma) -> ClassicalityVerdict:
 def max_classical_squeezing(n_mean: float) -> float:
     """Largest |zeta| for which a squeezed thermal state stays classical.
 
-    Equals 0.5*ln(2n + 1); squeezing the vacuum by any amount is
-    non-classical.
+    Equals 0.5*ln(2n + 1), a float for a scalar n and an array for an
+    array-like; squeezing the vacuum by any amount is non-classical.
     """
-    _check_occupation(n_mean)
-    return 0.5 * np.log(2.0 * n_mean + 1.0)
+    return 0.5 * np.log(2.0 * _check_occupation(n_mean) + 1.0)
 
 
 def characteristic_function(state: GaussianState, lam) -> complex:
     """Evaluate chi(lambda) = exp(-1/4 lam^T gamma lam + i lam^T Sigma kappa)
     at a finite lam of shape (2N,), giving a complex, or at a stack (..., 2N),
     giving a complex array of shape (...)."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape[-1:] != state.kappa.shape:
-        raise ValueError("lambda length does not match the state dimension")
-    _check_each(np.isfinite(lam), "lambda has non-finite entries", core=1)
+    lam = _check_vector(lam, "lambda", state.kappa.size, stack=True)
     row = lam[..., np.newaxis, :]  # 1 x 2N rows: one and many take the same vector products
     quad = (-0.25 * row @ state.gamma @ row.swapaxes(-1, -2))[..., 0, 0]
     phase = (row @ symplectic_form(state.n_modes) @ state.kappa)[..., 0]

@@ -9,6 +9,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,22 +58,71 @@ def _block_diag(*mats) -> np.ndarray:
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
-    """Single-mode phase-space rotation by theta (counter-clockwise)."""
-    c, s = np.cos(theta), np.sin(theta)
+    """Counter-clockwise single-mode phase-space rotation by a finite theta."""
+    c, s = np.cos(_check_finite(theta, "theta")), np.sin(theta)
     return np.array([[c, -s], [s, c]])
 
 
-def _even_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """``m`` as a finite float array of shape (2N, 2N), N >= 1, or with
-    ``stack`` of shape (..., 2N, 2N); else ValueError."""
+def _check_finite(x, name: str, core: int | None = None):
+    """``x``; ValueError naming ``name`` unless the scalar ``x`` or each entry of
+    the array ``x`` is finite.  ``core`` as in _check_each, default x.ndim."""
+    if not isinstance(x, np.ndarray) or x.ndim == 0:
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {float(x)!r}")
+    else:
+        _check_each(np.isfinite(x), f"{name} has non-finite entries", x.ndim if core is None else core)
+    return x
+
+
+def _check_matrix(m, name: str, size=None, stack=False, even=True, symmetric=False) -> np.ndarray:
+    """The matrix rule: ``m`` as a finite float array of shape (n, n), or
+    with ``stack`` (..., n, n); n is ``size`` if given, and with ``even``
+    2N for N >= 1 modes.  With ``symmetric``, the symmetry rule too.  Else
+    ValueError naming ``name``."""
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if m.shape[-1] % 2 != 0:
-        raise ValueError(f"{name} must have even dimension, got {m.shape[-1]}")
-    _check_mode_count(m.shape[-1] // 2)
-    _check_each(np.isfinite(m), f"{name} has non-finite entries", core=2)
+    if even:
+        if m.shape[-1] % 2 != 0:
+            raise ValueError(f"{name} must have even dimension, got {m.shape[-1]}")
+        _check_mode_count(m.shape[-1] // 2)
+    if size is not None and m.shape[-1] != size:
+        raise ValueError(f"{name} must be {size}x{size}, got shape {m.shape}")
+    _check_finite(m, name, core=2)
+    if symmetric:
+        _check_symmetric(m, name)
     return m
+
+
+def _check_vector(v, name: str, length: int | None = None, stack: bool = False) -> np.ndarray:
+    """The vector rule: ``v`` as a finite float array of shape (length,), any
+    length if None, or with ``stack`` (..., length); else ValueError naming ``name``."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim < 1 or (v.ndim > 1 and not stack) or length not in (None, v.shape[-1]):
+        of_length = "" if length is None else f" of length {length}"
+        raise ValueError(f"{name} must be a vector{of_length}, got shape {v.shape}")
+    return _check_finite(v, name, core=1)
+
+
+def _check_symmetric(m: np.ndarray, name: str):
+    """The symmetry rule on a finite matrix or stack: max|m - m^T| <= 1e-10
+    * max(1, max|m|) per matrix, else ValueError naming ``name``; returns
+    max(1, max|m|)."""
+    scale = np.abs(m).max(axis=(-2, -1), initial=1.0)
+    asymmetry = np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    _check_each(asymmetry <= 1e-10 * scale, f"{name} must be symmetric")
+    return scale
+
+
+_EXP_MAX = math.log(sys.float_info.max)  # ~709.78; exp overflows past it
+
+
+def _check_squeezing(name: str, value: float, limit: float, overflowing: str) -> None:
+    """The squeezing-range rule: ValueError where |value| > limit, before
+    ``overflowing`` would overflow, and where value is NaN."""
+    if abs(value) > limit:
+        raise ValueError(f"|{name}| = {abs(value)!r} is past {limit:.5g}, where {overflowing} overflows")
+    _check_finite(value, name)
 
 
 def _check_each(ok, message, core: int = 0, error=ValueError) -> None:
@@ -79,7 +130,7 @@ def _check_each(ok, message, core: int = 0, error=ValueError) -> None:
     stack's shape followed by ``core`` axes within one matrix.  ``message``
     may be a function of the first failing stack index; for a stack, the
     text ends by naming that index."""
-    if not (ok.all() if ok.ndim else ok):  # a 0-d reduction costs a microsecond
+    if not (np.count_nonzero(ok) == ok.size if ok.ndim else ok):  # ok.all(), or a 0-d reduction, costs ~1 us more
         index = tuple(np.argwhere(~ok)[0][: ok.ndim - core])
         text = message(index) if callable(message) else message
         raise error(text + (f" (stack index {', '.join(map(str, index))})" if index else ""))
@@ -119,13 +170,13 @@ def validate_covariance(gamma) -> CovarianceReport:
     as (gamma + gamma.T)/2 before testing so that representation noise
     cannot flip the verdict.
     """
-    min_eig = _min_eigenvalue(_even_square(gamma, "covariance matrix", stack=True))
+    min_eig = _min_eigenvalue(_check_matrix(gamma, "covariance matrix", stack=True))
     return CovarianceReport(physical=_result(min_eig >= -DEFAULT_TOL), min_eigenvalue=_result(min_eig))
 
 
 def check_symplectic(s) -> bool:
     """True iff ||S Sigma S^T - Sigma||_max <= DEFAULT_TOL."""
-    s = _even_square(s, "symplectic candidate")
+    s = _check_matrix(s, "symplectic candidate")
     sigma = symplectic_form(s.shape[0] // 2)
     return bool(np.max(np.abs(s @ sigma @ s.T - sigma)) <= DEFAULT_TOL)
 
@@ -144,6 +195,8 @@ def rotation(mode: int, theta: float) -> Gate:
 
 
 def squeeze(mode: int, zeta: float) -> Gate:
+    """ValueError where |zeta| > ln(float max) ~ 709.78, past which e^|zeta| overflows, or zeta is NaN."""
+    _check_squeezing("zeta", zeta, _EXP_MAX, "exp(|zeta|)")
     return Gate((mode,), np.diag([np.exp(zeta), np.exp(-zeta)]))
 
 
@@ -197,10 +250,7 @@ def symplectic_eigenvalues(gamma) -> np.ndarray:
     the Hermitian matrix gamma^(1/2) (i Sigma) gamma^(1/2), which is better
     conditioned than the plain non-symmetric eigenproblem.
     """
-    return _spectrum(_even_square(gamma, "covariance matrix", stack=True))
-
-
-_PAIR_BAND = 1e-8
+    return _spectrum(_check_matrix(gamma, "covariance matrix", stack=True))
 
 
 def euler_decompose(s):
@@ -208,56 +258,37 @@ def euler_decompose(s):
 
     O1 and O2 are orthogonal and symplectic, D = diag(k1, 1/k1, ..., kN, 1/kN)
     with k_i >= 1 sorted descending.  The factorisation is not unique for
-    degenerate k_i; only the recomposition is guaranteed.
+    degenerate k_i.  ValueError unless the factors pass the cross-check:
+    check_symplectic on O1 and O2, and O1 D O2 = S to DEFAULT_TOL max(1, max|S|).
 
     Method: eigendecompose the symmetric positive-definite symplectic matrix
     S S^T, whose eigenvalues come in (k^2, 1/k^2) pairs with the partner
-    eigenvector -Sigma v.  Assembling the paired vectors column-wise gives an
-    orthogonal symplectic O1, and O2 = D^-1 O1^T S.
+    eigenvector -Sigma v.  In descending order, each eigenvector is
+    orthogonalised against the pairs kept so far and kept with its partner
+    unless it was a partner itself (nothing of it is left), so O1 is
+    orthogonal and symplectic even where eigh mixes k^2 and 1/k^2 at k ~ 1.
+    O2 = D^-1 O1^T S.
     """
-    s = _even_square(s, "symplectic matrix")
+    s = _check_matrix(s, "symplectic matrix")
     if not check_symplectic(s):
         raise ValueError("input is not symplectic within tolerance")
     n_modes = s.shape[0] // 2
     sigma = symplectic_form(n_modes)
 
     gram = s @ s.T
-    gram = 0.5 * (gram + gram.T)
-    evals, evecs = np.linalg.eigh(gram)
-
-    band = _PAIR_BAND * max(1.0, float(evals[-1]))
-    big = [i for i in range(len(evals)) if evals[i] > 1.0 + band]
-    unit = [i for i in range(len(evals)) if abs(evals[i] - 1.0) <= band]
-
-    pairs: list[tuple[float, np.ndarray]] = []  # (k, column vector u)
-    for i in sorted(big, key=lambda i: -evals[i]):
-        pairs.append((float(np.sqrt(evals[i])), evecs[:, i]))
-
-    # eigenvalue-1 subspace: build a symplectically paired orthonormal basis
-    basis = [evecs[:, i] for i in unit]
-    while basis:
-        u = basis.pop(0)
-        u = u / np.linalg.norm(u)
-        w = -sigma @ u
-        pairs.append((1.0, u))
-        kept = []
-        for v in basis:
-            v = v - (u @ v) * u - (w @ v) * w
-            norm = np.linalg.norm(v)
-            if norm > 1e-6:
-                kept.append(v / norm)
-        basis = kept
-
-    if len(pairs) != n_modes:
-        raise RuntimeError("failed to pair the singular-value spectrum")
-
-    o1 = np.empty_like(s)
-    d = np.empty(2 * n_modes)
-    for j, (k, u) in enumerate(pairs):
-        o1[:, 2 * j] = u
-        o1[:, 2 * j + 1] = -sigma @ u
-        d[2 * j] = k
-        d[2 * j + 1] = 1.0 / k
-    d_mat = np.diag(d)
-    o2 = np.diag(1.0 / d) @ o1.T @ s
-    return o1, d_mat, o2
+    evals, evecs = np.linalg.eigh(0.5 * (gram + gram.T))
+    o1, ks = np.empty_like(s), []
+    for e, v in zip(evals[::-1], evecs.T[::-1]):
+        kept = o1[:, : 2 * len(ks)]
+        u = v - kept @ (kept.T @ v)
+        if len(ks) < n_modes and np.linalg.norm(u) > 1e-6:
+            o1[:, 2 * len(ks)] = u = u / np.linalg.norm(u)
+            o1[:, 2 * len(ks) + 1] = -sigma @ u
+            ks.append(np.sqrt(max(e, 1.0)))
+    if len(ks) == n_modes:
+        d = np.ravel([(k, 1.0 / k) for k in ks])
+        d_mat, o2 = np.diag(d), np.diag(1.0 / d) @ o1.T @ s
+        recomposed = np.max(np.abs(o1 @ d_mat @ o2 - s)) <= DEFAULT_TOL * max(1.0, np.max(np.abs(s)))
+        if recomposed and check_symplectic(o1) and check_symplectic(o2):
+            return o1, d_mat, o2
+    raise ValueError("Euler factors fail the symplectic or recomposition cross-check")

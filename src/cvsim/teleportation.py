@@ -17,7 +17,18 @@ import numpy as np
 from .channels import IDEAL_FIBER, FiberParams, degraded_tmsv
 from .measurement import HomodyneResult, OutcomeDensity, _quadratic_rows, homodyne_project
 from .states import GaussianState
-from .symplectic import _SIGMA_1, _block_diag, beamsplitter, build_symplectic, rotation_matrix, validate_covariance
+from .symplectic import (
+    _SIGMA_1,
+    DEFAULT_TOL,
+    _block_diag,
+    _check_finite,
+    _check_matrix,
+    _check_vector,
+    _min_eigenvalue,
+    beamsplitter,
+    build_symplectic,
+    rotation_matrix,
+)
 
 # The 50:50 beamsplitter that mixes the signal (mode 0) with the near arm (mode 1).
 _MIX = build_symplectic([beamsplitter(0, 1)], 3)
@@ -39,13 +50,9 @@ class TeleportSetup:
     kappa_in: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
     def __post_init__(self):
-        gamma = np.asarray(self.gamma_in, dtype=float)
-        kappa = np.asarray(self.kappa_in, dtype=float)
-        if gamma.shape != (2, 2):
-            raise ValueError("signal covariance must be 2x2")
-        if kappa.shape != (2,) or not np.isfinite(kappa).all():
-            raise ValueError(f"signal mean must be a finite vector of length 2, got {kappa.tolist()}")
-        if not validate_covariance(gamma).physical:
+        gamma = _check_matrix(self.gamma_in, "signal covariance", 2)
+        kappa = _check_vector(self.kappa_in, "signal mean", 2)
+        if not _min_eigenvalue(gamma) >= -DEFAULT_TOL:
             raise ValueError("signal covariance is unphysical")
         object.__setattr__(self, "gamma_in", gamma)
         object.__setattr__(self, "kappa_in", kappa)
@@ -148,13 +155,10 @@ def _overlap_rows(total: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 def fidelity(gamma_in, gamma_rec) -> float:
     """Overlap fidelity of two zero-mean single-mode Gaussians,
     F = 2 / sqrt(det(gamma_in + gamma_rec)); the N = 1, zero-mean case of
-    :func:`state_overlap`.  ValueError unless both are finite 2x2 matrices."""
-    if np.shape(gamma_in) != (2, 2) or np.shape(gamma_rec) != (2, 2):
-        raise ValueError("fidelity expects two 2x2 covariance matrices")
-    total = np.asarray(gamma_in, dtype=float) + np.asarray(gamma_rec, dtype=float)
-    if not np.isfinite(total).all():
-        raise ValueError("fidelity expects two finite covariance matrices")
-    return float(_overlap_prefactor(total))
+    :func:`state_overlap`.  ValueError unless both, and their sum, are finite
+    2x2 matrices."""
+    total = _check_matrix(gamma_in, "gamma_in", 2) + _check_matrix(gamma_rec, "gamma_rec", 2)
+    return float(_overlap_prefactor(_check_finite(total, "covariance sum")))
 
 
 def state_overlap(state_a: GaussianState, state_b: GaussianState) -> float:
@@ -216,9 +220,7 @@ def teleport_monte_carlo(
     if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
     if gain is not None:
-        gain = np.asarray(gain, dtype=float)
-        if gain.shape != (2, 2) or not np.all(np.isfinite(gain)):
-            raise ValueError(f"gain must be a finite 2x2 matrix, got {gain!r}")
+        gain = _check_matrix(gain, "gain", 2, even=False)
     result = teleport(setup)
     chosen = result.gain if gain is None else gain
     record_map = math.sqrt(2.0) * result.density.signs[:, np.newaxis] * (result.gain - chosen).T

@@ -765,7 +765,7 @@ class TestGaussianFock:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_covariance(self, bad):
-        with pytest.raises(ValueError, match=f"covariance matrix must be finite, got .*{bad}"):
+        with pytest.raises(ValueError, match="^covariance matrix has non-finite entries$"):
             fock.gaussian_fock([[1.0, 0.0], [0.0, bad]])
 
 

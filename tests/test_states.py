@@ -21,7 +21,7 @@ class TestConstructors:
 
     def test_thermal_negative_n(self):
         for n in (-0.1, float("nan"), [0.5, float("nan")], float("inf"), [0.5, float("inf")]):
-            with pytest.raises(ValueError, match="non-negative"):
+            with pytest.raises(ValueError, match="^mean thermal photon number "):
                 cv.thermal_state(n)
 
     def test_thermal_mode_count(self):
@@ -45,7 +45,7 @@ class TestConstructors:
     def test_displace_needs_full_vector(self):
         assert_allclose(cv.displace(cv.vacuum_state(2), [1.0, 0.0, 0.0, -2.0]).kappa, [1.0, 0.0, 0.0, -2.0])
         for delta in (1.0, [1.0, 0.0], np.ones((1, 4))):
-            with pytest.raises(ValueError, match="displacement shape"):
+            with pytest.raises(ValueError, match=r"^displacement must be a vector of length 4, got shape"):
                 cv.displace(cv.vacuum_state(2), delta)
 
     def test_tmsv_zero_squeezing(self):
@@ -104,12 +104,10 @@ class TestConstructors:
     def test_mean_vector_mismatch(self):
         with pytest.raises(ValueError):
             cv.GaussianState(np.zeros(3), np.eye(4))
-        for build in (
-            lambda: cv.GaussianState([np.nan, 0.0], np.eye(2)),
-            lambda: cv.displace(cv.vacuum_state(1), [np.inf, 0.0]),
-        ):
-            with pytest.raises(ValueError, match="mean vector has non-finite entries"):
-                build()
+        with pytest.raises(ValueError, match="mean vector has non-finite entries"):
+            cv.GaussianState([np.nan, 0.0], np.eye(2))
+        with pytest.raises(ValueError, match="displacement has non-finite entries"):
+            cv.displace(cv.vacuum_state(1), [np.inf, 0.0])
 
     def test_states_are_frozen(self):
         st = cv.vacuum_state(1)
@@ -167,7 +165,7 @@ class TestMaxClassicalSqueezing:
 
     def test_negative_n(self):
         for n in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="non-negative"):
+            with pytest.raises(ValueError, match="^mean thermal photon number "):
                 cv.max_classical_squeezing(n)
 
     def test_boundary_matches_classicality_flip(self):

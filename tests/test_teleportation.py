@@ -44,7 +44,7 @@ class TestTeleport:
 
     @pytest.mark.parametrize("kappa_in", [[np.nan, 0.0], [0.0, np.inf], [0.0, 0.0, 0.0]])
     def test_rejects_bad_signal_mean(self, kappa_in):
-        with pytest.raises(ValueError, match="signal mean must be a finite vector of length 2"):
+        with pytest.raises(ValueError, match="^signal mean (must be a vector of length 2|has non-finite entries)"):
             cv.TeleportSetup(np.eye(2), zeta=0.5, kappa_in=kappa_in)
 
     def test_explicit_equals_generic_schur(self, rng):
