@@ -432,26 +432,21 @@ def gaussian_fock(gamma, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     covariance that is not a finite 2x2 matrix raises ValueError.
     """
     gamma = _check_matrix(gamma, "covariance matrix", 2)
-    nu = float(np.sqrt(np.linalg.det(gamma)))
-    if nu < 1.0 - 1e-9:
+    nu = float(np.sqrt(max(np.linalg.det(gamma), 0.0)))
+    if not nu >= 1.0 - 1e-9:  # a negative determinant gives 0, a NaN one fails
         raise ValueError("covariance matrix is unphysical")
     evals, evecs = np.linalg.eigh(0.5 * (gamma + gamma.T))
     zeta = 0.5 * np.log(evals[1] / nu)
     theta = float(np.arctan2(evecs[1, 1], evecs[0, 1]))
 
     d = cutoff + 1
-    n_bar = (nu - 1.0) / 2.0
-    if n_bar <= 0.0:
-        probs = np.zeros(d)
-        probs[0] = 1.0
-        weight = 0.0
-    else:
-        mu = n_bar / (n_bar + 1.0)
-        probs = (1.0 - mu) * mu ** np.arange(d)
-        weight = float(mu**d)
-        if weight > _TRUNCATION_BUDGET:
-            raise ValueError(f"thermal tail {weight:.3e} exceeds the budget; raise the cutoff")
-        probs = probs / probs.sum()
+    n_bar = max(0.0, (nu - 1.0) / 2.0)  # a pure state gives mu = 0: e_0 and weight 0, as 0.0**0 == 1
+    mu = n_bar / (n_bar + 1.0)
+    probs = (1.0 - mu) * mu ** np.arange(d)
+    weight = float(mu**d)
+    if weight > _TRUNCATION_BUDGET:
+        raise ValueError(f"thermal tail {weight:.3e} exceeds the budget; raise the cutoff")
+    probs = probs / probs.sum()
     rho = np.diag(probs).astype(complex)
     u = _rotation_unitary(d, theta) @ _squeeze_unitary(d, float(zeta))
     rho = u @ rho @ u.conj().T

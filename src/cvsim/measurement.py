@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import DEFAULT_TOL, _check_matrix, _check_symmetric, _check_vector, _min_eigenvalue
+from .symplectic import DEFAULT_TOL, _check_each, _check_matrix, _check_symmetric, _check_vector, _min_eigenvalue
 
 MP_REL_TOL = 1e-12
 # near-eps rank cut of gaussian_project: the core C2 + D^2 is invertible for
@@ -28,16 +28,19 @@ MP_REL_TOL = 1e-12
 _PROJECT_REL_TOL = 1e-15
 
 
-def _spectral_cut(mat, tol: float, name: str = "matrix") -> tuple[np.ndarray, float]:
-    """Moore-Penrose inverse and pseudo-determinant of a finite symmetric
-    matrix (else ValueError naming ``name``), from one eigen-solve.
+def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of (mat + mat^T) / 2."""
+    return np.linalg.eigh(0.5 * (mat + mat.T))
+
+
+def _spectral_cut(evals: np.ndarray, evecs: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """Moore-Penrose inverse and pseudo-determinant of a symmetric matrix
+    from its eigen-decomposition.
 
     Eigenvalues with |e| <= tol * max|e| count as exactly zero: the inverse
     drops them and the pseudo-determinant is the product of the others
     (1.0 when none is kept).
     """
-    mat = _check_matrix(mat, name, even=False, symmetric=True)
-    evals, evecs = np.linalg.eigh(0.5 * (mat + mat.T))
     keep = np.abs(evals) > tol * np.max(np.abs(evals), initial=0.0)
     inv = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
     return (evecs * inv) @ evecs.T, float(np.prod(evals[keep]))
@@ -48,7 +51,7 @@ def mp_inverse(mat) -> np.ndarray:
 
     Eigenvalues with |e| <= MP_REL_TOL * max|e| are treated as exactly zero.
     """
-    return _spectral_cut(mat, MP_REL_TOL)[0]
+    return _spectral_cut(*_eigh(_check_matrix(mat, "matrix", even=False, symmetric=True)), MP_REL_TOL)[0]
 
 
 def _checked_input(gamma, measured, per_mode: int) -> tuple[np.ndarray, list[int]]:
@@ -116,7 +119,8 @@ def gaussian_project(gamma, measured_modes, d_matrix) -> ConditionalResult:
     d_matrix = _check_matrix(d_matrix, "D", c2.shape[0], even=False)
     if np.any(d_matrix != np.diag(np.diagonal(d_matrix))) or np.any(np.diagonal(d_matrix) < 0):
         raise ValueError("D must be diagonal with non-negative entries")
-    core_inv, core_det = _spectral_cut(c2 + d_matrix @ d_matrix, _PROJECT_REL_TOL)
+    core = _check_matrix(c2 + d_matrix @ d_matrix, "matrix", even=False, symmetric=True)  # D^2 can overflow
+    core_inv, core_det = _spectral_cut(*_eigh(core), _PROJECT_REL_TOL)
     return ConditionalResult(c1 - c3 @ core_inv @ c3.T, core_det**-0.5, c3 @ core_inv)
 
 
@@ -140,25 +144,32 @@ class OutcomeDensity:
     mean: np.ndarray
     signs: np.ndarray
 
+    def _solve(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``mean``, ``signs`` and the eigen-decomposition of ``block``; ValueError unless block is a finite
+        symmetric matrix and mean and signs are finite vectors of its length, each sign +1 or -1."""
+        block = _check_matrix(self.block, "block", even=False, symmetric=True)
+        mean = _check_vector(self.mean, "mean", len(block))
+        signs = _check_vector(self.signs, "signs", len(block))
+        _check_each(np.abs(signs) == 1.0, lambda _: f"signs must be +1 or -1, got {signs}", core=1)
+        return (mean, signs, *_eigh(block))
+
     def pdf(self, outcomes) -> np.ndarray | float:
         """exp(-d^T B^MP d) / (pi^(n/2) sqrt(pdet B)) per record, d its sign-adjusted deviation from ``mean``."""
-        inv, det = _spectral_cut(self.block, MP_REL_TOL, "block")
+        mean, signs, evals, evecs = self._solve()
+        inv, det = _spectral_cut(evals, evecs, MP_REL_TOL)
         outcomes = np.asarray(outcomes, dtype=float)
         single = outcomes.ndim == 1
         pts = _check_vector(np.atleast_2d(outcomes), "outcomes", len(inv), stack=True)
-        dev = pts * self.signs - _check_vector(self.mean, "mean", len(inv))
         norm = np.pi ** (len(inv) / 2.0) * np.sqrt(det)
-        vals = np.exp(-_quadratic_rows(dev, inv)) / norm
+        vals = np.exp(-_quadratic_rows(pts * signs - mean, inv)) / norm
         return float(vals[0]) if single else vals
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw outcome records (rows) from the density of a finite block and mean."""
-        block = _check_matrix(self.block, "block", even=False)
-        mean = _check_vector(self.mean, "mean", len(block))
-        evals, evecs = np.linalg.eigh(0.5 * (block + block.T))
+        """Draw outcome records (rows) from the density; ValueError as in pdf."""
+        mean, signs, evals, evecs = self._solve()
         root = evecs * np.sqrt(np.clip(0.5 * evals, 0.0, None))
         # (mean + z R^T) * signs with the exact +-1 factors folded into R and mean
-        return mean * self.signs + rng.standard_normal((size, mean.size)) @ (root.T * self.signs)
+        return mean * signs + rng.standard_normal((size, mean.size)) @ (root.T * signs)
 
 
 @dataclass(frozen=True)
@@ -181,22 +192,12 @@ def homodyne_project(gamma, measured, kappa=None) -> HomodyneResult:
     the module docstring for the record convention it consumes.
     """
     gamma, measured = _checked_input(gamma, measured, per_mode=2)
-    modes = [q // 2 for q in measured]
-    if len(set(modes)) != len(modes):
+    if len({q // 2 for q in measured}) != len(measured):
         raise ValueError("cannot homodyne both quadratures of one mode")
-    dim = gamma.shape[0]
-    kappa = np.zeros(dim) if kappa is None else _check_vector(kappa, "kappa", dim)
-
+    kappa = np.zeros(len(gamma)) if kappa is None else _check_vector(kappa, "kappa", len(gamma))
     conj = [_conjugate_quadrature(q) for q in measured]
     c1, block, c3 = _split(gamma, conj)
-    full_map = c3 @ mp_inverse(block)
-    gamma_out = c1 - full_map @ c3.T
-    mean_map = full_map / np.sqrt(2.0)
-
+    _check_symmetric(block, "matrix")  # mp_inverse's rule: the block can fail it at its own scale
+    full_map = c3 @ _spectral_cut(*_eigh(block), MP_REL_TOL)[0]
     signs = np.array([1.0 if q % 2 == 0 else -1.0 for q in measured])
-    density = OutcomeDensity(
-        block=block,
-        mean=kappa[conj],
-        signs=signs,
-    )
-    return HomodyneResult(gamma_out, mean_map, density)
+    return HomodyneResult(c1 - full_map @ c3.T, full_map / np.sqrt(2.0), OutcomeDensity(block, kappa[conj], signs))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import IDEAL_FIBER, FiberParams, degraded_tmsv
-from .measurement import HomodyneResult, OutcomeDensity, _quadratic_rows, homodyne_project
+from .measurement import OutcomeDensity, _quadratic_rows, homodyne_project
 from .states import GaussianState
 from .symplectic import (
     _SIGMA_1,
@@ -110,29 +110,24 @@ def teleport(setup: TeleportSetup) -> TeleportResult:
     """Run the full protocol and return the receiver-side summary.
 
     The receiver covariance is computed twice, from the closed form and
-    from the generic homodyne machinery, and the two must agree (up to a
-    tolerance scaled by the magnitude of the mixed covariance matrix, since
-    the generic Schur complement loses absolute precision for strongly
-    squeezed resources).
+    from the generic homodyne machinery, and the two must agree, NaN
+    failing, to a tolerance scaled by the magnitude of the mixed covariance
+    matrix: the generic Schur complement loses absolute precision for
+    strongly squeezed resources.
     """
     gamma_dec = degraded_tmsv(setup.zeta, setup.f1, setup.f2)
     gamma_012 = _MIX @ _block_diag(setup.gamma_in, gamma_dec) @ _MIX.T
     kappa_012 = _MIX @ np.concatenate([setup.kappa_in, np.zeros(4)])
 
-    hom: HomodyneResult = homodyne_project(gamma_012, measured=(0, 3), kappa=kappa_012)
+    hom = homodyne_project(gamma_012, measured=(0, 3), kappa=kappa_012)
     gamma_explicit = _gamma_rec_explicit(setup.gamma_in, setup.zeta, setup.f1, setup.f2)
 
     scale = max(1.0, float(np.max(np.abs(gamma_012))))
-    if np.max(np.abs(gamma_explicit - hom.gamma_out)) > 1e-10 * scale:
+    if not np.max(np.abs(gamma_explicit - hom.gamma_out)) <= 1e-10 * scale:
         raise RuntimeError("closed-form and Schur-complement receiver covariances disagree")
 
-    f_qu = fidelity(setup.gamma_in, gamma_explicit)
-    return TeleportResult(
-        gamma_rec=gamma_explicit,
-        gain=hom.mean_map,
-        density=hom.density,
-        fidelity_zero_mean=f_qu,
-    )
+    fidelity_zero_mean = _overlap_prefactor(setup.gamma_in + gamma_explicit)
+    return TeleportResult(gamma_explicit, hom.mean_map, hom.density, fidelity_zero_mean)
 
 
 def _overlap_prefactor(total: np.ndarray) -> float:

@@ -50,3 +50,12 @@ def random_fiber(rng, max_n=0.5, phases=True):
         r_mag=float(np.sqrt(r2)),
         n_th=float(rng.uniform(0.0, max_n)),
     )
+
+
+def count_solves(monkeypatch, names=("eigh", "eigvalsh")):
+    """Shapes of the matrices passed to the np.linalg solvers ``names``, in call order."""
+    calls = []
+    for name in names:
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, solve=solve: calls.append(m.shape) or solve(m))
+    return calls

@@ -24,8 +24,8 @@ _SETUP = cv.TeleportSetup(np.eye(2), zeta=0.5)
 _FOCK = fock.build_tmsv_fock(0.3, cutoff=8)
 
 
-def _density(block=np.eye(2), mean=np.zeros(2)):
-    return cv.OutcomeDensity(block, mean, np.ones(2))
+def _density(block=np.eye(2), mean=np.zeros(2), signs=np.ones(2)):
+    return cv.OutcomeDensity(block, mean, signs)
 
 
 # (callable, argument): (call with the argument, a valid value, the name its
@@ -54,8 +54,10 @@ ARGUMENTS = {
     ("OutcomeDensity.pdf", "block"): (lambda b: _density(block=b).pdf(np.zeros(2)), np.eye(2), "block", False),
     ("OutcomeDensity.pdf", "mean"): (lambda m: _density(mean=m).pdf(np.zeros(2)), np.zeros(2), "mean", False),
     ("OutcomeDensity.pdf", "outcomes"): (lambda x: _density().pdf(x), np.zeros(2), "outcomes", True),
+    ("OutcomeDensity.pdf", "signs"): (lambda s: _density(signs=s).pdf(np.zeros(2)), np.array([1.0, -1.0]), "signs", False),
     ("OutcomeDensity.sample", "block"): (lambda b: _density(block=b).sample(np.random.default_rng(0), 3), np.eye(2), "block", False),
     ("OutcomeDensity.sample", "mean"): (lambda m: _density(mean=m).sample(np.random.default_rng(0), 3), np.zeros(2), "mean", False),
+    ("OutcomeDensity.sample", "signs"): (lambda s: _density(signs=s).sample(np.random.default_rng(0), 3), np.array([1.0, -1.0]), "signs", False),
     ("is_separable", "gamma"): (cv.is_separable, _TMSV, "covariance matrix", True),
     ("log_negativity", "gamma"): (cv.log_negativity, _TMSV, "covariance matrix", True),
     ("partial_transpose", "gamma"): (cv.partial_transpose, _TMSV, "covariance matrix", True),
@@ -151,6 +153,25 @@ class TestDefectsRefused:
             density.pdf(0.0)
         with pytest.raises(ValueError, match="^block has non-finite entries$"):
             density.sample(np.random.default_rng(0), 3)
+
+    def test_outcome_density_signs(self):
+        # a NaN sign gave a NaN pdf, 0.5 was accepted and scaled the records
+        with pytest.raises(ValueError, match="^signs has non-finite entries$"):
+            cv.OutcomeDensity(np.eye(1), np.zeros(1), np.array([NAN])).pdf(np.zeros(1))
+        density = cv.OutcomeDensity(np.eye(2), np.zeros(2), np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match=r"^signs must be \+1 or -1, got \[1\.  0\.5\]$"):
+            density.pdf(np.zeros(2))
+        with pytest.raises(ValueError, match=r"^signs must be \+1 or -1"):
+            density.sample(np.random.default_rng(0), 3)
+        with pytest.raises(ValueError, match="^signs must be a vector of length 2"):
+            cv.OutcomeDensity(np.eye(2), np.zeros(2), np.ones(3)).sample(np.random.default_rng(0), 3)
+
+    def test_sample_of_an_asymmetric_block(self):
+        # sample drew from the symmetrised block that pdf refuses
+        density = cv.OutcomeDensity(np.array([[1.0, 0.3], [0.0, 1.0]]), np.zeros(2), np.ones(2))
+        for read in (lambda: density.pdf(np.zeros(2)), lambda: density.sample(np.random.default_rng(0), 3)):
+            with pytest.raises(ValueError, match="^block must be symmetric$"):
+                read()
 
     def test_nan_channel(self):
         with pytest.raises(ValueError, match="^noise matrix G has non-finite entries$"):

@@ -768,6 +768,11 @@ class TestGaussianFock:
         with pytest.raises(ValueError, match="^covariance matrix has non-finite entries$"):
             fock.gaussian_fock([[1.0, 0.0], [0.0, bad]])
 
+    def test_rejects_a_negative_determinant(self):
+        # the gate compared a NaN nu False and built a NaN squeezer
+        with pytest.raises(ValueError, match="^covariance matrix is unphysical$"):
+            fock.gaussian_fock(np.diag([-1.0, 2.0]))
+
 
 class TestConstructorInputs:
     @pytest.mark.parametrize("build, count", [

@@ -7,7 +7,7 @@ from scipy.linalg import block_diag
 
 import cvsim as cv
 from cvsim.measurement import _conjugate_quadrature
-from conftest import random_symplectic, random_two_mode_physical
+from conftest import count_solves, random_symplectic, random_two_mode_physical
 
 
 def teleport_mixed_gamma(zeta, gamma_in):
@@ -50,18 +50,6 @@ class TestMpInverse:
             cv.mp_inverse(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
-def _count_eigh(monkeypatch):
-    calls = []
-    eigh = np.linalg.eigh
-
-    def recording(matrix):
-        calls.append(matrix.shape)
-        return eigh(matrix)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording)
-    return calls
-
-
 class TestPseudoDeterminant:
     """The normalisation of the outcome density and the projection
     probability use the product of the eigenvalues kept by the rank cut."""
@@ -86,7 +74,7 @@ class TestPseudoDeterminant:
 
     def test_pdf_solves_the_block_once(self, monkeypatch):
         density = cv.homodyne_project(cv.tmsv_state(0.3).gamma, measured={0, 3}).density
-        calls = _count_eigh(monkeypatch)
+        calls = count_solves(monkeypatch)
         density.pdf(np.array([[0.1, -0.2], [0.3, 0.0]]))
         assert calls == [(2, 2)]
 
@@ -124,7 +112,7 @@ class TestGaussianProject:
 
     def test_solves_the_core_once(self, monkeypatch):
         gamma = cv.tmsv_state(0.5).gamma
-        calls = _count_eigh(monkeypatch)
+        calls = count_solves(monkeypatch, ["eigh"])
         cv.gaussian_project(gamma, [1], np.diag([2.0, 0.5]))
         assert calls == [(2, 2)]
 
@@ -144,6 +132,17 @@ class TestProjectionInput:
         gamma[0, 2] = 0.3
         with pytest.raises(ValueError, match="symmetric"):
             self._project(kind, gamma, 1)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "homodyne"])
+    def test_rejects_a_block_asymmetric_at_its_own_scale(self, kind):
+        # symmetric enough at max|gamma| = 1e6, not at the scale of the solved block
+        gamma = np.diag([1.0, 1.0, 1.0, 1.0, 1e6, 1e6])
+        gamma[0, 2] = 1e-5
+        with pytest.raises(ValueError, match="^matrix must be symmetric$"):
+            if kind == "homodyne":
+                cv.homodyne_project(gamma, [1, 3])
+            else:
+                cv.gaussian_project(gamma, [0, 1], np.eye(4))
 
     @pytest.mark.parametrize("kind", ["gaussian", "homodyne"])
     def test_rejects_unphysical(self, kind):

@@ -6,8 +6,9 @@ from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
 import cvsim as cv
+from cvsim import teleportation
 from cvsim.teleportation import _gamma_rec_explicit, _overlap_rows
-from conftest import random_fiber, random_single_mode_physical, random_symplectic
+from conftest import count_solves, random_fiber, random_single_mode_physical, random_symplectic
 
 SIGMA1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -68,6 +69,24 @@ class TestTeleport:
             )
             res = cv.teleport(setup)
             assert cv.validate_covariance(res.gamma_rec).physical
+
+    def test_eigen_solves_per_call(self, monkeypatch):
+        # homodyne_project's physicality gate on the 6x6 mixed matrix and its
+        # solve of the 2x2 conjugate block; sample solves the block once more
+        fiber = cv.FiberParams(0.9, phase=0.4, r_mag=0.2, n_th=0.3)
+        setup = cv.TeleportSetup(cv.squeezed_signal(0.4).gamma, 0.8, fiber, fiber, kappa_in=[0.5, -1.0])
+        calls = count_solves(monkeypatch)
+        cv.teleport(setup)
+        assert calls == [(6, 6), (2, 2)]
+        del calls[:]
+        cv.teleport_monte_carlo(setup, 100, seed=0)
+        assert calls == [(6, 6), (2, 2), (2, 2)]
+
+    def test_nan_receiver_fails_the_cross_check(self, monkeypatch):
+        # NaN compared False against the tolerance and reached fidelity's finiteness rule
+        monkeypatch.setattr(teleportation, "_gamma_rec_explicit", lambda *args: np.full((2, 2), np.nan))
+        with pytest.raises(RuntimeError, match="^closed-form and Schur-complement receiver covariances disagree$"):
+            cv.teleport(cv.TeleportSetup(np.eye(2), zeta=0.5))
 
 
 class TestFidelity:
