@@ -4,6 +4,8 @@ measurements, separability and logarithmic negativity, fiber entanglement
 degradation, continuous-variable teleportation, and a truncated Fock-space
 oracle for independent verification."""
 
+from importlib import import_module as _import_module
+
 from .symplectic import (
     DEFAULT_TOL,
     CovarianceReport,
@@ -72,8 +74,15 @@ from .teleportation import (
     teleport,
     teleport_monte_carlo,
 )
-from . import fock
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the Fock oracle is loaded on first use of cvsim.fock (PEP 562)
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + ["fock"])
+
+
+def __getattr__(name):
+    if name == "fock":
+        return _import_module(".fock", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

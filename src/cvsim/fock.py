@@ -24,6 +24,10 @@ norm (Vidal and Werner, PRA 65, 032314 (2002)), solved block by block.
 At cutoff 25 that is 51 blocks of size at most 26.  _blocks reads the
 blocks off the exact zeros of the matrix, not off this physics, so the
 result is the dense one for any input, and a dense matrix is one block.
+Every lossy TMSV at one cutoff has one pattern; the search is cached per
+exact pattern.  A real tensor stays real (TMSV, number states, loss,
+partial traces), which halves the 7.3 MB cutoff-25 tensor and the flops.
+``import cvsim`` does not load this module; ``cvsim.fock`` loads it.
 
 Loss with thermal occupation is out of scope; all oracle checks run at
 n_th = 0.
@@ -57,8 +61,10 @@ class FockState:
     ``tensor`` has shape (d, ..., d) with the ket indices first and the bra
     indices last (d = cutoff + 1); ``trunc_weight`` is the probability lost
     to the truncation when the state was built.  ``modes`` must be at least
-    1, else ValueError.  ``tensor`` may be a strided view (apply_loss_fock
-    returns one), so ``matrix`` may copy it.
+    1 and ``cutoff`` an integer >= 0, else ValueError.  ``tensor`` is kept
+    as float64 unless the input is complex, then as complex128; a real
+    state stays real through loss and partial traces.  It may be a strided
+    view (apply_loss_fock returns one), so ``matrix`` may copy it.
     """
 
     modes: int
@@ -68,9 +74,9 @@ class FockState:
 
     def __post_init__(self):
         _check_mode_count(self.modes)
-        d = self.cutoff + 1
-        expected = (d,) * (2 * self.modes)
-        tensor = np.asarray(self.tensor, dtype=complex)
+        object.__setattr__(self, "cutoff", _check_cutoff(self.cutoff))
+        expected = (self.cutoff + 1,) * (2 * self.modes)
+        tensor = np.asarray(self.tensor, dtype=complex if np.iscomplexobj(self.tensor) else float)
         if tensor.shape != expected:
             raise ValueError(f"tensor shape {tensor.shape} != {expected}")
         object.__setattr__(self, "tensor", tensor)
@@ -89,6 +95,13 @@ class FockState:
 
     def purity(self) -> float:
         return _trace_product(self.tensor, self.tensor)
+
+
+def _check_cutoff(cutoff, name: str = "cutoff") -> int:
+    """The cutoff as an int; ValueError unless an integer >= 0."""
+    if not (float(cutoff).is_integer() and cutoff >= 0):
+        raise ValueError(f"{name} must be an integer >= 0, got {cutoff!r}")
+    return int(cutoff)
 
 
 def _diagonal(tensor: np.ndarray, modes: int) -> np.ndarray:
@@ -117,14 +130,16 @@ def vacuum_fock(modes: int = 1, cutoff: int = DEFAULT_CUTOFF) -> FockState:
 def number_state_fock(ns, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     """Product number state |n1, n2, ...><...|.
 
-    ValueError unless ``ns`` is a vector of at least one occupation, each an
-    integer in [0, cutoff]; 1.7 is not read as 1.
+    ValueError unless ``cutoff`` is an integer >= 0 and ``ns`` is a vector
+    of at least one occupation, each an integer in [0, cutoff]; 1.7 is not
+    read as 1.
     """
+    cutoff = _check_cutoff(cutoff)
     ns = np.atleast_1d(np.asarray(ns, dtype=float))
     if not np.all((ns >= 0) & (ns <= cutoff) & (ns == np.round(ns))):
         raise ValueError(f"occupations must be integers in [0, {cutoff}], got {ns.tolist()}")
     _check_vector(ns, "occupations")  # one per mode, not a stack
-    tensor = np.zeros((cutoff + 1,) * (2 * len(ns)), dtype=complex)
+    tensor = np.zeros((cutoff + 1,) * (2 * len(ns)))
     tensor[tuple(ns.astype(int)) * 2] = 1.0
     return FockState(len(ns), cutoff, tensor)
 
@@ -134,11 +149,12 @@ def build_tmsv_fock(zeta: float, cutoff: int = DEFAULT_CUTOFF) -> FockState:
 
     The expansion is truncated at the cutoff and renormalised; the dropped
     weight q^(2(cutoff+1)) is reported on the state and must not exceed
-    the truncation budget 1e-6.  A non-finite zeta raises ValueError.
-    Only the d^2 nonzero entries rho[n, n, m, m] are written.
+    the truncation budget 1e-6.  A non-finite zeta or a cutoff that is not
+    an integer >= 0 raises ValueError.  Only the d^2 nonzero entries
+    rho[n, n, m, m] are written, and the state is real.
     """
     q = np.tanh(_check_finite(zeta, "squeezing"))
-    d = cutoff + 1
+    d = _check_cutoff(cutoff) + 1
     weight = float(q ** (2 * d))
     if weight > _TRUNCATION_BUDGET:
         raise ValueError(
@@ -149,8 +165,8 @@ def build_tmsv_fock(zeta: float, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     np.fill_diagonal(psi, amps)
     # the norm of the d^2 state vector rounds unlike that of the d amplitudes
     amps = np.diagonal(psi) / np.linalg.norm(psi)
-    rho = np.zeros((d,) * 4, dtype=complex)
-    rho.reshape(d * d, d * d)[:: d + 1, :: d + 1] = np.outer(amps, amps.conj())
+    rho = np.zeros((d,) * 4)
+    rho.reshape(d * d, d * d)[:: d + 1, :: d + 1] = np.outer(amps, amps.conj()).real
     return FockState(2, cutoff, rho, weight)
 
 
@@ -170,6 +186,18 @@ def _blocks(m: np.ndarray) -> list[np.ndarray]:
             frontier = np.flatnonzero(linked[frontier].any(axis=0) & (label < 0))
         blocks.append(np.flatnonzero(label == len(blocks)))
     return blocks
+
+
+@lru_cache(maxsize=8)
+def _pattern_blocks(pattern: bytes, n: int) -> tuple[np.ndarray, ...]:
+    """_blocks of an n x n matrix whose nonzero pattern packs to ``pattern``
+    (np.packbits of m != 0), searched once per pattern; read-only, because
+    the index arrays are cached."""
+    nonzero = np.unpackbits(np.frombuffer(pattern, np.uint8), count=n * n).reshape(n, n)
+    blocks = _blocks(nonzero)
+    for idx in blocks:
+        idx.setflags(write=False)
+    return tuple(blocks)
 
 
 def _destroy(d: int) -> np.ndarray:
@@ -310,7 +338,7 @@ def log_negativity_fock(state: FockState, base="e") -> float:
 
     The partial transpose swaps the second mode's ket and bra indices; the
     result is log of the sum of absolute eigenvalues, solved block by block
-    over its nonzero pattern.
+    over its nonzero pattern (see _pattern_blocks).
     """
     if state.modes != 2:
         raise ValueError("log negativity needs a bipartite state")
@@ -319,7 +347,7 @@ def log_negativity_fock(state: FockState, base="e") -> float:
         warnings.warn("cutoff boundary population exceeds budget; result may be truncation dominated")
     d = state.cutoff + 1
     pt = state.tensor.transpose(0, 3, 2, 1).reshape(d * d, d * d)
-    blocks = (pt[np.ix_(idx, idx)] for idx in _blocks(pt))
+    blocks = (pt[np.ix_(idx, idx)] for idx in _pattern_blocks(np.packbits(pt != 0).tobytes(), d * d))
     trace_norm = sum(float(np.sum(np.abs(np.linalg.eigvalsh(block)))) for block in blocks)
     return float(_to_base(np.log(trace_norm), base))
 
@@ -347,8 +375,10 @@ class QuadratureWavefunctionTable:
 
     @classmethod
     def build(cls, grid, n_max: int) -> "QuadratureWavefunctionTable":
-        """The table on ``grid``; ValueError unless every grid point is finite."""
+        """The table on ``grid``; ValueError unless every grid point is finite
+        and ``n_max`` an integer >= 0."""
         grid = _check_finite(np.asarray(grid, dtype=float), "grid")
+        n_max = _check_cutoff(n_max, "n_max")
         values = np.empty((n_max + 1, grid.size))
         values[0] = np.pi**-0.25 * np.exp(-0.5 * grid**2)
         if n_max >= 1:
@@ -429,9 +459,11 @@ def gaussian_fock(gamma, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     Decomposes gamma = R(theta) diag(nu k^2, nu/k^2) R(theta)^T and builds
     the rotated, squeezed thermal state with the matching unitaries; the
     thermal tail beyond the cutoff must not exceed the budget 1e-6.  A
-    covariance that is not a finite 2x2 matrix raises ValueError.
+    covariance that is not a finite 2x2 matrix, or a cutoff that is not an
+    integer >= 0, raises ValueError.
     """
     gamma = _check_matrix(gamma, "covariance matrix", 2)
+    d = _check_cutoff(cutoff) + 1
     nu = float(np.sqrt(max(np.linalg.det(gamma), 0.0)))
     if not nu >= 1.0 - 1e-9:  # a negative determinant gives 0, a NaN one fails
         raise ValueError("covariance matrix is unphysical")
@@ -439,7 +471,6 @@ def gaussian_fock(gamma, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     zeta = 0.5 * np.log(evals[1] / nu)
     theta = float(np.arctan2(evecs[1, 1], evecs[0, 1]))
 
-    d = cutoff + 1
     n_bar = max(0.0, (nu - 1.0) / 2.0)  # a pure state gives mu = 0: e_0 and weight 0, as 0.0**0 == 1
     mu = n_bar / (n_bar + 1.0)
     probs = (1.0 - mu) * mu ** np.arange(d)

@@ -12,10 +12,11 @@ from cvsim import fock
 from conftest import random_single_mode_physical
 
 
-def _random_density(rng, modes, cutoff):
-    """Random full-rank density matrix: non-Gaussian, nonzero means, no phase symmetry."""
+def _random_density(rng, modes, cutoff, real=False):
+    """Random full-rank density matrix: non-Gaussian, nonzero means, no phase
+    symmetry unless ``real``."""
     n = (cutoff + 1) ** modes
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    g = rng.normal(size=(n, n)) if real else rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = g @ g.conj().T
     return fock.FockState(modes, cutoff, (rho / np.trace(rho)).reshape((cutoff + 1,) * (2 * modes)))
 
@@ -239,9 +240,9 @@ def _dense_loss_kraus(cutoff, tau):
     return np.stack([u[:, k, :, 0] for k in range(d)])
 
 
-def _random_pure(rng, modes, cutoff):
+def _random_pure(rng, modes, cutoff, real=False):
     d = cutoff + 1
-    psi = rng.normal(size=d**modes) + 1j * rng.normal(size=d**modes)
+    psi = rng.normal(size=d**modes) if real else rng.normal(size=d**modes) + 1j * rng.normal(size=d**modes)
     psi /= np.linalg.norm(psi)
     return fock.FockState(modes, cutoff, np.outer(psi, psi.conj()).reshape((d,) * (2 * modes)))
 
@@ -293,9 +294,10 @@ class TestMemory:
     results need (lossy TMSV at cutoff 25)."""
 
     def test_warm_loss_holds_its_copy_and_its_result(self):
-        # the result is the moved copy itself, seen in the state's axis order
+        # the result is the moved copy itself, seen in the state's axis order;
+        # a real state is half a complex tensor
         st = _lossy_tmsv()
-        assert _peak_tensors(lambda: fock.apply_loss_fock(st, 1, 0.8)) <= 1.1
+        assert _peak_tensors(lambda: fock.apply_loss_fock(st, 1, 0.8)) <= 0.6
 
     def test_diagonal_readers_copy_no_tensor(self):
         st = _lossy_tmsv()  # a strided view, whose .matrix would be a copy
@@ -305,7 +307,7 @@ class TestMemory:
         # the one elementwise product; .matrix of this view would copy it first
         st = _lossy_tmsv()
         pure = fock.build_tmsv_fock(0.4)
-        assert _peak_tensors(lambda: (st.purity(), fock.overlap_fock(pure, st))) <= 1.1
+        assert _peak_tensors(lambda: (st.purity(), fock.overlap_fock(pure, st))) <= 0.6
 
     def test_moments_copy_no_tensor(self):
         st = _lossy_tmsv()
@@ -320,7 +322,12 @@ class TestMemory:
             fock.covariance_from_fock(st)
             fock.homodyne_povm_fock(st, 0)
 
-        assert _peak_tensors(chain) <= 2.2
+        assert _peak_tensors(chain) <= 1.2
+
+    def test_log_negativity_holds_one_partial_transpose(self):
+        st = _lossy_tmsv()
+        fock.log_negativity_fock(st)  # the block search of this pattern is cached
+        assert _peak_tensors(lambda: fock.log_negativity_fock(st)) <= 0.65
 
 
 def _dense_boundary_population(state):
@@ -789,3 +796,119 @@ class TestConstructorInputs:
     def test_rejects_occupations_that_are_not_levels(self, ns):
         with pytest.raises(ValueError, match=r"occupations must be integers in \[0, 8\], got"):
             fock.number_state_fock(ns, cutoff=8)
+
+
+def _assert_same_readings(got, want):
+    """Arrays bit for bit; scalars, which sum or eigen-solve in real rather
+    than complex arithmetic, within 1e-15."""
+    for g, w in zip(got, want, strict=True):
+        if np.ndim(g) == 0:
+            assert abs(g - w) <= 1e-15
+        else:
+            assert np.array_equal(g, w)
+
+
+class TestRealArithmetic:
+    """A real state is stored and evolved as float64 and reads like the same
+    state stored as complex."""
+
+    def test_real_builders_and_maps_give_float64(self):
+        tmsv = fock.build_tmsv_fock(0.3, cutoff=6)
+        states = [tmsv, fock.number_state_fock([1, 2], 6), fock.vacuum_fock(2, 6)]
+        states += [fock.apply_loss_fock(tmsv, 1, 0.7), fock.partial_trace(tmsv, [0])]
+        assert [st.tensor.dtype for st in states] == [np.float64] * 5
+
+    def test_input_dtype_rule(self):
+        d = np.arange(4).reshape(2, 2)
+        assert fock.FockState(1, 1, d).tensor.dtype == np.float64
+        assert fock.FockState(1, 1, d.astype(bool)).tensor.dtype == np.float64
+        assert fock.FockState(1, 1, d.astype(np.float32)).tensor.dtype == np.float64
+        assert fock.FockState(1, 1, d + 0j).tensor.dtype == np.complex128
+        assert fock.FockState(1, 1, (d + 0j).astype(np.complex64)).tensor.dtype == np.complex128
+        assert fock.homodyne_conditional_fock(fock.build_tmsv_fock(0.3, 6), 0, 0.2).tensor.dtype == np.complex128
+
+    def test_real_state_is_not_copied(self):
+        t = np.eye(3)
+        assert fock.FockState(1, 2, t).tensor is t
+
+    def test_lossy_tmsv_reads_as_its_complex_cast(self):
+        real = _lossy_tmsv(cutoff=8)
+        cast = fock.FockState(2, 8, real.tensor.astype(complex))
+        assert real.tensor.dtype == np.float64
+        pure = fock.build_tmsv_fock(0.4, 8)
+        _assert_same_readings(_readings(real, pure), _readings(cast, pure))
+
+    @pytest.mark.parametrize("modes, cutoff", [(1, 0), (1, 9), (2, 1), (2, 6), (3, 3)])
+    def test_random_real_state_reads_as_its_complex_cast(self, rng, modes, cutoff):
+        real = _random_density(rng, modes, cutoff, real=True)
+        cast = fock.FockState(modes, cutoff, real.tensor.astype(complex))
+        assert real.tensor.dtype == np.float64
+        pure = _random_pure(rng, modes, cutoff, real=True)
+        got, want = _readings(real, pure), _readings(cast, pure)
+        if modes == 1:
+            # reading 5, the loss result: its products have one real column,
+            # which numpy hands to a matrix-vector kernel, and the complex
+            # cast's two real columns to a matrix-matrix one, which sums in
+            # another order
+            assert np.max(np.abs(got.pop(5) - want.pop(5))) <= 1e-15
+        _assert_same_readings(got, want)
+
+
+class TestPatternBlocks:
+    def test_one_search_per_nonzero_pattern(self, rng, monkeypatch):
+        calls = []
+        blocks = fock._blocks
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return blocks(matrix)
+
+        monkeypatch.setattr(fock, "_blocks", counting)
+        fock._pattern_blocks.cache_clear()
+        for zeta, taus in ((0.4, (0.7, 0.8)), (0.3, (0.9, 0.6))):
+            st = _lossy_tmsv(zeta, 25, taus)
+            assert abs(fock.log_negativity_fock(st) - _dense_log_negativity(st)) <= 1e-12
+        assert len(calls) == 1
+        pt = _random_block_matrix(rng, 49, 3)
+        structured = fock.FockState(2, 6, pt.reshape((7,) * 4).transpose(0, 3, 2, 1))
+        assert abs(fock.log_negativity_fock(structured) - _dense_log_negativity(structured)) <= 1e-12
+        assert len(calls) == 2
+
+    def test_cached_index_arrays_are_read_only(self, rng):
+        m = _random_block_matrix(rng, 30, 4)
+        cached = fock._pattern_blocks(np.packbits(m != 0).tobytes(), 30)
+        assert len(cached) == 4 and not any(idx.flags.writeable for idx in cached)
+        assert all(np.array_equal(a, b) for a, b in zip(cached, fock._blocks(m), strict=True))
+
+
+_CUTOFF_ENTRY_POINTS = {
+    "FockState": lambda c: fock.FockState(1, c, np.zeros((1, 1))),
+    "vacuum_fock": lambda c: fock.vacuum_fock(1, c),
+    "number_state_fock": lambda c: fock.number_state_fock([0], c),
+    "build_tmsv_fock": lambda c: fock.build_tmsv_fock(0.001, c),
+    "gaussian_fock": lambda c: fock.gaussian_fock(np.eye(2), c),
+}
+
+
+class TestCutoffRule:
+    @pytest.mark.parametrize("entry", sorted(_CUTOFF_ENTRY_POINTS))
+    @pytest.mark.parametrize("cutoff", [-1, 2.5, float("nan"), float("inf")])
+    def test_rejects_bad_cutoff(self, entry, cutoff):
+        with pytest.raises(ValueError, match=rf"^cutoff must be an integer >= 0, got {cutoff!r}$"):
+            _CUTOFF_ENTRY_POINTS[entry](cutoff)
+
+    @pytest.mark.parametrize("n_max", [-1, 2.5, float("nan")])
+    def test_rejects_bad_table_size(self, n_max):
+        with pytest.raises(ValueError, match=rf"^n_max must be an integer >= 0, got {n_max!r}$"):
+            fock.QuadratureWavefunctionTable.build(np.zeros(3), n_max)
+
+    def test_empty_tensor_with_negative_cutoff_is_refused(self):
+        with pytest.raises(ValueError, match="^cutoff must be"):
+            fock.FockState(2, -1, np.zeros((0,) * 4))
+
+    def test_integral_float_cutoff_is_that_int(self):
+        st = fock.FockState(2, 8.0, fock.build_tmsv_fock(0.3, 8).tensor)
+        assert type(st.cutoff) is int and st.matrix.shape == (81, 81)
+        assert fock.log_negativity_fock(st) == fock.log_negativity_fock(fock.build_tmsv_fock(0.3, 8))
+        assert fock.build_tmsv_fock(0.001, 2.0).cutoff == 2
+        assert fock.QuadratureWavefunctionTable.build(np.zeros(3), 2.0).values.shape == (3, 3)

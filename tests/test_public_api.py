@@ -3,6 +3,10 @@ tolerance or budget becomes a caller-set keyword again."""
 
 import fnmatch
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import cvsim as cv
 from cvsim import fock, measurement
@@ -57,3 +61,20 @@ def test_no_public_callable_takes_a_tolerance():
             if keyword and any(fnmatch.fnmatch(param.name, p) for p in KNOB_PATTERNS):
                 knobs.add(f"{qualname}.{param.name}")
     assert knobs == set()
+
+
+def test_fock_is_loaded_on_first_use():
+    # the CLI never uses the Fock oracle, so importing it does not compile it
+    code = (
+        "import sys, cvsim.cli\n"
+        "assert 'cvsim.fock' not in sys.modules\n"
+        "import cvsim\n"
+        "assert 'fock' in cvsim.__all__\n"
+        "assert callable(cvsim.fock.build_tmsv_fock)\n"
+        "from cvsim import fock\n"
+        "assert fock is sys.modules['cvsim.fock'] is cvsim.fock\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
