@@ -22,7 +22,7 @@ from . import entanglement as ent
 from .channels import FiberParams, degraded_tmsv
 from .states import classicality_test, squeezed_signal, tmsv_state
 from .symplectic import symplectic_eigenvalues, validate_covariance
-from .teleportation import TeleportSetup, pure_squeezed_fidelity, teleport
+from .teleportation import TeleportSetup, _check_zeta, pure_squeezed_fidelity, teleport
 
 SCHEMA_VERSION = 1
 
@@ -241,6 +241,7 @@ def _squeezing(args, key: str, constructor) -> float:
 def _run_teleport(args):
     eta = _squeezing(args, "eta", squeezed_signal)
     zeta = _squeezing(args, "zeta", tmsv_state)
+    _squeezing(args, "zeta", _check_zeta)  # teleport holds less than tmsv_state
     fiber = _fibers(args)
     result = teleport(TeleportSetup(squeezed_signal(eta).gamma, zeta, fiber, fiber))
     g = result.gamma_rec

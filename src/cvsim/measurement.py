@@ -15,7 +15,7 @@ resource gives a gain of exactly unit magnitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,9 +84,9 @@ def _split(gamma: np.ndarray, support: list[int]):
     return kept_rows.take(kept, 1), gamma.take(support, 0).take(support, 1), kept_rows.take(support, 1)
 
 
-def _quadratic_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """d^T M d per row d of ``rows``, for pdf and overlap exponents; einsum and axis sums are slow on short rows."""
-    return ((rows @ mat) * rows) @ np.ones(mat.shape[0])
+def _quadratic_columns(cols: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """d^T M d per column d of the 2-d ``cols``, for pdf and overlap exponents over component-major records."""
+    return ((mat.T @ cols) * cols).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -137,39 +137,47 @@ class OutcomeDensity:
     conjugate quadratures, ``mean`` its first moments, ``signs`` the
     adjustment applied to the recorded outcomes (+1 for measured x, -1 for
     measured p).  The density is normalised; for the single-mode vacuum it
-    is exp(-X^2)/sqrt(pi).
+    is exp(-X^2)/sqrt(pi).  It keeps read-only copies of a caller's arrays and validates
+    and eigen-solves them on first use, once; ``homodyne_project`` hands over its solve.
     """
 
     block: np.ndarray
     mean: np.ndarray
     signs: np.ndarray
+    _solved: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):  # read-only arrays, a caller's copied: the cached solve cannot go stale
+        for name in ("block", "mean", "signs"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float, copy=self._solved is None))
+            getattr(self, name).setflags(write=False)
 
     def _solve(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``mean``, ``signs`` and the eigen-decomposition of ``block``; ValueError unless block is a finite
-        symmetric matrix and mean and signs are finite vectors of its length, each sign +1 or -1."""
-        block = _check_matrix(self.block, "block", even=False, symmetric=True)
-        mean = _check_vector(self.mean, "mean", len(block))
-        signs = _check_vector(self.signs, "signs", len(block))
-        _check_each(np.abs(signs) == 1.0, lambda _: f"signs must be +1 or -1, got {signs}", core=1)
-        return (mean, signs, *_eigh(block))
+        """``mean``, ``signs`` and the eigen-decomposition of ``block``, made once; ValueError unless block is a
+        finite symmetric matrix and mean and signs are finite vectors of its length, each sign +1 or -1."""
+        if self._solved is None:
+            block = _check_matrix(self.block, "block", even=False, symmetric=True)
+            mean = _check_vector(self.mean, "mean", len(block))
+            signs = _check_vector(self.signs, "signs", len(block))
+            _check_each(np.abs(signs) == 1.0, lambda _: f"signs must be +1 or -1, got {signs}", core=1)
+            object.__setattr__(self, "_solved", (mean, signs, *_eigh(block)))
+        return self._solved
 
     def pdf(self, outcomes) -> np.ndarray | float:
         """exp(-d^T B^MP d) / (pi^(n/2) sqrt(pdet B)) per record, d its sign-adjusted deviation from ``mean``."""
         mean, signs, evals, evecs = self._solve()
         inv, det = _spectral_cut(evals, evecs, MP_REL_TOL)
-        outcomes = np.asarray(outcomes, dtype=float)
-        single = outcomes.ndim == 1
         pts = _check_vector(np.atleast_2d(outcomes), "outcomes", len(inv), stack=True)
         norm = np.pi ** (len(inv) / 2.0) * np.sqrt(det)
-        vals = np.exp(-_quadratic_rows(pts * signs - mean, inv)) / norm
-        return float(vals[0]) if single else vals
+        cols = (pts * signs - mean).reshape(np.prod(pts.shape[:-1], dtype=int), len(inv)).T
+        vals = np.exp(-_quadratic_columns(cols, inv)) / norm
+        return float(vals[0]) if np.ndim(outcomes) == 1 else vals.reshape(pts.shape[:-1])
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw outcome records (rows) from the density; ValueError as in pdf."""
+        """Draw outcome records, the rows of the transposed view of a (k, size) array; ValueError as in pdf."""
         mean, signs, evals, evecs = self._solve()
-        root = evecs * np.sqrt(np.clip(0.5 * evals, 0.0, None))
-        # (mean + z R^T) * signs with the exact +-1 factors folded into R and mean
-        return mean * signs + rng.standard_normal((size, mean.size)) @ (root.T * signs)
+        root = signs[:, np.newaxis] * evecs * np.sqrt(np.clip(0.5 * evals, 0.0, None))
+        # a seed's rows (mean + z R^T) * signs bit for bit: z used transposed, the exact +-1 factors folded into R, mean
+        return (root @ rng.standard_normal((size, mean.size)).T + (mean * signs)[:, np.newaxis]).T
 
 
 @dataclass(frozen=True)
@@ -188,8 +196,8 @@ def homodyne_project(gamma, measured, kappa=None) -> HomodyneResult:
     the x rows and keeps p), through the Moore-Penrose inverse, which is the
     limit of ``gaussian_project`` with D = diag(1/d, d), d -> 0.
 
-    ``mean_map`` columns follow the measured indices in ascending order; see
-    the module docstring for the record convention it consumes.
+    ``mean_map`` columns follow the measured indices in ascending order (the record convention is the
+    module docstring's); ``density`` holds the block's eigen-solve made here and solves nothing again.
     """
     gamma, measured = _checked_input(gamma, measured, per_mode=2)
     if len({q // 2 for q in measured}) != len(measured):
@@ -198,6 +206,6 @@ def homodyne_project(gamma, measured, kappa=None) -> HomodyneResult:
     conj = [_conjugate_quadrature(q) for q in measured]
     c1, block, c3 = _split(gamma, conj)
     _check_symmetric(block, "matrix")  # mp_inverse's rule: the block can fail it at its own scale
-    full_map = c3 @ _spectral_cut(*_eigh(block), MP_REL_TOL)[0]
-    signs = np.array([1.0 if q % 2 == 0 else -1.0 for q in measured])
-    return HomodyneResult(c1 - full_map @ c3.T, full_map / np.sqrt(2.0), OutcomeDensity(block, kappa[conj], signs))
+    solved = (kappa[conj], np.array([1.0 if q % 2 == 0 else -1.0 for q in measured]), *_eigh(block))
+    full_map = c3 @ _spectral_cut(*solved[2:], MP_REL_TOL)[0]
+    return HomodyneResult(c1 - full_map @ c3.T, full_map / np.sqrt(2.0), OutcomeDensity(block, *solved[:2], solved))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import IDEAL_FIBER, FiberParams, degraded_tmsv
-from .measurement import OutcomeDensity, _quadratic_rows, homodyne_project
+from .measurement import OutcomeDensity, _quadratic_columns, homodyne_project
 from .states import GaussianState
 from .symplectic import (
     _SIGMA_1,
@@ -23,6 +23,7 @@ from .symplectic import (
     _block_diag,
     _check_finite,
     _check_matrix,
+    _check_squeezing,
     _check_vector,
     _min_eigenvalue,
     beamsplitter,
@@ -33,6 +34,11 @@ from .symplectic import (
 # The 50:50 beamsplitter that mixes the signal (mode 0) with the near arm (mode 1).
 _MIX = build_symplectic([beamsplitter(0, 1)], 3)
 _MIX.setflags(write=False)
+_ZETA_MAX = math.acosh(math.sqrt(np.finfo(float).max)) / 2.0  # ~177.79; see teleport
+
+
+def _check_zeta(zeta: float) -> None:
+    _check_squeezing("zeta", zeta, _ZETA_MAX, "cosh(2 zeta)^2")
 
 
 @dataclass(frozen=True)
@@ -113,9 +119,11 @@ def teleport(setup: TeleportSetup) -> TeleportResult:
     from the generic homodyne machinery, and the two must agree, NaN
     failing, to a tolerance scaled by the magnitude of the mixed covariance
     matrix: the generic Schur complement loses absolute precision for
-    strongly squeezed resources.
+    strongly squeezed resources.  ValueError where |zeta| > acosh(sqrt(float max)) / 2
+    ~ 177.79: the closed form squares cosh 2 zeta and sinh 2 zeta (a b, delta, (s beta)^2).
     """
     gamma_dec = degraded_tmsv(setup.zeta, setup.f1, setup.f2)
+    _check_zeta(setup.zeta)  # after degraded_tmsv, whose wider range rule speaks first
     gamma_012 = _MIX @ _block_diag(setup.gamma_in, gamma_dec) @ _MIX.T
     kappa_012 = _MIX @ np.concatenate([setup.kappa_in, np.zeros(4)])
 
@@ -139,14 +147,6 @@ def _overlap_prefactor(total: np.ndarray) -> float:
     return 2.0 ** (total.shape[0] // 2) / math.sqrt(det)
 
 
-def _overlap_rows(total: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """The Gaussian overlap 2^N / sqrt(det(Ga + Gb)) * exp(-d^T (Ga + Gb)^-1 d)
-    for every row d of ``deltas`` (shape (n, 2N)), given the covariance sum
-    ``total`` = Ga + Gb shared by all rows, inverted once: solve() copies wide right-hand sides per column."""
-    prefactor = _overlap_prefactor(total)
-    return prefactor * np.exp(-_quadratic_rows(deltas, np.linalg.inv(total)))
-
-
 def fidelity(gamma_in, gamma_rec) -> float:
     """Overlap fidelity of two zero-mean single-mode Gaussians,
     F = 2 / sqrt(det(gamma_in + gamma_rec)); the N = 1, zero-mean case of
@@ -161,8 +161,8 @@ def state_overlap(state_a: GaussianState, state_b: GaussianState) -> float:
     2^N / sqrt(det(Ga + Gb)) * exp(-d^T (Ga + Gb)^-1 d) with d = ka - kb."""
     if state_a.n_modes != state_b.n_modes:
         raise ValueError("states must have the same mode count")
-    delta = state_a.kappa - state_b.kappa
-    return float(_overlap_rows(state_a.gamma + state_b.gamma, delta[np.newaxis])[0])
+    total, delta = state_a.gamma + state_b.gamma, (state_a.kappa - state_b.kappa)[:, np.newaxis]
+    return float(_overlap_prefactor(total) * np.exp(-_quadratic_columns(delta, np.linalg.inv(total)))[0])
 
 
 def pure_squeezed_fidelity(eta: float, zeta: float) -> float:
@@ -206,11 +206,11 @@ def teleport_monte_carlo(
     residual displacement and therefore an extra fidelity penalty, which
     this estimator quantifies.
 
-    The records share the receiver covariance and are evaluated as one batch:
-    with the matched gain G, a record's mean difference is the affine map
-    kappa_in + sqrt(2) G mean - record M, M = sqrt(2) diag(signs) (G - gain)^T,
-    zero for G itself; the exponents are the quadratic form of ``OutcomeDensity.pdf``.
-    ``n_samples`` must be a positive integer and ``gain`` a finite 2x2 matrix, else ``ValueError``.
+    The records share the receiver covariance and are evaluated as one batch, component-major
+    as ``OutcomeDensity.sample`` forms them: with the matched gain G, a record w's mean difference
+    is kappa_in + sqrt(2) G mean - M w, M = sqrt(2) (G - gain) diag(signs), zero for G itself, and
+    its overlap ``fidelity_zero_mean`` * exp(-quadratic form of :func:`state_overlap`).  ``n_samples``
+    must be a positive integer and ``gain`` a finite 2x2 matrix, else ``ValueError``; zeta as in teleport.
     """
     if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
@@ -218,7 +218,8 @@ def teleport_monte_carlo(
         gain = _check_matrix(gain, "gain", 2, even=False)
     result = teleport(setup)
     chosen = result.gain if gain is None else gain
-    record_map = math.sqrt(2.0) * result.density.signs[:, np.newaxis] * (result.gain - chosen).T
+    record_map = math.sqrt(2.0) * (result.gain - chosen) * result.density.signs
     offset = setup.kappa_in + math.sqrt(2.0) * (result.gain @ result.density.mean)
-    records = result.density.sample(np.random.default_rng(seed), n_samples)
-    return float(np.mean(_overlap_rows(setup.gamma_in + result.gamma_rec, offset - records @ record_map)))
+    deltas = offset[:, np.newaxis] - record_map @ result.density.sample(np.random.default_rng(seed), n_samples).T
+    exponents = _quadratic_columns(deltas, np.linalg.inv(setup.gamma_in + result.gamma_rec))
+    return float(np.mean(result.fidelity_zero_mean * np.exp(-exponents)))

@@ -240,6 +240,7 @@ class TestExitCodes:
         [
             ["check-state", "--zeta", "400"],
             ["teleport", "--zeta", "400"],
+            ["teleport", "--zeta", "180"],
             ["teleport", "--eta", "800"],
             ["teleport", "--eta=-800"],
             ["fidelity-sweep", "--eta", "800", "--zeta", "0"],

@@ -219,6 +219,12 @@ class TestTransmittedLogNegativity:
         val = cv.max_transmittable(0.5 * np.log(2.0), 1.0, base="2")
         assert_allclose(val, 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("base, unit", [("e", 1.0), ("2", np.log(2.0))], ids=["e", "2"])
+    def test_depends_on_length_over_absorption_length(self, base, unit):
+        # every other test has l_A = 1, where length * l_A passes for length / l_A
+        expected = -np.log1p(-np.exp(-1.0)) / unit
+        assert cv.max_transmittable(1.0, 2.0, base=base) == cv.max_transmittable(0.5, 1.0, base=base) == expected
+
     def test_dense_coding_crossover(self):
         val = cv.transmitted_log_negativity(20.0, np.sqrt(0.75), base="2")
         assert_allclose(val, 2.0, atol=1e-6)

@@ -73,10 +73,34 @@ class TestPseudoDeterminant:
         assert cv.mp_inverse(empty).shape == (0, 0)
 
     def test_pdf_solves_the_block_once(self, monkeypatch):
+        # homodyne_project hands its solve to the density; a caller's density solves on first use
         density = cv.homodyne_project(cv.tmsv_state(0.3).gamma, measured={0, 3}).density
         calls = count_solves(monkeypatch)
         density.pdf(np.array([[0.1, -0.2], [0.3, 0.0]]))
+        density.sample(np.random.default_rng(0), 5)
+        assert calls == []
+        own = cv.OutcomeDensity(density.block, density.mean, density.signs)
+        own.pdf(np.array([[0.1, -0.2], [0.3, 0.0]]))
+        own.sample(np.random.default_rng(0), 5)
         assert calls == [(2, 2)]
+
+    def test_writing_the_callers_arrays_changes_nothing(self):
+        block, mean, signs = np.array([[2.0, 0.3], [0.3, 1.5]]), np.array([0.2, -0.1]), np.array([1.0, -1.0])
+        density = cv.OutcomeDensity(block, mean, signs)
+        before = density.pdf(np.array([0.4, 0.1]))
+        block[0, 0], mean[0], signs[0] = 9.0, 5.0, -1.0
+        assert density.pdf(np.array([0.4, 0.1])) == before
+        for name in ("block", "mean", "signs"):
+            assert not getattr(density, name).flags.writeable
+
+    @pytest.mark.parametrize(
+        "block, message", [([[1.0, 0.3], [0.0, 1.0]], "^block must be symmetric$"), ([[np.nan, 0.0], [0.0, 1.0]], "^block has non-finite entries$")]
+    )
+    def test_a_failed_check_caches_nothing(self, block, message):
+        density = cv.OutcomeDensity(np.array(block), np.zeros(2), np.ones(2))
+        for read in (lambda: density.pdf(np.zeros(2)), lambda: density.sample(np.random.default_rng(0), 3)) * 2:
+            with pytest.raises(ValueError, match=message):
+                read()
 
 
 class TestGaussianProject:

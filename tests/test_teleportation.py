@@ -7,7 +7,8 @@ from scipy.linalg import block_diag
 
 import cvsim as cv
 from cvsim import teleportation
-from cvsim.teleportation import _gamma_rec_explicit, _overlap_rows
+from cvsim.measurement import _quadratic_columns
+from cvsim.teleportation import _ZETA_MAX, _gamma_rec_explicit, _overlap_prefactor
 from conftest import count_solves, random_fiber, random_single_mode_physical, random_symplectic
 
 SIGMA1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -72,7 +73,7 @@ class TestTeleport:
 
     def test_eigen_solves_per_call(self, monkeypatch):
         # homodyne_project's physicality gate on the 6x6 mixed matrix and its
-        # solve of the 2x2 conjugate block; sample solves the block once more
+        # solve of the 2x2 conjugate block, which sample reuses
         fiber = cv.FiberParams(0.9, phase=0.4, r_mag=0.2, n_th=0.3)
         setup = cv.TeleportSetup(cv.squeezed_signal(0.4).gamma, 0.8, fiber, fiber, kappa_in=[0.5, -1.0])
         calls = count_solves(monkeypatch)
@@ -80,13 +81,40 @@ class TestTeleport:
         assert calls == [(6, 6), (2, 2)]
         del calls[:]
         cv.teleport_monte_carlo(setup, 100, seed=0)
-        assert calls == [(6, 6), (2, 2), (2, 2)]
+        assert calls == [(6, 6), (2, 2)]
 
     def test_nan_receiver_fails_the_cross_check(self, monkeypatch):
         # NaN compared False against the tolerance and reached fidelity's finiteness rule
         monkeypatch.setattr(teleportation, "_gamma_rec_explicit", lambda *args: np.full((2, 2), np.nan))
         with pytest.raises(RuntimeError, match="^closed-form and Schur-complement receiver covariances disagree$"):
             cv.teleport(cv.TeleportSetup(np.eye(2), zeta=0.5))
+
+    @pytest.mark.parametrize("fiber", [cv.IDEAL_FIBER, cv.FiberParams(0.8), cv.FiberParams(0.8, phase=0.4, r_mag=0.3, n_th=0.3)])
+    def test_just_inside_the_squeezing_range(self, fiber):
+        # cosh(2 zeta)^2 reaches 0.96 of float max; the receiver has saturated at its zeta = 20 value
+        setup = cv.TeleportSetup(np.eye(2), _ZETA_MAX - 0.01, fiber, fiber, kappa_in=[0.4, -0.2])
+        saturated = cv.TeleportSetup(np.eye(2), 20.0, fiber, fiber, kappa_in=[0.4, -0.2])
+        res, limit = cv.teleport(setup), cv.teleport(saturated)  # both passed the Schur cross-check
+        assert np.all(np.isfinite(res.gamma_rec)) and np.all(np.isfinite(res.gain))
+        assert_allclose(res.gamma_rec, limit.gamma_rec, rtol=1e-12, atol=1e-15)
+        assert res.fidelity_zero_mean == pytest.approx(limit.fidelity_zero_mean, rel=1e-12)
+        estimate = cv.teleport_monte_carlo(setup, 10, seed=0)
+        assert estimate == pytest.approx(cv.teleport_monte_carlo(saturated, 10, seed=0), rel=1e-12)
+
+    def test_just_inside_the_squeezing_range_matches_the_closed_form(self):
+        res = cv.teleport(cv.TeleportSetup(np.eye(2), _ZETA_MAX - 1e-9))
+        assert_allclose(res.gamma_rec, np.eye(2), atol=1e-15)
+        assert res.fidelity_zero_mean == cv.pure_squeezed_fidelity(0.0, _ZETA_MAX - 1e-9) == 1.0
+
+    @pytest.mark.parametrize("zeta", [_ZETA_MAX + 1e-9, 178.0, -180.0, 355.0])
+    def test_past_the_squeezing_range_raises(self, zeta):
+        # (s beta)**2 raised OverflowError from zeta = 178 on
+        setup = cv.TeleportSetup(np.eye(2), zeta)
+        message = rf"^\|zeta\| = {abs(zeta)!r} is past 177.79, where cosh\(2 zeta\)\^2 overflows$"
+        with pytest.raises(ValueError, match=message):
+            cv.teleport(setup)
+        with pytest.raises(ValueError, match=message):
+            cv.teleport_monte_carlo(setup, 10, seed=0)
 
 
 class TestFidelity:
@@ -366,16 +394,19 @@ class TestMonteCarlo:
 
 
 class TestOverlapRows:
+    """The record overlaps, held as columns: _overlap_prefactor times exp(-_quadratic_columns)."""
+
     @pytest.mark.parametrize("n_modes", [1, 2, 3])
     @pytest.mark.parametrize("n_rows", [1, 5000])
     def test_matches_solve_form(self, rng, n_modes, n_rows):
         for _ in range(3):
             s_a, s_b = random_symplectic(rng, n_modes), random_symplectic(rng, n_modes)
             total = s_a @ s_a.T + s_b @ s_b.T
-            deltas = rng.normal(size=(n_rows, 2 * n_modes))
+            deltas = rng.normal(size=(2 * n_modes, n_rows))
             prefactor = 2.0**n_modes / np.sqrt(np.linalg.det(total))
-            quad = np.einsum("ni,in->n", deltas, np.linalg.solve(total, deltas.T))
-            assert_allclose(_overlap_rows(total, deltas), prefactor * np.exp(-quad), rtol=1e-12, atol=0.0)
+            quad = np.einsum("in,in->n", deltas, np.linalg.solve(total, deltas))
+            overlap = _overlap_prefactor(total) * np.exp(-_quadratic_columns(deltas, np.linalg.inv(total)))
+            assert_allclose(overlap, prefactor * np.exp(-quad), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize(
         "total",
@@ -383,5 +414,42 @@ class TestOverlapRows:
     )
     def test_singular_total_raises_value_error(self, total):
         with pytest.raises(ValueError, match="non-positive determinant") as err:
-            _overlap_rows(total, np.ones((3, total.shape[0])))
+            _overlap_prefactor(total)
         assert not isinstance(err.value, np.linalg.LinAlgError)
+
+
+class TestFormerRowPipeline:
+    """Records, and the estimate made from them, equal bit for bit the row
+    pipeline they replaced: rows drawn as mean * signs + z (R^T * signs),
+    and the overlap 2 / sqrt(det total) * exp(-d^T total^-1 d) per row."""
+
+    SETUP = cv.TeleportSetup(
+        cv.squeezed_signal(0.7).gamma, 0.9, cv.FiberParams(0.8, phase=0.5, n_th=0.1), cv.FiberParams(0.9, n_th=0.1),
+        kappa_in=[0.6, -0.3],
+    )
+
+    @staticmethod
+    def rows(density, seed, size):
+        evals, evecs = np.linalg.eigh(0.5 * (density.block + density.block.T))
+        root = evecs * np.sqrt(np.clip(0.5 * evals, 0.0, None))
+        z = np.random.default_rng(seed).standard_normal((size, len(evals)))
+        return density.mean * density.signs + z @ (root.T * density.signs)
+
+    @pytest.mark.parametrize("seed", [3, 41, 2024])
+    def test_sample(self, seed):
+        density = cv.teleport(self.SETUP).density
+        assert np.array_equal(density.sample(np.random.default_rng(seed), 4000), self.rows(density, seed, 4000))
+
+    @pytest.mark.parametrize("seed", [3, 41, 2024])
+    @pytest.mark.parametrize("ideal_gain", [False, True])
+    def test_estimate(self, seed, ideal_gain):
+        setup, res = self.SETUP, cv.teleport(self.SETUP)
+        gain = cv.ideal_displacement_gain(setup.f1, setup.f2) if ideal_gain else None
+        chosen = res.gain if gain is None else gain
+        record_map = math.sqrt(2.0) * res.density.signs[:, np.newaxis] * (res.gain - chosen).T
+        offset = setup.kappa_in + math.sqrt(2.0) * (res.gain @ res.density.mean)
+        deltas = offset - self.rows(res.density, seed, 4000) @ record_map
+        total = setup.gamma_in + res.gamma_rec
+        quad = ((deltas @ np.linalg.inv(total)) * deltas) @ np.ones(2)
+        expected = float(np.mean(2.0 / math.sqrt(np.linalg.det(total)) * np.exp(-quad)))
+        assert cv.teleport_monte_carlo(setup, 4000, seed, gain=gain) == expected
