@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import DEFAULT_TOL, _block_diag, _check_finite, _check_matrix, rotation_matrix, symplectic_form
+from .symplectic import DEFAULT_TOL, _block_diag, _check_finite, _check_matrix, _own, rotation_matrix, symplectic_form
 from .states import GaussianState, _check_occupation, tmsv_state
 
 _PARAM_TOL = 1e-12  # slack of the energy-conservation rule |T|^2 + |R|^2 <= 1
@@ -24,12 +24,8 @@ class GaussianChannel:
     g: np.ndarray
 
     def __post_init__(self):
-        a = _check_matrix(self.a, "channel matrix A").copy()
-        g = _check_matrix(self.g, "noise matrix G", a.shape[0], symmetric=True).copy()
-        a.setflags(write=False)
-        g.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "g", g)
+        a = _check_matrix(self.a, "channel matrix A")
+        _own(self, a=a, g=_check_matrix(self.g, "noise matrix G", a.shape[0], symmetric=True))
 
     @property
     def n_modes(self) -> int:

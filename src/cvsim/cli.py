@@ -20,9 +20,9 @@ import numpy as np
 
 from . import entanglement as ent
 from .channels import FiberParams, degraded_tmsv
-from .states import classicality_test, squeezed_signal, tmsv_state
+from .states import classicality_test, squeezed_signal
 from .symplectic import symplectic_eigenvalues, validate_covariance
-from .teleportation import TeleportSetup, _check_zeta, pure_squeezed_fidelity, teleport
+from .teleportation import TeleportSetup, pure_squeezed_fidelity, teleport
 
 SCHEMA_VERSION = 1
 
@@ -98,6 +98,15 @@ def _scalar(grid: np.ndarray, name: str) -> float:
     return float(grid[0])
 
 
+def _request(build, where: str = ""):
+    """``build()``; a ValueError, raised for an input outside the domain of
+    what it builds, is a malformed request, its message prefixed by ``where``."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise SpecError(where + str(exc)) from exc
+
+
 def load_config(path: str) -> dict:
     """Read a simple key=value config file; '#' starts a comment."""
     values: dict[str, str] = {}
@@ -168,13 +177,10 @@ def _run_entanglement_sweep(args):
     columns = ["l_over_lA", "t_squared", f"en_max_{label}", f"en_zeta_{label}"]
     rows = []
     for l in lengths:
-        # the closed forms raise ValueError only for inputs outside their domain
-        try:
-            en_max = ent.max_transmittable(float(l), l_abs, args.log_base)
-            t_sq = math.exp(-2.0 * l / l_abs)
-            en_zeta = ent.transmitted_log_negativity(zeta, math.sqrt(t_sq), args.log_base)
-        except ValueError as exc:
-            raise SpecError(f"length={float(l)!r}, zeta={zeta!r}: {exc}") from exc
+        where = f"length={float(l)!r}, zeta={zeta!r}: "
+        en_max = _request(lambda: ent.max_transmittable(float(l), l_abs, args.log_base), where)
+        t_sq = math.exp(-2.0 * l / l_abs)
+        en_zeta = _request(lambda: ent.transmitted_log_negativity(zeta, math.sqrt(t_sq), args.log_base), where)
         rows.append([float(l / l_abs), t_sq, en_max, en_zeta])
     params = {"zeta": zeta, "absorption_length": l_abs}
     return params, columns, rows
@@ -187,10 +193,7 @@ def _run_fidelity_sweep(args):
     rows = []
     for eta in map(float, etas):
         for zeta in map(float, zetas):
-            try:
-                rows.append([eta, zeta, pure_squeezed_fidelity(eta, zeta)])
-            except ValueError as exc:  # its message names (eta, zeta)
-                raise SpecError(str(exc)) from exc
+            rows.append([eta, zeta, _request(lambda: pure_squeezed_fidelity(eta, zeta))])  # its message names both
     return {}, columns, rows
 
 
@@ -202,18 +205,12 @@ def _run_separability(args):
     l_abs = _scalar(parse_grid(args.absorption_length), "absorption length")
     columns = ["zeta", "t_squared", "r_squared", "nth_crit", "l_s_over_lA"]
     rows = []
-    # the closed forms raise ValueError only for inputs outside their domain
     for zeta in map(float, zetas):
-        try:
-            l_s = ent.separability_length(zeta, nth, l_abs)
-        except ValueError as exc:
-            raise SpecError(f"zeta={zeta!r}: {exc}") from exc
+        l_s = _request(lambda: ent.separability_length(zeta, nth, l_abs), f"zeta={zeta!r}: ")
         l_s_over_la = l_s / l_abs if math.isfinite(l_s) else l_s
         for t2 in map(float, t2s):
-            try:
-                n_crit = ent.fiber_separability_threshold(zeta, math.sqrt(t2), math.sqrt(r2))
-            except ValueError as exc:
-                raise SpecError(f"zeta={zeta!r}, t2={t2!r}: {exc}") from exc
+            n_crit = _request(lambda: ent.fiber_separability_threshold(zeta, math.sqrt(t2), math.sqrt(r2)),
+                              f"zeta={zeta!r}, t2={t2!r}: ")
             rows.append([zeta, t2, r2, n_crit, l_s_over_la])
     return {"nth": nth, "absorption_length": l_abs}, columns, rows
 
@@ -222,28 +219,15 @@ def _fibers(args) -> FiberParams:
     t2 = _scalar(parse_grid(args.t2), "t2")
     r2 = _scalar(parse_grid(args.r2), "r2")
     nth = _scalar(parse_grid(args.nth), "nth")
-    try:
-        return FiberParams(t_mag=math.sqrt(t2), r_mag=math.sqrt(r2), n_th=nth)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
-
-
-def _squeezing(args, key: str, constructor) -> float:
-    """A squeezing flag's single value; malformed past the range its state constructor holds."""
-    value = _scalar(parse_grid(getattr(args, key)), key)
-    try:
-        constructor(value)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
-    return value
+    return _request(lambda: FiberParams(t_mag=math.sqrt(t2), r_mag=math.sqrt(r2), n_th=nth))
 
 
 def _run_teleport(args):
-    eta = _squeezing(args, "eta", squeezed_signal)
-    zeta = _squeezing(args, "zeta", tmsv_state)
-    _squeezing(args, "zeta", _check_zeta)  # teleport holds less than tmsv_state
+    eta = _scalar(parse_grid(args.eta), "eta")
+    zeta = _scalar(parse_grid(args.zeta), "zeta")
     fiber = _fibers(args)
-    result = teleport(TeleportSetup(squeezed_signal(eta).gamma, zeta, fiber, fiber))
+    # the signal and the setup refuse a squeezing past their range, the setup an unphysical signal
+    result = teleport(_request(lambda: TeleportSetup(squeezed_signal(eta).gamma, zeta, fiber, fiber)))
     g = result.gamma_rec
     gain = result.gain
     columns = [
@@ -260,9 +244,9 @@ def _run_teleport(args):
 
 
 def _run_check_state(args):
-    zeta = _squeezing(args, "zeta", tmsv_state)
+    zeta = _scalar(parse_grid(args.zeta), "zeta")
     fiber = _fibers(args)
-    gamma = degraded_tmsv(zeta, fiber, fiber)
+    gamma = _request(lambda: degraded_tmsv(zeta, fiber, fiber))  # past the zeta range of tmsv_state
     report = validate_covariance(gamma)
     columns = [
         "zeta", "t_squared", "r_squared", "nth",

@@ -10,13 +10,18 @@ import numpy as np
 
 from .channels import _check_fiber, _check_length
 from .states import _check_occupation
-from .symplectic import _SIGMA_1, DEFAULT_TOL, _check_each, _check_matrix, _min_eigenvalue, _result, _spectrum
+from .symplectic import _SIGMA_1, DEFAULT_TOL, _check_each, _check_matrix, _check_physical, _min_eigenvalue
+from .symplectic import _result, _spectrum
 
 # gamma^PT = gamma * _PT_SIGNS + 0.0 flips the second mode's p row and column;
 # + 0.0 keeps a flipped 0.0 at 0.0, as the product with diag(1, 1, 1, -1) did
 _PT_SIGNS = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
 
 _LN2 = math.log(2.0)
+
+# -log(1 - x) of an x near 1 keeps few of x's digits; past this x the closed
+# forms take -log of 1 - x summed from parts that do not cancel
+_NEAR_SATURATION = 0.99
 
 
 def _check_base(base) -> str:
@@ -41,7 +46,7 @@ def _two_mode(gamma, physical: bool = True) -> np.ndarray:
     ValueError.  No test then reads the two triangles of a matrix differently."""
     gamma = _check_matrix(gamma, "covariance matrix", 4, stack=True, symmetric=True)
     if physical:
-        _check_each(_min_eigenvalue(gamma) >= -DEFAULT_TOL, "covariance matrix is unphysical")
+        _check_physical(gamma, "covariance matrix")
     return gamma
 
 
@@ -186,26 +191,36 @@ def transmitted_log_negativity(zeta: float, t_mag: float, base="e") -> float:
     """Log-negativity of a TMSV after two zero-temperature fibers.
 
     E_N = -log[1 - |T|^2 (1 - e^(-2 zeta))], independent of the reflection
-    coefficient.  Perfect transmission recovers E_N = 2 zeta in natural log.
+    coefficient.  Perfect transmission recovers E_N = 2 zeta in natural log,
+    inf at zeta = inf.  Near saturation the argument of the log is summed as
+    (1 - |T|)(1 + |T|) + |T|^2 e^(-2 zeta), so E_N keeps its digits there.
     Raises ValueError for zeta < 0 or |T| outside [0, 1].
     """
     base = _check_base(base)
     _check_non_negative_zeta(zeta)
     _check_fiber(t_mag)
     loss_arg = t_mag**2 * (-math.expm1(-2.0 * zeta))
-    if loss_arg >= 1.0:
-        return math.inf
-    return _to_base(-math.log1p(-loss_arg), base)
+    if loss_arg <= _NEAR_SATURATION:
+        nats = -math.log1p(-loss_arg)
+    elif t_mag < 1.0:  # the first part is then positive
+        nats = -math.log((1.0 - t_mag) * (1.0 + t_mag) + t_mag**2 * math.exp(-2.0 * zeta))
+    else:  # e^(-2 zeta) underflows from zeta ~ 372 on
+        nats = 2.0 * zeta
+    return _to_base(nats, base)
 
 
 def max_transmittable(length: float, l_abs: float, base="e") -> float:
-    """Saturation bound: E_N,max = -log[1 - e^(-2 l / l_abs)].
+    """Saturation bound: E_N,max = -log[1 - e^(-2 l / l_abs)], inf at l = 0.
 
-    Raises ValueError for length < 0 or l_abs <= 0, NaN included.
+    Near l = 0 the argument of the log is -expm1(-2 l / l_abs), so E_N,max
+    keeps its digits there.  Raises ValueError for length < 0 or
+    l_abs <= 0, NaN included.
     """
     base = _check_base(base)
     _check_length(l_abs, length)
-    t_sq = math.exp(-2.0 * length / l_abs)
-    if t_sq >= 1.0:
-        return math.inf
-    return _to_base(-math.log1p(-t_sq), base)
+    exponent = -2.0 * length / l_abs
+    t_sq = math.exp(exponent)
+    if t_sq <= _NEAR_SATURATION:
+        return _to_base(-math.log1p(-t_sq), base)
+    residual = -math.expm1(exponent)
+    return _to_base(-math.log(residual) if residual > 0.0 else math.inf, base)

@@ -15,11 +15,11 @@ resource gives a gain of exactly unit magnitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import DEFAULT_TOL, _check_each, _check_matrix, _check_symmetric, _check_vector, _min_eigenvalue
+from .symplectic import _check_each, _check_matrix, _check_physical, _check_symmetric, _check_vector, _own
 
 MP_REL_TOL = 1e-12
 # near-eps rank cut of gaussian_project: the core C2 + D^2 is invertible for
@@ -67,10 +67,7 @@ def _checked_input(gamma, measured, per_mode: int) -> tuple[np.ndarray, list[int
     indices = sorted(set(measured))
     if not all(float(i).is_integer() and 0 <= i < bound for i in indices):
         raise ValueError(f"measured indices must be integers in [0, {bound}), got {indices}")
-    # the gate grows with max|gamma|: eigenvalue noise of a representable
-    # boundary state grows with its norm
-    if not _min_eigenvalue(gamma) >= -DEFAULT_TOL * scale:
-        raise ValueError("covariance matrix is unphysical")
+    _check_physical(gamma, "covariance matrix", scale)
     return gamma, [int(i) for i in indices]
 
 
@@ -137,47 +134,39 @@ class OutcomeDensity:
     conjugate quadratures, ``mean`` its first moments, ``signs`` the
     adjustment applied to the recorded outcomes (+1 for measured x, -1 for
     measured p).  The density is normalised; for the single-mode vacuum it
-    is exp(-X^2)/sqrt(pi).  It keeps read-only copies of a caller's arrays and validates
-    and eigen-solves them on first use, once; ``homodyne_project`` hands over its solve.
+    is exp(-X^2)/sqrt(pi).  Checked, copied read-only and eigen-solved once, when built: ValueError unless
+    block is a finite symmetric matrix and mean and signs finite vectors of its length, each sign +1 or -1.
     """
 
     block: np.ndarray
     mean: np.ndarray
     signs: np.ndarray
-    _solved: tuple | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):  # read-only arrays, a caller's copied: the cached solve cannot go stale
-        for name in ("block", "mean", "signs"):
-            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float, copy=self._solved is None))
-            getattr(self, name).setflags(write=False)
-
-    def _solve(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``mean``, ``signs`` and the eigen-decomposition of ``block``, made once; ValueError unless block is a
-        finite symmetric matrix and mean and signs are finite vectors of its length, each sign +1 or -1."""
-        if self._solved is None:
-            block = _check_matrix(self.block, "block", even=False, symmetric=True)
-            mean = _check_vector(self.mean, "mean", len(block))
-            signs = _check_vector(self.signs, "signs", len(block))
-            _check_each(np.abs(signs) == 1.0, lambda _: f"signs must be +1 or -1, got {signs}", core=1)
-            object.__setattr__(self, "_solved", (mean, signs, *_eigh(block)))
-        return self._solved
+    def __post_init__(self):
+        block = _check_matrix(self.block, "block", even=False, symmetric=True)
+        mean = _check_vector(self.mean, "mean", len(block))
+        signs = _check_vector(self.signs, "signs", len(block))
+        _check_each(np.abs(signs) == 1.0, lambda _: f"signs must be +1 or -1, got {signs}", core=1)
+        _own(self, block=block, mean=mean, signs=signs)
+        evals, evecs = _eigh(block)
+        inverse, pdet = _spectral_cut(evals, evecs, MP_REL_TOL)
+        # beside the fields, not fields: the solve, its cut that pdf and homodyne_project's mean_map read, the norm
+        vars(self).update(_eig=(evals, evecs), _inverse=inverse, _norm=np.pi ** (len(block) / 2.0) * np.sqrt(pdet))
 
     def pdf(self, outcomes) -> np.ndarray | float:
         """exp(-d^T B^MP d) / (pi^(n/2) sqrt(pdet B)) per record, d its sign-adjusted deviation from ``mean``."""
-        mean, signs, evals, evecs = self._solve()
-        inv, det = _spectral_cut(evals, evecs, MP_REL_TOL)
-        pts = _check_vector(np.atleast_2d(outcomes), "outcomes", len(inv), stack=True)
-        norm = np.pi ** (len(inv) / 2.0) * np.sqrt(det)
-        cols = (pts * signs - mean).reshape(np.prod(pts.shape[:-1], dtype=int), len(inv)).T
-        vals = np.exp(-_quadratic_columns(cols, inv)) / norm
+        n = len(self.mean)
+        pts = _check_vector(np.atleast_2d(outcomes), "outcomes", n, stack=True)
+        cols = (pts * self.signs - self.mean).reshape(np.prod(pts.shape[:-1], dtype=int), n).T
+        vals = np.exp(-_quadratic_columns(cols, self._inverse)) / self._norm
         return float(vals[0]) if np.ndim(outcomes) == 1 else vals.reshape(pts.shape[:-1])
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw outcome records, the rows of the transposed view of a (k, size) array; ValueError as in pdf."""
-        mean, signs, evals, evecs = self._solve()
-        root = signs[:, np.newaxis] * evecs * np.sqrt(np.clip(0.5 * evals, 0.0, None))
+        """Draw outcome records, the rows of the transposed view of a (k, size) array."""
+        evals, evecs = self._eig
+        root = self.signs[:, np.newaxis] * evecs * np.sqrt(np.clip(0.5 * evals, 0.0, None))
         # a seed's rows (mean + z R^T) * signs bit for bit: z used transposed, the exact +-1 factors folded into R, mean
-        return (root @ rng.standard_normal((size, mean.size)).T + (mean * signs)[:, np.newaxis]).T
+        return (root @ rng.standard_normal((size, self.mean.size)).T + (self.mean * self.signs)[:, np.newaxis]).T
 
 
 @dataclass(frozen=True)
@@ -197,7 +186,8 @@ def homodyne_project(gamma, measured, kappa=None) -> HomodyneResult:
     limit of ``gaussian_project`` with D = diag(1/d, d), d -> 0.
 
     ``mean_map`` columns follow the measured indices in ascending order (the record convention is the
-    module docstring's); ``density`` holds the block's eigen-solve made here and solves nothing again.
+    module docstring's).  ``density`` is built from the conjugate block, which it checks and solves;
+    ``mean_map`` is formed from the density's Moore-Penrose cut, so the block is solved once.
     """
     gamma, measured = _checked_input(gamma, measured, per_mode=2)
     if len({q // 2 for q in measured}) != len(measured):
@@ -205,7 +195,6 @@ def homodyne_project(gamma, measured, kappa=None) -> HomodyneResult:
     kappa = np.zeros(len(gamma)) if kappa is None else _check_vector(kappa, "kappa", len(gamma))
     conj = [_conjugate_quadrature(q) for q in measured]
     c1, block, c3 = _split(gamma, conj)
-    _check_symmetric(block, "matrix")  # mp_inverse's rule: the block can fail it at its own scale
-    solved = (kappa[conj], np.array([1.0 if q % 2 == 0 else -1.0 for q in measured]), *_eigh(block))
-    full_map = c3 @ _spectral_cut(*solved[2:], MP_REL_TOL)[0]
-    return HomodyneResult(c1 - full_map @ c3.T, full_map / np.sqrt(2.0), OutcomeDensity(block, *solved[:2], solved))
+    density = OutcomeDensity(block, kappa[conj], np.array([1.0 if q % 2 == 0 else -1.0 for q in measured]))
+    full_map = c3 @ density._inverse
+    return HomodyneResult(c1 - full_map @ c3.T, full_map / np.sqrt(2.0), density)

@@ -15,13 +15,14 @@ from .symplectic import (
     _check_finite,
     _check_matrix,
     _check_mode_count,
+    _check_physical,
     _check_squeezing,
     _check_vector,
+    _own,
     _result,
     check_symplectic,
     rotation_matrix,
     symplectic_form,
-    validate_covariance,
 )
 
 
@@ -37,14 +38,8 @@ class GaussianState:
     gamma: np.ndarray
 
     def __post_init__(self):
-        # own copies, frozen: sharing buffers with the caller would let a
-        # later setflags surprise them
-        gamma = _check_matrix(self.gamma, "covariance matrix").copy()
-        kappa = _check_vector(self.kappa, "mean vector", gamma.shape[0]).copy()
-        kappa.setflags(write=False)
-        gamma.setflags(write=False)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "gamma", gamma)
+        gamma = _check_matrix(self.gamma, "covariance matrix")
+        _own(self, kappa=_check_vector(self.kappa, "mean vector", gamma.shape[0]), gamma=gamma)
 
     @property
     def n_modes(self) -> int:
@@ -153,8 +148,7 @@ def classicality_test(gamma) -> ClassicalityVerdict:
     vacuum level).  Eigenvalues down to 1 - DEFAULT_TOL count as classical.
     """
     gamma = _check_matrix(gamma, "covariance matrix")
-    if not validate_covariance(gamma).physical:
-        raise ValueError("covariance matrix violates the uncertainty relation")
+    _check_physical(gamma, "covariance matrix")
     min_eig = float(np.linalg.eigvalsh(0.5 * (gamma + gamma.T))[0])
     return ClassicalityVerdict(classical=bool(min_eig >= 1.0 - DEFAULT_TOL), min_gamma_eigenvalue=min_eig)
 

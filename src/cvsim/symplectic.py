@@ -114,6 +114,15 @@ def _check_symmetric(m: np.ndarray, name: str):
     return scale
 
 
+def _own(record, **arrays) -> None:
+    """Set each checked array on the frozen dataclass ``record`` as the
+    record's own read-only copy: a caller's later write cannot reach it."""
+    for name, value in arrays.items():
+        value = value.copy()
+        value.setflags(write=False)
+        object.__setattr__(record, name, value)
+
+
 _EXP_MAX = math.log(sys.float_info.max)  # ~709.78; exp overflows past it
 
 
@@ -160,6 +169,14 @@ def _min_eigenvalue(gamma: np.ndarray):
     """validate_covariance's min_eigenvalue of a checked stack."""
     sym = 0.5 * (gamma + gamma.swapaxes(-1, -2))
     return np.linalg.eigvalsh(sym + 1j * symplectic_form(gamma.shape[-1] // 2))[..., 0][()]
+
+
+def _check_physical(gamma: np.ndarray, name: str, scale=1.0) -> None:
+    """The physicality rule on a checked matrix or stack: min eig(gamma +
+    i Sigma) >= -DEFAULT_TOL * scale per matrix, else ValueError "<name> is
+    unphysical".  A caller passes max|gamma| as the scale where eigenvalue
+    noise of a representable boundary state grows with the matrix norm."""
+    _check_each(_min_eigenvalue(gamma) >= -DEFAULT_TOL * scale, f"{name} is unphysical")
 
 
 def validate_covariance(gamma) -> CovarianceReport:

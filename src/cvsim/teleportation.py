@@ -19,13 +19,13 @@ from .measurement import OutcomeDensity, _quadratic_columns, homodyne_project
 from .states import GaussianState
 from .symplectic import (
     _SIGMA_1,
-    DEFAULT_TOL,
     _block_diag,
     _check_finite,
     _check_matrix,
+    _check_physical,
     _check_squeezing,
     _check_vector,
-    _min_eigenvalue,
+    _own,
     beamsplitter,
     build_symplectic,
     rotation_matrix,
@@ -34,11 +34,8 @@ from .symplectic import (
 # The 50:50 beamsplitter that mixes the signal (mode 0) with the near arm (mode 1).
 _MIX = build_symplectic([beamsplitter(0, 1)], 3)
 _MIX.setflags(write=False)
-_ZETA_MAX = math.acosh(math.sqrt(np.finfo(float).max)) / 2.0  # ~177.79; see teleport
-
-
-def _check_zeta(zeta: float) -> None:
-    _check_squeezing("zeta", zeta, _ZETA_MAX, "cosh(2 zeta)^2")
+# past it cosh(2 zeta)^2, which the closed form forms, overflows
+_ZETA_MAX = math.acosh(math.sqrt(np.finfo(float).max)) / 2.0  # ~177.79
 
 
 @dataclass(frozen=True)
@@ -47,6 +44,8 @@ class TeleportSetup:
 
     ``kappa_in`` is the signal's phase-space mean; it only matters for the
     outcome density and Monte-Carlo round trips, never for gamma_rec.
+    Checked and copied read-only when built: ValueError unless gamma_in is a finite, physical 2x2 matrix,
+    kappa_in a finite vector of length 2 and |zeta| <= _ZETA_MAX ~ 177.79, past which cosh(2 zeta)^2 overflows.
     """
 
     gamma_in: np.ndarray
@@ -58,10 +57,9 @@ class TeleportSetup:
     def __post_init__(self):
         gamma = _check_matrix(self.gamma_in, "signal covariance", 2)
         kappa = _check_vector(self.kappa_in, "signal mean", 2)
-        if not _min_eigenvalue(gamma) >= -DEFAULT_TOL:
-            raise ValueError("signal covariance is unphysical")
-        object.__setattr__(self, "gamma_in", gamma)
-        object.__setattr__(self, "kappa_in", kappa)
+        _check_physical(gamma, "signal covariance")
+        _check_squeezing("zeta", self.zeta, _ZETA_MAX, "cosh(2 zeta)^2")
+        _own(self, gamma_in=gamma, kappa_in=kappa)
 
 
 @dataclass(frozen=True)
@@ -84,17 +82,19 @@ def _gamma_rec_explicit(gamma_in: np.ndarray, zeta: float, f1: FiberParams, f2: 
     |T1|^2 |T2|^2 = beta^2 are substituted symbolically.  The direct form
     subtracts two terms that both grow like cosh(2 zeta)^2 and loses all
     precision long before zeta = 20; every term below is non-negative.
+    ValueError where a product overflows, which the zeta range alone does
+    not rule out.  The terms are Python floats, which overflow to inf without
+    a warning, and an inf leaves delta or a result non-finite.
     """
     c = math.cosh(2.0 * zeta)
     s = math.sinh(2.0 * zeta)
-    alpha1, alpha2 = f1.t_mag**2, f2.t_mag**2
-    beta = f1.t_mag * f2.t_mag
-    g1, g2 = f1.noise, f2.noise
+    t1, t2 = float(f1.t_mag), float(f2.t_mag)
+    alpha1, alpha2, beta = t1**2, t2**2, t1 * t2
+    g1, g2 = float(f1.noise), float(f2.noise)
     a = c * alpha1 + g1
     b = c * alpha2 + g2
 
-    x, z = gamma_in[0, 0], gamma_in[0, 1]
-    y = gamma_in[1, 1]
+    x, z, _, y = gamma_in.ravel().tolist()
     det_in = x * y - z * z
     delta = (x + a) * (y + a) - z * z
 
@@ -102,13 +102,14 @@ def _gamma_rec_explicit(gamma_in: np.ndarray, zeta: float, f1: FiberParams, f2: 
     p_term = c * (alpha2 * g1 + alpha1 * g2) + g1 * g2 + beta**2
 
     rot = rotation_matrix(f1.phase + f2.phase)
-    tilted = rot @ gamma_in @ rot.T
-    xt, yt, zt = tilted[0, 0], tilted[1, 1], tilted[0, 1]
+    xt, zt, _, yt = (rot @ gamma_in @ rot.T).ravel().tolist()
 
     ba = b * a
     e11 = (a * p_term + b * det_in + ba * xt + p_term * yt) / delta
     e22 = (a * p_term + b * det_in + ba * yt + p_term * xt) / delta
     e12 = (s * beta) ** 2 * zt / delta
+    if not all(map(math.isfinite, (delta, e11, e22, e12))):
+        raise ValueError(f"the closed-form receiver covariance overflows at zeta = {zeta!r}")
     return np.array([[e11, e12], [e12, e22]])
 
 
@@ -119,11 +120,10 @@ def teleport(setup: TeleportSetup) -> TeleportResult:
     from the generic homodyne machinery, and the two must agree, NaN
     failing, to a tolerance scaled by the magnitude of the mixed covariance
     matrix: the generic Schur complement loses absolute precision for
-    strongly squeezed resources.  ValueError where |zeta| > acosh(sqrt(float max)) / 2
-    ~ 177.79: the closed form squares cosh 2 zeta and sinh 2 zeta (a b, delta, (s beta)^2).
+    strongly squeezed resources.  ValueError where the closed form overflows
+    inside the setup's zeta range, as for a squeezed signal near its end.
     """
     gamma_dec = degraded_tmsv(setup.zeta, setup.f1, setup.f2)
-    _check_zeta(setup.zeta)  # after degraded_tmsv, whose wider range rule speaks first
     gamma_012 = _MIX @ _block_diag(setup.gamma_in, gamma_dec) @ _MIX.T
     kappa_012 = _MIX @ np.concatenate([setup.kappa_in, np.zeros(4)])
 
@@ -210,7 +210,7 @@ def teleport_monte_carlo(
     as ``OutcomeDensity.sample`` forms them: with the matched gain G, a record w's mean difference
     is kappa_in + sqrt(2) G mean - M w, M = sqrt(2) (G - gain) diag(signs), zero for G itself, and
     its overlap ``fidelity_zero_mean`` * exp(-quadratic form of :func:`state_overlap`).  ``n_samples``
-    must be a positive integer and ``gain`` a finite 2x2 matrix, else ``ValueError``; zeta as in teleport.
+    must be a positive integer and ``gain`` a finite 2x2 matrix, else ``ValueError``; ValueError as in teleport.
     """
     if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")

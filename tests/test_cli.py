@@ -255,6 +255,32 @@ class TestExitCodes:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and "overflows" in captured.err
 
+    # The single-point commands across the input rules of the records they build: TeleportSetup holds
+    # the zeta range and the signal's physicality, degraded_tmsv the range of tmsv_state.  The setup
+    # needs its fibers first, so a bad t2 is reported before a bad zeta.  An overflow of the closed
+    # form inside the range is a numerical failure.
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            pytest.param(*row, id=" ".join(row[0]))
+            for row in [
+                (["teleport", "--zeta", "180"], 2, "error: |zeta| = 180.0 is past 177.79, where cosh(2 zeta)^2 overflows"),
+                (["teleport", "--zeta", "400"], 2, "error: |zeta| = 400.0 is past 177.79, where cosh(2 zeta)^2 overflows"),
+                (["teleport", "--eta", "800"], 2, "error: |eta| = 800.0 is past 710.48, where cosh(eta) overflows"),
+                (["teleport", "--eta", "16"], 2, "error: signal covariance is unphysical"),
+                (["check-state", "--zeta", "400"], 2, "error: |zeta| = 400.0 is past 355.24, where cosh(2 zeta) overflows"),
+                (["teleport", "--t2", "1.5", "--zeta", "400"], 2, "error: transmission magnitude must lie in [0, 1]"),
+                (["check-state", "--t2", "1.5", "--zeta", "400"], 2, "error: transmission magnitude must lie in [0, 1]"),
+                (["teleport", "--eta", "0.3", "--zeta", "177.785"], 3,
+                 "numerical failure: the closed-form receiver covariance overflows at zeta = 177.785"),
+            ]
+        ],
+    )
+    def test_single_point_refusals(self, capsys, argv, code, err):
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == err + "\n"
+
     def test_numerical_failure_exits_3(self, capsys, monkeypatch):
         def boom(args):
             raise ArithmeticError("synthetic validity failure")

@@ -5,6 +5,8 @@ the argument's name.  The registry below is the first part of the
 contract suite; a public callable that is neither registered nor listed
 as taking no matrix or vector fails ``test_every_public_callable_is_classified``."""
 
+import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -72,8 +74,8 @@ ARGUMENTS = {
 }
 
 # Public callables with no matrix or vector argument, and the result records
-# and the two containers whose array fields are checked where they are read
-# (OutcomeDensity by pdf and sample, QuadratureWavefunctionTable by build).
+# and the two containers whose array fields are checked apart from the
+# registry (OutcomeDensity when built, QuadratureWavefunctionTable by build).
 NO_ARRAY_ARGUMENT = {
     "FiberParams", "FockState.purity", "FockState.trace", "apply_channel", "apply_loss_fock", "beamsplitter",
     "build_symplectic", "build_tmsv_fock", "covariance_from_fock", "default_grid", "degraded_tmsv", "fiber_channel",
@@ -147,31 +149,23 @@ class TestDefectsRefused:
             cv.mp_inverse([[NAN, 0.0], [0.0, 1.0]])
 
     def test_outcome_density_of_a_nan_block(self):
-        # pdf returned the vacuum density 0.5642, sample NaN records
-        density = cv.OutcomeDensity(np.array([[NAN]]), np.zeros(1), np.ones(1))
+        # pdf returned the vacuum density 0.5642, sample NaN records; now refused when built
         with pytest.raises(ValueError, match="^block has non-finite entries$"):
-            density.pdf(0.0)
-        with pytest.raises(ValueError, match="^block has non-finite entries$"):
-            density.sample(np.random.default_rng(0), 3)
+            cv.OutcomeDensity(np.array([[NAN]]), np.zeros(1), np.ones(1))
 
     def test_outcome_density_signs(self):
-        # a NaN sign gave a NaN pdf, 0.5 was accepted and scaled the records
+        # a NaN sign gave a NaN pdf, 0.5 was accepted and scaled the records; now refused when built
         with pytest.raises(ValueError, match="^signs has non-finite entries$"):
-            cv.OutcomeDensity(np.eye(1), np.zeros(1), np.array([NAN])).pdf(np.zeros(1))
-        density = cv.OutcomeDensity(np.eye(2), np.zeros(2), np.array([1.0, 0.5]))
+            cv.OutcomeDensity(np.eye(1), np.zeros(1), np.array([NAN]))
         with pytest.raises(ValueError, match=r"^signs must be \+1 or -1, got \[1\.  0\.5\]$"):
-            density.pdf(np.zeros(2))
-        with pytest.raises(ValueError, match=r"^signs must be \+1 or -1"):
-            density.sample(np.random.default_rng(0), 3)
+            cv.OutcomeDensity(np.eye(2), np.zeros(2), np.array([1.0, 0.5]))
         with pytest.raises(ValueError, match="^signs must be a vector of length 2"):
-            cv.OutcomeDensity(np.eye(2), np.zeros(2), np.ones(3)).sample(np.random.default_rng(0), 3)
+            cv.OutcomeDensity(np.eye(2), np.zeros(2), np.ones(3))
 
     def test_sample_of_an_asymmetric_block(self):
-        # sample drew from the symmetrised block that pdf refuses
-        density = cv.OutcomeDensity(np.array([[1.0, 0.3], [0.0, 1.0]]), np.zeros(2), np.ones(2))
-        for read in (lambda: density.pdf(np.zeros(2)), lambda: density.sample(np.random.default_rng(0), 3)):
-            with pytest.raises(ValueError, match="^block must be symmetric$"):
-                read()
+        # sample drew from the symmetrised block that pdf refuses; now neither is reached
+        with pytest.raises(ValueError, match="^block must be symmetric$"):
+            cv.OutcomeDensity(np.array([[1.0, 0.3], [0.0, 1.0]]), np.zeros(2), np.ones(2))
 
     def test_nan_channel(self):
         with pytest.raises(ValueError, match="^noise matrix G has non-finite entries$"):
@@ -275,3 +269,99 @@ class TestEulerNearIdentity:
             assert np.max(np.abs(o1 @ d @ o2 - s)) <= 1e-9 * max(1.0, np.max(np.abs(s)))
             ks = np.diagonal(d)[::2]
             assert np.all(ks >= 1.0) and np.all(np.diff(ks) <= 0.0)
+
+
+# The public frozen records with array fields.  Each record built from a
+# caller's arrays is listed with (those arrays, fresh per call; the record
+# built from them; everything it returns, read): writing the caller's arrays
+# after the build must change nothing read.  Input records keep read-only
+# copies; results are built by the library from arrays it made.
+_FIBER = cv.FiberParams(0.9, phase=0.4, r_mag=0.2, n_th=0.3)
+OWN_COPIES = {
+    "GaussianState": (
+        lambda: {"kappa": np.array([0.3, -0.2, 0.1, 0.0]), "gamma": _TMSV.copy()},
+        lambda a: cv.GaussianState(a["kappa"], a["gamma"]),
+        lambda s: [s.kappa, s.gamma, cv.characteristic_function(s, np.ones(4))],
+    ),
+    "GaussianChannel": (
+        lambda: {"a": 0.8 * np.eye(2), "g": 0.5 * np.eye(2)},
+        lambda a: cv.GaussianChannel(a["a"], a["g"]),
+        lambda ch: [ch.a, ch.g, cv.apply_channel(cv.thermal_state(0.2), ch).gamma],
+    ),
+    "OutcomeDensity": (
+        lambda: {"block": np.array([[2.0, 0.3], [0.3, 1.5]]), "mean": np.array([0.2, -0.1]), "signs": np.array([1.0, -1.0])},
+        lambda a: cv.OutcomeDensity(a["block"], a["mean"], a["signs"]),
+        lambda d: [d.block, d.mean, d.signs, d.pdf(np.array([0.4, 0.1])), d.sample(np.random.default_rng(0), 5)],
+    ),
+    # an alias let 0.5 * identity, written after the build, through to a fidelity of 1.99999999989
+    "TeleportSetup": (
+        lambda: {"gamma_in": np.eye(2), "kappa_in": np.array([0.4, -0.2])},
+        lambda a: cv.TeleportSetup(a["gamma_in"], 12.0, _FIBER, _FIBER, kappa_in=a["kappa_in"]),
+        lambda s: [s.gamma_in, s.kappa_in, cv.teleport(s).fidelity_zero_mean, cv.teleport_monte_carlo(s, 10, seed=0)],
+    ),
+}
+RESULTS = {
+    "ConditionalResult": (
+        lambda: {"gamma": _TMSV.copy(), "d": np.diag([2.0, 0.5])},
+        lambda a: cv.gaussian_project(a["gamma"], [1], a["d"]),
+        lambda r: [r.gamma_out, r.prob_factor, r.mean_map],
+    ),
+    "HomodyneResult": (
+        lambda: {"gamma": _TMSV.copy(), "kappa": np.array([0.3, -0.2, 0.1, 0.5])},
+        lambda a: cv.homodyne_project(a["gamma"], [0], a["kappa"]),
+        lambda r: [r.gamma_out, r.mean_map, r.density.mean, r.density.pdf(np.array([0.3]))],
+    ),
+    "TeleportResult": (
+        lambda: {"gamma_in": cv.squeezed_signal(0.4).gamma.copy(), "kappa_in": np.array([0.4, -0.2])},
+        lambda a: cv.teleport(cv.TeleportSetup(a["gamma_in"], 0.8, _FIBER, _FIBER, kappa_in=a["kappa_in"])),
+        lambda r: [r.gamma_rec, r.gain, r.density.mean, r.fidelity_zero_mean],
+    ),
+}
+EXEMPT = {
+    "FockState": "its tensors are kernel outputs of 3.6-7.3 MB at cutoff 25, too large to copy per state; "
+    "ROADMAP item 9 owns the Fock module's input rule",
+    "QuadratureWavefunctionTable": "built by its build classmethod from the grid it checks; a Fock-module "
+    "table, under ROADMAP item 9",
+    "HomodyneFockResult": "keeps the grid homodyne_povm_fock was given; a Fock-module result, under ROADMAP item 9",
+}
+
+
+def _array_records():
+    """Names of the public dataclasses with a field annotated as an array."""
+    return {
+        name
+        for name, obj in _public_callables().items()
+        if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+        and any("ndarray" in str(f.type) for f in dataclasses.fields(obj))
+    }
+
+
+def test_every_array_record_is_listed():
+    assert _array_records() == set(OWN_COPIES) | set(RESULTS) | set(EXEMPT)
+    assert all(cls.__dataclass_params__.frozen for cls in (getattr(cv, name) for name in OWN_COPIES | RESULTS))
+
+
+@pytest.mark.parametrize("name", sorted(OWN_COPIES) + sorted(RESULTS))
+def test_writing_the_callers_arrays_changes_nothing_read(name):
+    arrays, build, read = (OWN_COPIES | RESULTS)[name]
+    given = arrays()
+    record = build(given)
+    before = read(record)
+    for value in given.values():
+        value *= 0.5
+    for got, want in zip(read(record), before, strict=True):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(OWN_COPIES))
+def test_input_records_hold_read_only_arrays(name):
+    arrays, build, _ = OWN_COPIES[name]
+    given = arrays()
+    record = build(given)
+    for field in given:
+        assert getattr(record, field) is not given[field] and not getattr(record, field).flags.writeable
+
+
+def test_outcome_density_fields_are_its_three_arrays():
+    # the solve is set beside them when the density is built, not as a field
+    assert [f.name for f in dataclasses.fields(cv.OutcomeDensity)] == ["block", "mean", "signs"]

@@ -1,3 +1,4 @@
+import decimal
 import math
 import re
 
@@ -208,6 +209,51 @@ class TestSeparabilityLength:
         l_s = cv.separability_length(zeta, n_th, l_abs)
         t_mag = np.exp(-l_s / l_abs)
         assert_allclose(cv.fiber_separability_threshold(zeta, t_mag), n_th, atol=1e-9)
+
+
+def _decimal_nats(residual) -> float:
+    """-ln of ``residual``, a function of the Decimal type, in 50-digit decimal arithmetic from the exact values
+    of the floats it is given: a reference independent of the float closed forms."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        return float(-residual(decimal.Decimal).ln())
+
+
+class TestSaturationEdge:
+    """Near saturation, 1 - |T|^2 (1 - e^(-2 zeta)) and 1 - e^(-2 l / l_A) are
+    tiny, and -log1p of the rounded loss keeps few of their digits."""
+
+    @pytest.mark.parametrize("zeta", [10.0, 18.0, 19.0, 20.0, 100.0])
+    def test_perfect_transmission_is_two_zeta(self, zeta):
+        # 20.00000002 at zeta = 10, 36.0437 at zeta = 18, inf from zeta ~ 18.7 on
+        assert cv.transmitted_log_negativity(zeta, 1.0) == pytest.approx(2.0 * zeta, rel=1e-15)
+        assert cv.transmitted_log_negativity(zeta, 1.0, base="2") == pytest.approx(2.0 * zeta / math.log(2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("base", ["e", "2"])
+    def test_infinite_squeezing(self, base):
+        assert cv.transmitted_log_negativity(math.inf, 1.0, base) == math.inf
+        unit = math.log(2.0) if base == "2" else 1.0
+        assert cv.transmitted_log_negativity(math.inf, 0.5, base) == pytest.approx(-math.log(0.75) / unit, rel=1e-15)
+
+    @pytest.mark.parametrize("t_mag, zeta", [(1.0 - 1e-12, 10.0), (1.0 - 1e-12, 20.0), (0.9999, 30.0), (0.999, 3.0), (0.9, 1.0)])
+    def test_lossy_fiber_near_saturation(self, t_mag, zeta):
+        # at |T| = 1 - 1e-12, zeta = 20 the residual 2e-12 had a relative error of about 5e-5
+        expected = _decimal_nats(lambda d: 1 - d(t_mag) ** 2 * (1 - (-2 * d(zeta)).exp()))
+        assert cv.transmitted_log_negativity(zeta, t_mag) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("length", [1e-20, 5e-17, 1e-16, 1e-12, 1e-3, 0.01, 1.0])
+    def test_short_fiber(self, length):
+        expected = _decimal_nats(lambda d: 1 - (-2 * d(length)).exp())
+        assert cv.max_transmittable(length, 1.0) == pytest.approx(expected, rel=1e-13)
+        assert cv.max_transmittable(2.0 * length, 2.0) == cv.max_transmittable(length, 1.0)
+
+    @pytest.mark.parametrize("length", [1e-300, 1e-20, 1e-16])
+    def test_shortest_fibers_are_minus_log_two_l(self, length):
+        # 2.9e-3 too low at l = 1e-16, inf below l ~ 5.6e-17; -log(2l) is off by about l
+        assert cv.max_transmittable(length, 1.0) == pytest.approx(-math.log(2.0 * length), rel=1e-15)
+
+    def test_zero_length_is_infinite(self):
+        assert cv.max_transmittable(0.0, 1.0) == cv.max_transmittable(0.0, 1.0, base="2") == math.inf
 
 
 class TestTransmittedLogNegativity:

@@ -106,11 +106,27 @@ class TestTeleport:
         assert_allclose(res.gamma_rec, np.eye(2), atol=1e-15)
         assert res.fidelity_zero_mean == cv.pure_squeezed_fidelity(0.0, _ZETA_MAX - 1e-9) == 1.0
 
-    @pytest.mark.parametrize("zeta", [_ZETA_MAX + 1e-9, 178.0, -180.0, 355.0])
+    @pytest.mark.parametrize("zeta", [_ZETA_MAX + 1e-9, 178.0, -180.0, 355.0, 400.0])
     def test_past_the_squeezing_range_raises(self, zeta):
-        # (s beta)**2 raised OverflowError from zeta = 178 on
-        setup = cv.TeleportSetup(np.eye(2), zeta)
+        # (s beta)**2 raised OverflowError from zeta = 178 on; the setup refuses zeta when built,
+        # so neither teleport nor teleport_monte_carlo is reached
         message = rf"^\|zeta\| = {abs(zeta)!r} is past 177.79, where cosh\(2 zeta\)\^2 overflows$"
+        with pytest.raises(ValueError, match=message):
+            cv.TeleportSetup(np.eye(2), zeta)
+
+    @pytest.mark.parametrize(
+        "signal, zeta, fiber",
+        [
+            (cv.squeezed_signal(0.3).gamma, _ZETA_MAX - 0.01, cv.IDEAL_FIBER),
+            (cv.squeezed_signal(1.0).gamma, _ZETA_MAX - 0.01, cv.IDEAL_FIBER),
+            (np.eye(2), 0.5, cv.FiberParams(0.5, n_th=1e154)),  # delta, about the noise squared, overflows
+        ],
+        ids=["eta=0.3", "eta=1.0", "noise"],
+    )
+    def test_closed_form_overflow_raises(self, signal, zeta, fiber):
+        # warned "overflow encountered in scalar multiply", then failed the cross-check with RuntimeError
+        setup = cv.TeleportSetup(signal, zeta, fiber, fiber)
+        message = rf"^the closed-form receiver covariance overflows at zeta = {zeta!r}$"
         with pytest.raises(ValueError, match=message):
             cv.teleport(setup)
         with pytest.raises(ValueError, match=message):
