@@ -21,13 +21,27 @@ d^2 x d^2 superoperator.  A state that commutes with n1 - n2 (a
 TMSV, with or without loss on either arm) has a partial transpose that is
 zero between different total photon numbers; E_N is the log of its trace
 norm (Vidal and Werner, PRA 65, 032314 (2002)), solved block by block.
-At cutoff 25 that is 51 blocks of size at most 26.  _blocks reads the
-blocks off the exact zeros of the matrix, not off this physics, so the
-result is the dense one for any input, and a dense matrix is one block.
-Every lossy TMSV at one cutoff has one pattern; the search is cached per
-exact pattern.  A real tensor stays real (TMSV, number states, loss,
-partial traces), which halves the 7.3 MB cutoff-25 tensor and the flops.
-``import cvsim`` does not load this module; ``cvsim.fock`` loads it.
+At cutoff 25 that is 51 blocks of size at most 26.
+
+Sector layout.  Such a state has rho[n1, n2, m1, m2] = 0 unless
+n1 - m1 = n2 - m2 = s, which leaves 11 726 of the 456 976 entries at
+cutoff 25.  build_tmsv_fock returns it, and apply_loss_fock keeps it, as
+its sectors only: with d = cutoff + 1, sector s (|s| <= cutoff) is the
+(d - |s|)^2 matrix Y_s[j1, j2] = rho[j1 + s, j2 + s, j1, j2] for s >= 0
+and rho[j1, j2, j1 - s, j2 - s] for s < 0, all of them in one flat
+array (see _sector_layout).  Loss on mode 0 is Y_s <- L_|s| Y_s and on
+mode 1 Y_s <- Y_s L_|s|^T; E_N gathers its blocks, the reduced matrices
+come from Y_0 and the cross moments from Y_+-1.  No d^4 tensor is made
+on that path; ``tensor`` is built on its first read.  Every other state
+(number states, gaussian_fock, any FockState built from a tensor) keeps
+the dense kernels, which are also the sector kernels' reference in the
+tests: both give the same bits for the tensor, E_N, the partial traces
+and the homodyne density.  The dense E_N reads its blocks off the exact
+zeros of the matrix, not off this physics, so a dense matrix is one
+block; its search is cached per exact pattern.  A real tensor stays real
+(TMSV, number states, loss, partial traces), which halves the 7.3 MB
+cutoff-25 tensor and the flops.  ``import cvsim`` does not load this
+module; ``cvsim.fock`` loads it.
 
 Loss with thermal occupation is out of scope; all oracle checks run at
 n_th = 0.
@@ -38,11 +52,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .entanglement import _check_base, _to_base
-from .symplectic import _check_finite, _check_matrix, _check_mode_count, _check_vector, _mode_index
+from .symplectic import _check_finite, _check_matrix, _check_mode_count, _check_vector, _mode_index, _own
 
 DEFAULT_CUTOFF = 25
 DEFAULT_GRID = (-8.0, 8.0, 801)
@@ -61,10 +76,13 @@ class FockState:
     ``tensor`` has shape (d, ..., d) with the ket indices first and the bra
     indices last (d = cutoff + 1); ``trunc_weight`` is the probability lost
     to the truncation when the state was built.  ``modes`` must be at least
-    1 and ``cutoff`` an integer >= 0, else ValueError.  ``tensor`` is kept
-    as float64 unless the input is complex, then as complex128; a real
-    state stays real through loss and partial traces.  It may be a strided
-    view (apply_loss_fock returns one), so ``matrix`` may copy it.
+    1, ``cutoff`` an integer >= 0 and every entry of ``tensor`` finite, else
+    ValueError.  ``tensor`` is kept as float64 unless the input is complex,
+    then as complex128; a real state stays real through loss and partial
+    traces.  It may be a strided view (the dense apply_loss_fock returns
+    one), so ``matrix`` may copy it.  build_tmsv_fock and apply_loss_fock
+    return states held by their sectors (module docstring), whose
+    ``tensor`` is built on its first read and kept read-only.
     """
 
     modes: int
@@ -79,7 +97,28 @@ class FockState:
         tensor = np.asarray(self.tensor, dtype=complex if np.iscomplexobj(self.tensor) else float)
         if tensor.shape != expected:
             raise ValueError(f"tensor shape {tensor.shape} != {expected}")
+        object.__setattr__(self, "tensor", _check_finite(tensor, "tensor"))
+
+    @classmethod
+    def _from_sectors(cls, cutoff: int, sectors: np.ndarray, trunc_weight: float) -> "FockState":
+        """A two-mode state held by its sectors, the flat array laid out by
+        _sector_layout(cutoff), which the state takes read-only.  Made only
+        from checked inputs, so not checked again; no tensor is set."""
+        sectors.setflags(write=False)
+        state = object.__new__(cls)
+        vars(state).update(modes=2, cutoff=cutoff, trunc_weight=trunc_weight, _sectors=sectors)
+        return state
+
+    def __getattr__(self, name):
+        # reached only for a missing attribute: a sector state's tensor before its first read
+        sectors = _sectors(self)
+        if name != "tensor" or sectors is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        tensor = np.zeros((self.cutoff + 1,) * 4)
+        tensor.reshape(-1)[_sector_layout(self.cutoff).dense] = sectors
+        tensor.setflags(write=False)
         object.__setattr__(self, "tensor", tensor)
+        return tensor
 
     @property
     def dim(self) -> int:
@@ -91,10 +130,10 @@ class FockState:
 
     def trace(self) -> float:
         # raveled, so the sum runs in the order of the matrix diagonal
-        return float(_diagonal(self.tensor, self.modes).ravel().sum().real)
+        return float(_populations(self).ravel().sum().real)
 
     def purity(self) -> float:
-        return _trace_product(self.tensor, self.tensor)
+        return _trace_product(self, self)
 
 
 def _check_cutoff(cutoff, name: str = "cutoff") -> int:
@@ -104,6 +143,66 @@ def _check_cutoff(cutoff, name: str = "cutoff") -> int:
     return int(cutoff)
 
 
+class _SectorLayout(NamedTuple):
+    """Where a sector state keeps each entry, for one cutoff c (d = c + 1).
+
+    The flat array holds, for t = 0..c, the sectors +t and -t as one
+    (p, d - t, d - t) array, p = 1 for t = 0 and 2 after (Y_t, then Y_-t);
+    ``chunks`` gives each as (start, stop, shape).  For every entry in that
+    order: ``dense`` is its index in the raveled d^4 tensor, ``mirror`` the
+    index of its entry in the sector of opposite sign (rho[m, n] for
+    rho[n, m]), ``gather`` orders the entries as the blocks of the partial
+    transpose, N = n1 + m2 ascending, each (k, k) with rows n1 and columns
+    m1 ascending, ``blocks`` gives each N as (start, stop, k) in that
+    order, and ``pure`` picks the entries rho[n, n, m, m] a TMSV fills,
+    ``pure_levels`` their (n, m)."""
+
+    chunks: tuple
+    dense: np.ndarray
+    mirror: np.ndarray
+    gather: np.ndarray
+    blocks: tuple
+    pure: np.ndarray
+    pure_levels: tuple
+
+
+@lru_cache(maxsize=8)
+def _sector_layout(cutoff: int) -> _SectorLayout:
+    """The sector layout at this cutoff, built once; read-only, because cached."""
+    d = cutoff + 1
+    chunks, levels, start = [], [], 0
+    for t in range(d):
+        j1, j2 = np.divmod(np.arange((d - t) ** 2), d - t)
+        pair = [(j1 + t, j2 + t, j1, j2)] + ([(j1, j2, j1 + t, j2 + t)] if t else [])
+        chunks.append((start, start + len(pair) * j1.size, (len(pair), d - t, d - t)))
+        start = chunks[-1][1]
+        levels += pair
+    n1, n2, m1, m2 = (np.concatenate(axis) for axis in zip(*levels))
+    dense = ((n1 * d + n2) * d + m1) * d + m2
+    order = np.argsort(dense)
+    mirror = order[np.searchsorted(dense, ((m1 * d + m2) * d + n1) * d + n2, sorter=order)]
+    gather = np.lexsort((m1, n1, n1 + m2))
+    pure = np.flatnonzero((n1 == n2) & (m1 == m2))
+    pure_levels = n1[pure], m1[pure]
+    for a in (dense, mirror, gather, pure, *pure_levels):
+        a.setflags(write=False)
+    sizes = [min(n, cutoff) - max(0, n - cutoff) + 1 for n in range(2 * cutoff + 1)]
+    stops = np.cumsum([k * k for k in sizes]).tolist()
+    blocks = tuple((stop - k * k, stop, k) for stop, k in zip(stops, sizes))
+    return _SectorLayout(tuple(chunks), dense, mirror, gather, blocks, pure, pure_levels)
+
+
+def _sectors(state: FockState) -> np.ndarray | None:
+    """The flat sector array of a sector state, None for a dense one."""
+    return vars(state).get("_sectors")
+
+
+def _chunk(sectors: np.ndarray, chunk: tuple) -> np.ndarray:
+    """The sectors +-t of the flat array as a (p, d - t, d - t) view."""
+    start, stop, shape = chunk
+    return sectors[start:stop].reshape(shape)
+
+
 def _diagonal(tensor: np.ndarray, modes: int) -> np.ndarray:
     """The entries rho[n, n] indexed (n1, ..., nN), as np.diagonal views."""
     for ket in range(modes, 0, -1):  # pair each ket axis with its bra axis
@@ -111,14 +210,25 @@ def _diagonal(tensor: np.ndarray, modes: int) -> np.ndarray:
     return tensor
 
 
-def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Re Tr[a b] of two density tensors as the sum of the elementwise product
-    of a and b^T (b's ket and bra axes swapped), without forming a b.  The
-    product is laid out in C order, so the sum rounds alike on a strided and
+def _populations(state: FockState) -> np.ndarray:
+    """The diagonal rho[n, n] indexed (n1, ..., nN): Y_0 of a sector state."""
+    sectors = _sectors(state)
+    if sectors is None:
+        return _diagonal(state.tensor, state.modes)
+    return _chunk(sectors, _sector_layout(state.cutoff).chunks[0])[0]
+
+
+def _trace_product(a: FockState, b: FockState) -> float:
+    """Re Tr[a b] of two states as the sum of the elementwise product of a
+    and b^T (b's ket and bra axes swapped), without forming a b.  Two sector
+    states pair each entry with its mirror.  Otherwise the product of the
+    tensors is laid out in C order, so the sum rounds alike on a strided and
     a contiguous tensor, and neither argument is copied."""
-    modes = a.ndim // 2
-    b_t = b.transpose(*range(modes, 2 * modes), *range(modes))
-    return float(np.multiply(a, b_t, order="C").sum().real)
+    sa, sb = _sectors(a), _sectors(b)
+    if sa is not None and sb is not None:
+        return float(sa @ sb[_sector_layout(a.cutoff).mirror])
+    b_t = b.tensor.transpose(*range(b.modes, 2 * b.modes), *range(b.modes))
+    return float(np.multiply(a.tensor, b_t, order="C").sum().real)
 
 
 def vacuum_fock(modes: int = 1, cutoff: int = DEFAULT_CUTOFF) -> FockState:
@@ -150,8 +260,8 @@ def build_tmsv_fock(zeta: float, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     The expansion is truncated at the cutoff and renormalised; the dropped
     weight q^(2(cutoff+1)) is reported on the state and must not exceed
     the truncation budget 1e-6.  A non-finite zeta or a cutoff that is not
-    an integer >= 0 raises ValueError.  Only the d^2 nonzero entries
-    rho[n, n, m, m] are written, and the state is real.
+    an integer >= 0 raises ValueError.  The state is real and held by its
+    sectors, where only the d^2 nonzero entries rho[n, n, m, m] are written.
     """
     q = np.tanh(_check_finite(zeta, "squeezing"))
     d = _check_cutoff(cutoff) + 1
@@ -164,10 +274,12 @@ def build_tmsv_fock(zeta: float, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     psi = np.zeros((d, d), dtype=complex)
     np.fill_diagonal(psi, amps)
     # the norm of the d^2 state vector rounds unlike that of the d amplitudes
-    amps = np.diagonal(psi) / np.linalg.norm(psi)
-    rho = np.zeros((d,) * 4)
-    rho.reshape(d * d, d * d)[:: d + 1, :: d + 1] = np.outer(amps, amps.conj()).real
-    return FockState(2, cutoff, rho, weight)
+    amps = (np.diagonal(psi) / np.linalg.norm(psi)).real
+    layout = _sector_layout(d - 1)
+    sectors = np.zeros(layout.dense.size)
+    n, m = layout.pure_levels
+    sectors[layout.pure] = amps[n] * amps[m]
+    return FockState._from_sectors(d - 1, sectors, weight)
 
 
 def _blocks(m: np.ndarray) -> list[np.ndarray]:
@@ -257,19 +369,32 @@ def apply_loss_fock(state: FockState, mode: int, transmittance: float) -> FockSt
     _loss_diagonals) acting on the rows (j + s, j), or (j, j + s), of the
     real view of x, in place in one copy of the state with the mode's axes
     moved to the front.  The result's tensor is that copy seen in the
-    state's axis order, so it may be a strided view.
+    state's axis order, so it may be a strided view.  A sector state stays
+    one: the diagonal a - b = +-s of either mode holds the sectors +-s, and
+    each pair takes one product with the same matrix.
     """
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError("transmittance must lie in [0, 1]")
     mode = _mode_index(mode, state.modes)
     if transmittance == 1.0:
         return state
+    maps = _loss_diagonals(state.cutoff, float(transmittance))
+    sectors = _sectors(state)
+    if sectors is not None:
+        out = np.empty_like(sectors)
+        for chunk, block in zip(_sector_layout(state.cutoff).chunks, maps):
+            y, new = _chunk(sectors, chunk), _chunk(out, chunk)
+            if mode == 0:
+                np.matmul(block, y, out=new)
+            else:
+                np.matmul(y, block.T, out=new)
+        return FockState._from_sectors(state.cutoff, out, state.trunc_weight)
     d = state.cutoff + 1
     axes = (mode, state.modes + mode)
     # a copy, never the caller's array: for one mode moveaxis is the identity
     moved = np.moveaxis(state.tensor, axes, (0, 1)).copy()
     flat = moved.reshape(d * d, -1).view(float)
-    for s, block in enumerate(_loss_diagonals(state.cutoff, float(transmittance))):
+    for s, block in enumerate(maps):
         for start in {s * d, s}:  # the rows (j + s, j) and (j, j + s), strided views
             rows = flat[start :: d + 1][: d - s]
             rows[...] = block @ rows
@@ -277,8 +402,18 @@ def apply_loss_fock(state: FockState, mode: int, transmittance: float) -> FockSt
 
 
 def partial_trace(state: FockState, keep) -> FockState:
+    """The reduced state of the modes in ``keep``.  Levels are summed one by
+    one, so the sum rounds alike on any strides; that of a sector state is
+    the diagonal of Y_0 summed the same way, a dense one-mode state."""
     keep = sorted({_mode_index(m, state.modes) for m in keep})
     drop = [m for m in range(state.modes) if m not in keep]
+    if _sectors(state) is not None and len(drop) < 2:  # keeping no mode fails below
+        if not drop:
+            return state
+        # rho[n1, n, m1, n] is zero unless n1 = m1; cumsum adds level by level
+        (m,) = drop
+        sums = np.cumsum(_populations(state), axis=m).take(-1, axis=m)
+        return FockState(1, state.cutoff, np.diag(sums), state.trunc_weight)
     tensor = state.tensor
     for m in sorted(drop, reverse=True):
         # level by level, so the sum rounds alike on a strided and a contiguous tensor
@@ -287,50 +422,79 @@ def partial_trace(state: FockState, keep) -> FockState:
     return FockState(len(keep), state.cutoff, tensor, state.trunc_weight)
 
 
-def _quadrature_ops(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=8)
+def _quadrature_ops(cutoff: int) -> np.ndarray:
+    """x, p and the symmetrised products xx + xx, xp + px, pp + pp at this
+    cutoff, stacked (5, d, d) complex; read-only, because cached."""
     a = _destroy(cutoff + 1)
     x = (a + a.T) / np.sqrt(2.0)
     p = (a - a.T) / (1j * np.sqrt(2.0))
-    return x, p.astype(complex)
+    ops = np.stack([x, p] + [u @ v + v @ u for u, v in ((x, x), (x, p), (p, p))]).astype(complex)
+    ops.setflags(write=False)
+    return ops
 
 
 def covariance_from_fock(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     """Extract (kappa, gamma) by taking first and second moments.
 
-    Each moment contracts the ket/bra tensor with d x d quadratures: a
-    same-mode pair is a trace of the one-mode reduced matrix, a cross-mode
-    pair is 2 Tr[rho (A (x) B)].  x and p vanish off k = i +- 1, so mode 0
-    is contracted against both on those two diagonals of its (ket, bra)
-    plane, np.diagonal views of the tensor.  One or two modes cover every
-    oracle check.
+    Each moment contracts the ket/bra tensor with d x d quadratures: the
+    means and a same-mode pair are Tr[R A] = sum_ij A[j, i] R[i, j] of the
+    one-mode reduced matrix R, one product per mode; a cross-mode pair is
+    2 Tr[rho (A (x) B)].  x and p vanish off k = i +- 1, so mode 0 is
+    contracted against both on those two diagonals of its (ket, bra)
+    plane, np.diagonal views of the tensor; in a sector state those
+    diagonals are Y_1 and Y_-1.  One or two modes cover every oracle check.
     """
     if state.modes > 2:
         raise ValueError("moment extraction supports at most two modes")
-    ops = np.stack(_quadrature_ops(state.cutoff))
-    reduced = [partial_trace(state, [m]).tensor for m in range(state.modes)]
-    quads = [(m, op) for m in range(state.modes) for op in ops]
-    kappa = np.array([np.trace(reduced[m] @ op).real for m, op in quads])
-    if state.modes == 2:
+    ops = _quadrature_ops(state.cutoff)
+    flat = ops.reshape(len(ops), -1)
+    moments = [(flat @ partial_trace(state, [m]).tensor.T.ravel()).real for m in range(state.modes)]
+    kappa = np.concatenate([mom[:2] for mom in moments])
+    sectors = _sectors(state)
+    if sectors is not None:
+        # sum_j rho[j + 1, l + 1, j, l] A[j, j + 1] B[l, l + 1] = u_A Y_1 u_B^T, and Y_-1 with A[j + 1, j]
+        y_up, y_down = _chunk(sectors, _sector_layout(state.cutoff).chunks[1]) if state.cutoff else np.zeros((2, 0, 0))
+        up, down = np.diagonal(ops[:2], 1, 1, 2), np.diagonal(ops[:2], -1, 1, 2)
+        cross = 2.0 * (up @ y_up @ up.T + down @ y_down @ down.T).real
+    elif state.modes == 2:
         # (j, l, a) = sum_ik rho[i, j, k, l] A_a[k, i] over k = i +- 1, then closed with B_b[l, j]
-        half = sum(np.diagonal(state.tensor, s, 0, 2) @ np.diagonal(ops, -s, 1, 2).T for s in (1, -1))
-        cross = 2.0 * np.einsum("jla,blj->ab", half, ops).real
+        half = sum(np.diagonal(state.tensor, s, 0, 2) @ np.diagonal(ops[:2], -s, 1, 2).T for s in (1, -1))
+        cross = 2.0 * np.einsum("jla,blj->ab", half, ops[:2]).real
     dim = 2 * state.modes
     gamma = np.empty((dim, dim))
     for i in range(dim):
         for j in range(i, dim):
-            (mi, a), (mj, b) = quads[i], quads[j]
-            if mi == mj:
-                second = np.trace(reduced[mi] @ (a @ b + b @ a)).real
-            else:
-                second = cross[i % 2, j % 2]
+            # xx, xp or pp of one mode, else the cross-mode pair
+            second = moments[i // 2][2 + i % 2 + j % 2] if i // 2 == j // 2 else cross[i % 2, j % 2]
             gamma[i, j] = gamma[j, i] = second - 2.0 * kappa[i] * kappa[j]
     return kappa, gamma
 
 
 def _boundary_population(state: FockState) -> float:
     """Largest diagonal probability with any mode at the cutoff level."""
-    probs = np.real(_diagonal(state.tensor, state.modes))
+    probs = np.real(_populations(state))
     return max(0.0, *(float(np.take(probs, -1, axis=m).sum()) for m in range(state.modes)))
+
+
+def _sector_blocks(cutoff: int, sectors: np.ndarray) -> list[np.ndarray]:
+    """The blocks of a sector state's partial transpose, as the dense path
+    solves them: block N = n1 + m2 holds rho[n1, N - m1, m1, N - n1], rows
+    n1 ascending, and is split further where its own exact zeros cut it
+    (a TMSV without loss on an arm), the parts in the order of their first
+    row in the d^2 x d^2 matrix, so the trace norm sums alike."""
+    layout = _sector_layout(cutoff)
+    gathered = sectors[layout.gather]
+    blocks = [gathered[start:stop].reshape(k, k) for start, stop, k in layout.blocks]
+    if np.all(gathered):
+        return blocks  # first rows ascend with N
+    parts = []
+    for total, block in enumerate(blocks):
+        low = max(0, total - cutoff)
+        for idx in _blocks(block):
+            # row n1 of block N is row n1 * (d - 1) + N of the dense matrix
+            parts.append(((low + idx[0]) * cutoff + total, block[np.ix_(idx, idx)]))
+    return [block for _, block in sorted(parts, key=lambda part: part[0])]
 
 
 def log_negativity_fock(state: FockState, base="e") -> float:
@@ -338,17 +502,22 @@ def log_negativity_fock(state: FockState, base="e") -> float:
 
     The partial transpose swaps the second mode's ket and bra indices; the
     result is log of the sum of absolute eigenvalues, solved block by block
-    over its nonzero pattern (see _pattern_blocks).
+    over its nonzero pattern (see _pattern_blocks), or for a sector state
+    over the blocks _sector_blocks gathers.
     """
     if state.modes != 2:
         raise ValueError("log negativity needs a bipartite state")
     _check_base(base)
     if _boundary_population(state) > _TRUNCATION_BUDGET:
         warnings.warn("cutoff boundary population exceeds budget; result may be truncation dominated")
-    d = state.cutoff + 1
-    pt = state.tensor.transpose(0, 3, 2, 1).reshape(d * d, d * d)
-    blocks = (pt[np.ix_(idx, idx)] for idx in _pattern_blocks(np.packbits(pt != 0).tobytes(), d * d))
-    trace_norm = sum(float(np.sum(np.abs(np.linalg.eigvalsh(block)))) for block in blocks)
+    sectors = _sectors(state)
+    if sectors is not None:
+        blocks = _sector_blocks(state.cutoff, sectors)
+    else:
+        d = state.cutoff + 1
+        pt = state.tensor.transpose(0, 3, 2, 1).reshape(d * d, d * d)
+        blocks = (pt[np.ix_(idx, idx)] for idx in _pattern_blocks(np.packbits(pt != 0).tobytes(), d * d))
+    trace_norm = sum(float(np.abs(np.linalg.eigvalsh(block)).sum()) for block in blocks)
     return float(_to_base(np.log(trace_norm), base))
 
 
@@ -358,7 +527,7 @@ def overlap_fock(state_a: FockState, state_b: FockState) -> float:
         raise ValueError("states must live on the same truncated space")
     if abs(state_a.purity() - 1.0) > _PURITY_TOL:
         raise ValueError("first argument must be a pure state")
-    return _trace_product(state_a.tensor, state_b.tensor)
+    return _trace_product(state_a, state_b)
 
 
 @dataclass(frozen=True)
@@ -367,7 +536,8 @@ class QuadratureWavefunctionTable:
 
     Built by the stable two-term recurrence
     psi_n = sqrt(2/n) X psi_(n-1) - sqrt((n-1)/n) psi_(n-2),
-    which avoids the factorial overflow of the closed form.
+    which avoids the factorial overflow of the closed form.  Both arrays
+    are read-only, and ``grid`` is the table's own copy of the caller's.
     """
 
     grid: np.ndarray
@@ -385,7 +555,10 @@ class QuadratureWavefunctionTable:
             values[1] = np.sqrt(2.0) * grid * values[0]
         for n in range(2, n_max + 1):
             values[n] = np.sqrt(2.0 / n) * grid * values[n - 1] - np.sqrt((n - 1.0) / n) * values[n - 2]
-        return cls(grid=grid, values=values)
+        table = cls(grid=grid, values=values)
+        _own(table, grid=grid)
+        values.setflags(write=False)
+        return table
 
 
 @lru_cache(maxsize=1)
@@ -394,6 +567,12 @@ def default_grid() -> np.ndarray:
     grid = np.linspace(*DEFAULT_GRID)
     grid.setflags(write=False)
     return grid
+
+
+@lru_cache(maxsize=4)
+def _default_table(cutoff: int) -> QuadratureWavefunctionTable:
+    """The table on the default grid up to the cutoff level, built once and shared."""
+    return QuadratureWavefunctionTable.build(default_grid(), cutoff)
 
 
 @dataclass(frozen=True)
@@ -412,14 +591,24 @@ def homodyne_povm_fock(state: FockState, mode: int, phi: float = 0.0, grid=None)
     """Outcome density of projecting one mode onto quadrature eigenstates |X, phi>.
 
     phi = 0 is an x measurement and phi = pi/2 a p measurement.  The density
-    p(X) = <X,phi| rho_mode |X,phi> needs only the mode's reduced matrix R;
-    with A[X, n] = <n|X,phi> it is the row sum of (A^* R) * A.
+    p(X) = <X,phi| rho_mode |X,phi> needs only the mode's reduced matrix R:
+    with <n|X,phi> = e^(i phi n) psi_n(X) it is the column sum of
+    (W^T V) * V, V[n, X] = psi_n(X) the table and W = Re(R[m, n]
+    e^(i phi (n - m))), all real.
+    The result keeps a read-only copy of a caller's grid; the default grid
+    and its table are shared.
     """
     reduced = partial_trace(state, [mode]).tensor
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    amps = _quadrature_amplitudes(state.cutoff, phi, grid)
-    pdf = np.sum((amps.conj() @ reduced) * amps, axis=1).real
-    return HomodyneFockResult(grid=grid, pdf=pdf)
+    levels = np.arange(state.cutoff + 1)
+    weights = (reduced * np.exp(1j * _check_finite(phi, "phi") * (levels - levels[:, None]))).real
+    if grid is None:
+        grid, table = default_grid(), _default_table(state.cutoff)
+    else:
+        table = QuadratureWavefunctionTable.build(grid, state.cutoff)
+        grid = table.grid
+    terms = weights.T @ table.values
+    terms *= table.values
+    return HomodyneFockResult(grid=grid, pdf=terms.sum(axis=0))
 
 
 def homodyne_conditional_fock(state: FockState, mode: int, x: float, phi: float = 0.0) -> FockState:

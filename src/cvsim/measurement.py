@@ -15,6 +15,7 @@ resource gives a gain of exactly unit magnitude.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,17 +34,22 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(0.5 * (mat + mat.T))
 
 
-def _spectral_cut(evals: np.ndarray, evecs: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """Moore-Penrose inverse and pseudo-determinant of a symmetric matrix
-    from its eigen-decomposition.
+def _spectral_cut(evals: np.ndarray, evecs: np.ndarray, tol: float, power=np.sqrt) -> tuple[np.ndarray, float]:
+    """Moore-Penrose inverse of a symmetric matrix from its
+    eigen-decomposition, and ``power`` (a square root or an inverse one) of
+    its pseudo-determinant.
 
     Eigenvalues with |e| <= tol * max|e| count as exactly zero: the inverse
     drops them and the pseudo-determinant is the product of the others
-    (1.0 when none is kept).
+    (1.0 when none is kept).  Where that product overflows although each
+    factor's root is finite, ``power`` is taken of each factor instead.
     """
     keep = np.abs(evals) > tol * np.max(np.abs(evals), initial=0.0)
     inv = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
-    return (evecs * inv) @ evecs.T, float(np.prod(evals[keep]))
+    kept = evals[keep]
+    pdet = math.prod(kept.tolist())  # in np.prod's order, but a float overflow is inf without a warning
+    scaled = power(pdet) if pdet < math.inf else math.prod(power(kept).tolist())
+    return (evecs * inv) @ evecs.T, scaled
 
 
 def mp_inverse(mat) -> np.ndarray:
@@ -117,8 +123,8 @@ def gaussian_project(gamma, measured_modes, d_matrix) -> ConditionalResult:
     if np.any(d_matrix != np.diag(np.diagonal(d_matrix))) or np.any(np.diagonal(d_matrix) < 0):
         raise ValueError("D must be diagonal with non-negative entries")
     core = _check_matrix(c2 + d_matrix @ d_matrix, "matrix", even=False, symmetric=True)  # D^2 can overflow
-    core_inv, core_det = _spectral_cut(*_eigh(core), _PROJECT_REL_TOL)
-    return ConditionalResult(c1 - c3 @ core_inv @ c3.T, core_det**-0.5, c3 @ core_inv)
+    core_inv, prob_factor = _spectral_cut(*_eigh(core), _PROJECT_REL_TOL, lambda det: det**-0.5)
+    return ConditionalResult(c1 - c3 @ core_inv @ c3.T, prob_factor, c3 @ core_inv)
 
 
 def _conjugate_quadrature(q: int) -> int:
@@ -149,9 +155,9 @@ class OutcomeDensity:
         _check_each(np.abs(signs) == 1.0, lambda _: f"signs must be +1 or -1, got {signs}", core=1)
         _own(self, block=block, mean=mean, signs=signs)
         evals, evecs = _eigh(block)
-        inverse, pdet = _spectral_cut(evals, evecs, MP_REL_TOL)
+        inverse, root_pdet = _spectral_cut(evals, evecs, MP_REL_TOL)
         # beside the fields, not fields: the solve, its cut that pdf and homodyne_project's mean_map read, the norm
-        vars(self).update(_eig=(evals, evecs), _inverse=inverse, _norm=np.pi ** (len(block) / 2.0) * np.sqrt(pdet))
+        vars(self).update(_eig=(evals, evecs), _inverse=inverse, _norm=np.pi ** (len(block) / 2.0) * root_pdet)
 
     def pdf(self, outcomes) -> np.ndarray | float:
         """exp(-d^T B^MP d) / (pi^(n/2) sqrt(pdet B)) per record, d its sign-adjusted deviation from ``mean``."""

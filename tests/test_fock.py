@@ -68,6 +68,13 @@ def _lossy_tmsv(zeta=0.4, cutoff=25, taus=(0.7, 0.8)):
     return fock.apply_loss_fock(fock.apply_loss_fock(st, 0, taus[0]), 1, taus[1])
 
 
+def _dense_lossy_tmsv(zeta=0.4, cutoff=25, taus=(0.7, 0.8)):
+    """The same state through the dense kernels: the TMSV's tensor as a
+    dense FockState, then loss on each arm (a strided view)."""
+    st = fock.FockState(2, cutoff, fock.build_tmsv_fock(zeta, cutoff).tensor)
+    return fock.apply_loss_fock(fock.apply_loss_fock(st, 0, taus[0]), 1, taus[1])
+
+
 def _reference_moments(state):
     """Means and gamma from dense quadratures on the full space, Tr[rho Q]."""
     d = state.cutoff + 1
@@ -291,26 +298,27 @@ def _peak_tensors(fn):
 
 class TestMemory:
     """The oracle's kernels allocate no more of the d^4 tensor than their
-    results need (lossy TMSV at cutoff 25)."""
+    results need (lossy TMSV at cutoff 25).  The dense kernels are measured
+    on the lossy TMSV built through them, a strided dense state."""
 
     def test_warm_loss_holds_its_copy_and_its_result(self):
         # the result is the moved copy itself, seen in the state's axis order;
         # a real state is half a complex tensor
-        st = _lossy_tmsv()
+        st = _dense_lossy_tmsv()
         assert _peak_tensors(lambda: fock.apply_loss_fock(st, 1, 0.8)) <= 0.6
 
     def test_diagonal_readers_copy_no_tensor(self):
-        st = _lossy_tmsv()  # a strided view, whose .matrix would be a copy
+        st = _dense_lossy_tmsv()  # a strided view, whose .matrix would be a copy
         assert _peak_tensors(lambda: (fock._boundary_population(st), st.trace())) <= 0.05
 
     def test_trace_products_copy_no_tensor(self):
         # the one elementwise product; .matrix of this view would copy it first
-        st = _lossy_tmsv()
-        pure = fock.build_tmsv_fock(0.4)
+        st = _dense_lossy_tmsv()
+        pure = fock.FockState(2, 25, fock.build_tmsv_fock(0.4).tensor)
         assert _peak_tensors(lambda: (st.purity(), fock.overlap_fock(pure, st))) <= 0.6
 
     def test_moments_copy_no_tensor(self):
-        st = _lossy_tmsv()
+        st = _dense_lossy_tmsv()
         assert _peak_tensors(lambda: fock.covariance_from_fock(st)) <= 0.25
 
     def test_oracle_chain(self):
@@ -325,9 +333,27 @@ class TestMemory:
         assert _peak_tensors(chain) <= 1.2
 
     def test_log_negativity_holds_one_partial_transpose(self):
-        st = _lossy_tmsv()
+        st = _dense_lossy_tmsv()
         fock.log_negativity_fock(st)  # the block search of this pattern is cached
         assert _peak_tensors(lambda: fock.log_negativity_fock(st)) <= 0.65
+
+    def test_sector_oracle_chain_builds_no_tensor(self):
+        built = []
+
+        def chain():
+            st = fock.build_tmsv_fock(0.4)
+            for mode, tau in ((0, 0.7), (1, 0.8)):
+                lossy = fock.apply_loss_fock(st, mode, tau)
+                built.append("tensor" in vars(st))
+                st = lossy
+            fock.log_negativity_fock(st)
+            fock.covariance_from_fock(st)
+            fock.homodyne_povm_fock(st, 0)
+            built.append("tensor" in vars(st))
+
+        chain()  # the per-cutoff layout, loss maps and default-grid table are cached
+        assert _peak_tensors(chain) <= 0.05
+        assert built == [False] * 6
 
 
 def _dense_boundary_population(state):
@@ -374,16 +400,132 @@ class TestStridedLossResults:
                 assert np.array_equal(got, want)
 
     def test_lossy_tmsv_reads_as_contiguous_copy(self):
-        view = _lossy_tmsv()
+        view = _dense_lossy_tmsv()
         dense = fock.FockState(2, 25, np.ascontiguousarray(view.tensor))
         assert not view.tensor.flags.c_contiguous
         assert fock.log_negativity_fock(view) == fock.log_negativity_fock(dense)
         assert view.purity() == dense.purity()
-        pure = fock.build_tmsv_fock(0.4)
+        pure = fock.FockState(2, 25, fock.build_tmsv_fock(0.4).tensor)
         assert fock.overlap_fock(pure, view) == fock.overlap_fock(pure, dense)
         for got, want in zip(fock.covariance_from_fock(view), fock.covariance_from_fock(dense)):
             assert np.array_equal(got, want)
         assert np.array_equal(fock.homodyne_povm_fock(view, 0).pdf, fock.homodyne_povm_fock(dense, 0).pdf)
+
+
+def _dense_tmsv(zeta, cutoff):
+    """The TMSV as a dense state: the outer product of its d^2 state vector."""
+    d = cutoff + 1
+    q = np.tanh(zeta)
+    psi = np.zeros((d, d), dtype=complex)
+    np.fill_diagonal(psi, np.sqrt(1.0 - q * q) * q ** np.arange(d))
+    psi = psi.reshape(-1) / np.linalg.norm(psi)
+    return fock.FockState(2, cutoff, np.outer(psi, psi.conj()).real.reshape((d,) * 4), float(q ** (2 * d)))
+
+
+# squeezings across the oracle's range at every cutoff whose truncation
+# budget holds them; zeta = 0.001 is the only one that fits cutoffs 0 and 1
+_SECTOR_CASES = [
+    (zeta, cutoff)
+    for cutoff in (0, 1, 5, 25)
+    for zeta in (0.001, 0.05, 0.4, 1.0)
+    if np.tanh(zeta) ** (2 * (cutoff + 1)) <= fock._TRUNCATION_BUDGET
+]
+_TAUS = (0.0, 0.3, 0.7, 1.0)
+
+
+def _e_n_and_warnings(state):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        e_n = fock.log_negativity_fock(state)
+    return e_n, [str(w.message) for w in caught]
+
+
+class TestSectorLayout:
+    """build_tmsv_fock and apply_loss_fock hold a lossy TMSV by its sectors;
+    every reader gives what the dense kernels give on the dense state."""
+
+    def test_cases_cover_every_cutoff(self):
+        assert sorted({cutoff for _, cutoff in _SECTOR_CASES}) == [0, 1, 5, 25]
+        assert {zeta for zeta, cutoff in _SECTOR_CASES if cutoff == 25} == {0.001, 0.05, 0.4, 1.0}
+
+    @pytest.mark.parametrize("zeta, cutoff", _SECTOR_CASES)
+    @pytest.mark.parametrize("tau0", _TAUS)
+    def test_readers_match_the_dense_kernels(self, zeta, cutoff, tau0):
+        built, dense_built = fock.build_tmsv_fock(zeta, cutoff), _dense_tmsv(zeta, cutoff)
+        assert built.trunc_weight == dense_built.trunc_weight
+        for tau1 in _TAUS:
+            st = fock.apply_loss_fock(fock.apply_loss_fock(built, 0, tau0), 1, tau1)
+            ref = fock.apply_loss_fock(fock.apply_loss_fock(dense_built, 0, tau0), 1, tau1)
+            assert fock._sectors(st) is not None and fock._sectors(ref) is None
+            assert _e_n_and_warnings(st) == _e_n_and_warnings(ref)
+            for mode in range(2):
+                assert np.array_equal(fock.partial_trace(st, [mode]).tensor, fock.partial_trace(ref, [mode]).tensor)
+                for phi in (0.0, 0.7):
+                    pdf = fock.homodyne_povm_fock(st, mode, phi).pdf
+                    assert np.array_equal(pdf, fock.homodyne_povm_fock(ref, mode, phi).pdf)
+            for got, want in zip(fock.covariance_from_fock(st), fock.covariance_from_fock(ref), strict=True):
+                assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+            assert st.trace() == ref.trace()
+            assert fock._boundary_population(st) == fock._boundary_population(ref)
+            assert abs(st.purity() - ref.purity()) <= 1e-15
+            assert abs(fock.overlap_fock(built, st) - fock.overlap_fock(dense_built, ref)) <= 1e-15
+            assert "tensor" not in vars(st)
+            assert np.array_equal(st.tensor, ref.tensor) and not st.tensor.flags.writeable
+            assert st.tensor is st.tensor  # built once
+
+    @pytest.mark.parametrize("zeta", [0.34, 0.365, 0.39])
+    def test_pure_tmsv_sums_its_split_blocks_in_the_dense_order(self, zeta):
+        # each N-block splits into pairs {n1, N - n1}; summed N by N, E_N differed in the last bit
+        st = fock.build_tmsv_fock(zeta, 8)
+        assert fock.log_negativity_fock(st) == fock.log_negativity_fock(fock.FockState(2, 8, st.tensor))
+
+    @pytest.mark.parametrize("cutoff", [0, 1, 5, 25])
+    def test_layout_holds_each_entry_of_the_sectors_once(self, cutoff):
+        d = cutoff + 1
+        layout = fock._sector_layout(cutoff)
+        n1, n2, m1, m2 = np.unravel_index(layout.dense, (d,) * 4)
+        assert np.array_equal(n1 - m1, n2 - m2)
+        assert np.unique(layout.dense).size == layout.dense.size == layout.blocks[-1][1]
+        assert [k for _, _, k in layout.blocks] == [min(n, cutoff) - max(0, n - cutoff) + 1 for n in range(2 * d - 1)]
+        assert layout.dense.size == sum((d - abs(s)) ** 2 for s in range(-cutoff, cutoff + 1))
+        assert np.array_equal(layout.dense[layout.mirror], np.ravel_multi_index((m1, m2, n1, n2), (d,) * 4))
+        assert cutoff != 25 or layout.dense.size == 11726
+
+
+# every public kernel that reads a state
+_STATE_KERNELS = {
+    "FockState.trace": lambda st: st.trace(),
+    "FockState.purity": lambda st: st.purity(),
+    "apply_loss_fock": lambda st: fock.apply_loss_fock(st, 0, 0.7),
+    "partial_trace": lambda st: fock.partial_trace(st, [0]),
+    "covariance_from_fock": fock.covariance_from_fock,
+    "log_negativity_fock": fock.log_negativity_fock,
+    "overlap_fock": lambda st: fock.overlap_fock(st, st),
+    "homodyne_povm_fock": lambda st: fock.homodyne_povm_fock(st, 0),
+    "homodyne_conditional_fock": lambda st: fock.homodyne_conditional_fock(st, 0, 0.1),
+}
+
+
+class TestNonFiniteTensor:
+    """FockState refuses a tensor with a NaN or inf entry, so no kernel
+    reads one (log_negativity_fock returned nan and inf)."""
+
+    @pytest.mark.parametrize("kernel", sorted(_STATE_KERNELS))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_one_bad_entry_reaches_no_kernel(self, kernel, bad):
+        tensor = _lossy_tmsv(0.3, cutoff=8).tensor.copy()
+        tensor[0, 0, 0, 0] = bad
+        with pytest.raises(ValueError, match="^tensor has non-finite entries$"):
+            _STATE_KERNELS[kernel](fock.FockState(2, 8, tensor))
+
+    @pytest.mark.parametrize("bad", [complex(0.0, float("nan")), complex(float("inf"), 0.0), -float("inf")])
+    def test_any_entry_of_any_dtype(self, bad):
+        with pytest.raises(ValueError, match="^tensor has non-finite entries$"):
+            fock.FockState(1, 3, np.full((4, 4), float("nan")))
+        tensor = np.eye(4, dtype=type(bad))
+        tensor[3, 1] = bad
+        with pytest.raises(ValueError, match="^tensor has non-finite entries$"):
+            fock.FockState(1, 3, tensor)
 
 
 class TestLossDiagonals:
@@ -638,6 +780,12 @@ class TestHomodynePovm:
         assert np.array_equal(grid, np.linspace(-8.0, 8.0, 801))
         assert fock.homodyne_povm_fock(fock.vacuum_fock(1, 4), 0).grid is grid
 
+    def test_default_grid_table_is_built_once_per_cutoff(self):
+        table = fock._default_table(4)
+        assert table is fock._default_table(4)
+        assert not table.values.flags.writeable and not table.grid.flags.writeable
+        assert np.array_equal(table.values, fock.QuadratureWavefunctionTable.build(fock.default_grid(), 4).values)
+
     def test_conditional_state_matches_gaussian_machinery(self):
         # measuring x on one arm in Fock space reproduces the covariance the
         # Gaussian side assigns to conditioning on that mode (which, in the
@@ -866,7 +1014,7 @@ class TestPatternBlocks:
         monkeypatch.setattr(fock, "_blocks", counting)
         fock._pattern_blocks.cache_clear()
         for zeta, taus in ((0.4, (0.7, 0.8)), (0.3, (0.9, 0.6))):
-            st = _lossy_tmsv(zeta, 25, taus)
+            st = _dense_lossy_tmsv(zeta, 25, taus)
             assert abs(fock.log_negativity_fock(st) - _dense_log_negativity(st)) <= 1e-12
         assert len(calls) == 1
         pt = _random_block_matrix(rng, 49, 3)

@@ -103,6 +103,28 @@ class TestPseudoDeterminant:
                 cv.OutcomeDensity(np.array(block), np.zeros(2), np.ones(2))
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_product_past_the_float_range(self):
+        # the product of 2e200 and 3e200 overflowed to inf: pdf and prob_factor read 0
+        block = np.array([[2.5e200, 0.5e200], [0.5e200, 2.5e200]])  # eigenvalues 2e200 and 3e200
+        peak = cv.OutcomeDensity(block, np.zeros(2), np.ones(2)).pdf(np.zeros(2))
+        assert peak > 0.0 and peak == pytest.approx(1.0 / (np.pi * np.sqrt(6.0) * 1e200), rel=1e-14)
+        gamma = block_diag(np.eye(2), block)  # a vacuum and a hot thermal-like mode, physical
+        factor = cv.gaussian_project(gamma, [1], np.eye(2)).prob_factor
+        assert factor > 0.0 and factor == pytest.approx(1.0 / (np.sqrt(6.0) * 1e200), rel=1e-14)
+
+    def test_finite_products_keep_their_rounding(self):
+        # the root and the inverse root are taken of the product, as before
+        block = np.array([[2.0, 0.3], [0.3, 1.5]])
+        evals = np.linalg.eigvalsh(block)
+        density = cv.OutcomeDensity(block, np.zeros(2), np.ones(2))
+        assert density.pdf(np.zeros(2)) == 1.0 / (np.pi * np.sqrt(float(np.prod(evals))))
+        gamma = cv.tmsv_state(0.4).gamma
+        core = gamma[2:, 2:] + np.eye(2)
+        want = float(np.prod(np.linalg.eigh(0.5 * (core + core.T))[0])) ** -0.5
+        assert cv.gaussian_project(gamma, [1], np.eye(2)).prob_factor == want
+
+
 class TestGaussianProject:
     def test_product_state_untouched(self, rng):
         c1 = random_two_mode_physical(rng)[:2, :2]
