@@ -17,31 +17,31 @@ block n1 + n2 = m, never the dense d^2 x d^2 generator.
 
 Loss keeps the ket-minus-bra photon number of its mode, so it acts on
 each diagonal of the mode's (ket, bra) plane by itself, never through a
-d^2 x d^2 superoperator.  A state that commutes with n1 - n2 (a
-TMSV, with or without loss on either arm) has a partial transpose that is
-zero between different total photon numbers; E_N is the log of its trace
-norm (Vidal and Werner, PRA 65, 032314 (2002)), solved block by block.
-At cutoff 25 that is 51 blocks of size at most 26.
+d^2 x d^2 superoperator.  E_N is the log of the trace norm of the partial
+transpose (Vidal and Werner, PRA 65, 032314 (2002)).
 
-Sector layout.  Such a state has rho[n1, n2, m1, m2] = 0 unless
+Sector layout.  A state that commutes with n1 - n2 (a TMSV, with or
+without loss on either arm) has rho[n1, n2, m1, m2] = 0 unless
 n1 - m1 = n2 - m2 = s, which leaves 11 726 of the 456 976 entries at
 cutoff 25.  build_tmsv_fock returns it, and apply_loss_fock keeps it, as
 its sectors only: with d = cutoff + 1, sector s (|s| <= cutoff) is the
 (d - |s|)^2 matrix Y_s[j1, j2] = rho[j1 + s, j2 + s, j1, j2] for s >= 0
 and rho[j1, j2, j1 - s, j2 - s] for s < 0, all of them in one flat
 array (see _sector_layout).  Loss on mode 0 is Y_s <- L_|s| Y_s and on
-mode 1 Y_s <- Y_s L_|s|^T; E_N gathers its blocks, the reduced matrices
-come from Y_0 and the cross moments from Y_+-1.  No d^4 tensor is made
-on that path; ``tensor`` is built on its first read.  Every other state
-(number states, gaussian_fock, any FockState built from a tensor) keeps
-the dense kernels, which are also the sector kernels' reference in the
-tests: both give the same bits for the tensor, E_N, the partial traces
-and the homodyne density.  The dense E_N reads its blocks off the exact
-zeros of the matrix, not off this physics, so a dense matrix is one
-block; its search is cached per exact pattern.  A real tensor stays real
-(TMSV, number states, loss, partial traces), which halves the 7.3 MB
-cutoff-25 tensor and the flops.  ``import cvsim`` does not load this
-module; ``cvsim.fock`` loads it.
+mode 1 Y_s <- Y_s L_|s|^T.  The partial transpose of such a state is zero
+between different total photon numbers n1 + m2, so E_N solves its
+2 * cutoff + 1 blocks of size at most d, 51 of size at most 26 at cutoff
+25.  The reduced matrices come from Y_0 and the cross moments from Y_+-1.
+No d^4 tensor is made on that path; ``tensor`` is built on its first read.
+Every other state (number states, gaussian_fock, any FockState built from
+a tensor) keeps the dense kernels, which are also the sector kernels'
+reference in the tests: both give the same bits for the tensor, the
+partial traces and the homodyne density.  A dense two-mode E_N is one
+eigen-solve of the d^2 x d^2 partial transpose, so it differs from the
+sector E_N, which solves the same spectrum block by block, only in
+rounding.  A real tensor stays real (TMSV, number states, loss, partial
+traces), which halves the 7.3 MB cutoff-25 tensor and the flops.
+``import cvsim`` does not load this module; ``cvsim.fock`` loads it.
 
 Loss with thermal occupation is out of scope; all oracle checks run at
 n_th = 0.
@@ -50,8 +50,8 @@ n_th = 0.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -69,7 +69,7 @@ _TRUNCATION_BUDGET = 1e-6
 _PURITY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockState:
     """Density matrix over a truncated product Fock basis.
 
@@ -82,12 +82,14 @@ class FockState:
     traces.  It may be a strided view (the dense apply_loss_fock returns
     one), so ``matrix`` may copy it.  build_tmsv_fock and apply_loss_fock
     return states held by their sectors (module docstring), whose
-    ``tensor`` is built on its first read and kept read-only.
+    ``tensor`` is built on its first read and kept read-only.  Neither
+    ``repr`` nor ``==`` reads the tensor: two states are equal only if
+    they are the same object.
     """
 
     modes: int
     cutoff: int
-    tensor: np.ndarray
+    tensor: np.ndarray = field(repr=False)
     trunc_weight: float = 0.0
 
     def __post_init__(self):
@@ -98,27 +100,6 @@ class FockState:
         if tensor.shape != expected:
             raise ValueError(f"tensor shape {tensor.shape} != {expected}")
         object.__setattr__(self, "tensor", _check_finite(tensor, "tensor"))
-
-    @classmethod
-    def _from_sectors(cls, cutoff: int, sectors: np.ndarray, trunc_weight: float) -> "FockState":
-        """A two-mode state held by its sectors, the flat array laid out by
-        _sector_layout(cutoff), which the state takes read-only.  Made only
-        from checked inputs, so not checked again; no tensor is set."""
-        sectors.setflags(write=False)
-        state = object.__new__(cls)
-        vars(state).update(modes=2, cutoff=cutoff, trunc_weight=trunc_weight, _sectors=sectors)
-        return state
-
-    def __getattr__(self, name):
-        # reached only for a missing attribute: a sector state's tensor before its first read
-        sectors = _sectors(self)
-        if name != "tensor" or sectors is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        tensor = np.zeros((self.cutoff + 1,) * 4)
-        tensor.reshape(-1)[_sector_layout(self.cutoff).dense] = sectors
-        tensor.setflags(write=False)
-        object.__setattr__(self, "tensor", tensor)
-        return tensor
 
     @property
     def dim(self) -> int:
@@ -136,6 +117,23 @@ class FockState:
         return _trace_product(self, self)
 
 
+class _SectorState(FockState):
+    """A two-mode state held by its sectors, the flat array laid out by
+    _sector_layout(cutoff), which the state takes read-only.  Made only
+    from checked inputs, so not checked again."""
+
+    def __init__(self, cutoff: int, sectors: np.ndarray, trunc_weight: float):
+        sectors.setflags(write=False)
+        vars(self).update(modes=2, cutoff=cutoff, trunc_weight=trunc_weight, sectors=sectors)
+
+    @cached_property
+    def tensor(self) -> np.ndarray:
+        tensor = np.zeros((self.cutoff + 1,) * 4)
+        tensor.reshape(-1)[_sector_layout(self.cutoff).dense] = self.sectors
+        tensor.setflags(write=False)
+        return tensor
+
+
 def _check_cutoff(cutoff, name: str = "cutoff") -> int:
     """The cutoff as an int; ValueError unless an integer >= 0."""
     if not (float(cutoff).is_integer() and cutoff >= 0):
@@ -148,10 +146,10 @@ class _SectorLayout(NamedTuple):
 
     The flat array holds, for t = 0..c, the sectors +t and -t as one
     (p, d - t, d - t) array, p = 1 for t = 0 and 2 after (Y_t, then Y_-t);
-    ``chunks`` gives each as (start, stop, shape).  For every entry in that
-    order: ``dense`` is its index in the raveled d^4 tensor, ``mirror`` the
-    index of its entry in the sector of opposite sign (rho[m, n] for
-    rho[n, m]), ``gather`` orders the entries as the blocks of the partial
+    ``chunks`` gives each as (start, stop, shape); the entry rho[m, n] of
+    rho[n, m] in sector +t sits at the same (j1, j2) in sector -t.  For
+    every entry in that order: ``dense`` is its index in the raveled d^4
+    tensor, ``gather`` orders the entries as the blocks of the partial
     transpose, N = n1 + m2 ascending, each (k, k) with rows n1 and columns
     m1 ascending, ``blocks`` gives each N as (start, stop, k) in that
     order, and ``pure`` picks the entries rho[n, n, m, m] a TMSV fills,
@@ -159,7 +157,6 @@ class _SectorLayout(NamedTuple):
 
     chunks: tuple
     dense: np.ndarray
-    mirror: np.ndarray
     gather: np.ndarray
     blocks: tuple
     pure: np.ndarray
@@ -179,22 +176,20 @@ def _sector_layout(cutoff: int) -> _SectorLayout:
         levels += pair
     n1, n2, m1, m2 = (np.concatenate(axis) for axis in zip(*levels))
     dense = ((n1 * d + n2) * d + m1) * d + m2
-    order = np.argsort(dense)
-    mirror = order[np.searchsorted(dense, ((m1 * d + m2) * d + n1) * d + n2, sorter=order)]
     gather = np.lexsort((m1, n1, n1 + m2))
     pure = np.flatnonzero((n1 == n2) & (m1 == m2))
     pure_levels = n1[pure], m1[pure]
-    for a in (dense, mirror, gather, pure, *pure_levels):
+    for a in (dense, gather, pure, *pure_levels):
         a.setflags(write=False)
     sizes = [min(n, cutoff) - max(0, n - cutoff) + 1 for n in range(2 * cutoff + 1)]
     stops = np.cumsum([k * k for k in sizes]).tolist()
     blocks = tuple((stop - k * k, stop, k) for stop, k in zip(stops, sizes))
-    return _SectorLayout(tuple(chunks), dense, mirror, gather, blocks, pure, pure_levels)
+    return _SectorLayout(tuple(chunks), dense, gather, blocks, pure, pure_levels)
 
 
 def _sectors(state: FockState) -> np.ndarray | None:
     """The flat sector array of a sector state, None for a dense one."""
-    return vars(state).get("_sectors")
+    return state.sectors if isinstance(state, _SectorState) else None
 
 
 def _chunk(sectors: np.ndarray, chunk: tuple) -> np.ndarray:
@@ -221,12 +216,14 @@ def _populations(state: FockState) -> np.ndarray:
 def _trace_product(a: FockState, b: FockState) -> float:
     """Re Tr[a b] of two states as the sum of the elementwise product of a
     and b^T (b's ket and bra axes swapped), without forming a b.  Two sector
-    states pair each entry with its mirror.  Otherwise the product of the
-    tensors is laid out in C order, so the sum rounds alike on a strided and
-    a contiguous tensor, and neither argument is copied."""
+    states pair sector +t of a with sector -t of b: b^T is b with the two
+    halves of each chunk swapped.  Otherwise the product of the tensors is
+    laid out in C order, so the sum rounds alike on a strided and a
+    contiguous tensor, and neither argument is copied."""
     sa, sb = _sectors(a), _sectors(b)
     if sa is not None and sb is not None:
-        return float(sa @ sb[_sector_layout(a.cutoff).mirror])
+        swapped = [_chunk(sb, chunk)[::-1].ravel() for chunk in _sector_layout(a.cutoff).chunks]
+        return float(sa @ np.concatenate(swapped))
     b_t = b.tensor.transpose(*range(b.modes, 2 * b.modes), *range(b.modes))
     return float(np.multiply(a.tensor, b_t, order="C").sum().real)
 
@@ -279,37 +276,7 @@ def build_tmsv_fock(zeta: float, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     sectors = np.zeros(layout.dense.size)
     n, m = layout.pure_levels
     sectors[layout.pure] = amps[n] * amps[m]
-    return FockState._from_sectors(d - 1, sectors, weight)
-
-
-def _blocks(m: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of the nonzero pattern
-    (m != 0) | (m.T != 0) of a square matrix, each sorted; m is block
-    diagonal over them up to a permutation, so the partial transpose behind
-    E_N is eigen-solved block by block.  A dense m is one block."""
-    nonzero = m != 0
-    linked = nonzero | nonzero.T
-    label = np.full(len(m), -1)
-    blocks = []
-    while (free := np.flatnonzero(label < 0)).size:
-        frontier = free[:1]
-        while frontier.size:
-            label[frontier] = len(blocks)
-            frontier = np.flatnonzero(linked[frontier].any(axis=0) & (label < 0))
-        blocks.append(np.flatnonzero(label == len(blocks)))
-    return blocks
-
-
-@lru_cache(maxsize=8)
-def _pattern_blocks(pattern: bytes, n: int) -> tuple[np.ndarray, ...]:
-    """_blocks of an n x n matrix whose nonzero pattern packs to ``pattern``
-    (np.packbits of m != 0), searched once per pattern; read-only, because
-    the index arrays are cached."""
-    nonzero = np.unpackbits(np.frombuffer(pattern, np.uint8), count=n * n).reshape(n, n)
-    blocks = _blocks(nonzero)
-    for idx in blocks:
-        idx.setflags(write=False)
-    return tuple(blocks)
+    return _SectorState(d - 1, sectors, weight)
 
 
 def _destroy(d: int) -> np.ndarray:
@@ -388,7 +355,7 @@ def apply_loss_fock(state: FockState, mode: int, transmittance: float) -> FockSt
                 np.matmul(block, y, out=new)
             else:
                 np.matmul(y, block.T, out=new)
-        return FockState._from_sectors(state.cutoff, out, state.trunc_weight)
+        return _SectorState(state.cutoff, out, state.trunc_weight)
     d = state.cutoff + 1
     axes = (mode, state.modes + mode)
     # a copy, never the caller's array: for one mode moveaxis is the identity
@@ -402,9 +369,11 @@ def apply_loss_fock(state: FockState, mode: int, transmittance: float) -> FockSt
 
 
 def partial_trace(state: FockState, keep) -> FockState:
-    """The reduced state of the modes in ``keep``.  Levels are summed one by
-    one, so the sum rounds alike on any strides; that of a sector state is
-    the diagonal of Y_0 summed the same way, a dense one-mode state."""
+    """The reduced state of the modes in ``keep``, a vector of mode indices
+    (else ValueError).  Levels are summed one by one, so the sum rounds
+    alike on any strides; that of a sector state is the diagonal of Y_0
+    summed the same way, a dense one-mode state."""
+    _check_vector(keep, "keep")
     keep = sorted({_mode_index(m, state.modes) for m in keep})
     drop = [m for m in range(state.modes) if m not in keep]
     if _sectors(state) is not None and len(drop) < 2:  # keeping no mode fails below
@@ -477,33 +446,13 @@ def _boundary_population(state: FockState) -> float:
     return max(0.0, *(float(np.take(probs, -1, axis=m).sum()) for m in range(state.modes)))
 
 
-def _sector_blocks(cutoff: int, sectors: np.ndarray) -> list[np.ndarray]:
-    """The blocks of a sector state's partial transpose, as the dense path
-    solves them: block N = n1 + m2 holds rho[n1, N - m1, m1, N - n1], rows
-    n1 ascending, and is split further where its own exact zeros cut it
-    (a TMSV without loss on an arm), the parts in the order of their first
-    row in the d^2 x d^2 matrix, so the trace norm sums alike."""
-    layout = _sector_layout(cutoff)
-    gathered = sectors[layout.gather]
-    blocks = [gathered[start:stop].reshape(k, k) for start, stop, k in layout.blocks]
-    if np.all(gathered):
-        return blocks  # first rows ascend with N
-    parts = []
-    for total, block in enumerate(blocks):
-        low = max(0, total - cutoff)
-        for idx in _blocks(block):
-            # row n1 of block N is row n1 * (d - 1) + N of the dense matrix
-            parts.append(((low + idx[0]) * cutoff + total, block[np.ix_(idx, idx)]))
-    return [block for _, block in sorted(parts, key=lambda part: part[0])]
-
-
 def log_negativity_fock(state: FockState, base="e") -> float:
     """Trace-norm logarithmic negativity of a two-mode density matrix.
 
     The partial transpose swaps the second mode's ket and bra indices; the
-    result is log of the sum of absolute eigenvalues, solved block by block
-    over its nonzero pattern (see _pattern_blocks), or for a sector state
-    over the blocks _sector_blocks gathers.
+    result is log of the sum of its absolute eigenvalues, solved in one
+    d^2 x d^2 eigen-solve, or for a sector state block by block over the
+    2 * cutoff + 1 blocks of _sector_layout.
     """
     if state.modes != 2:
         raise ValueError("log negativity needs a bipartite state")
@@ -512,11 +461,12 @@ def log_negativity_fock(state: FockState, base="e") -> float:
         warnings.warn("cutoff boundary population exceeds budget; result may be truncation dominated")
     sectors = _sectors(state)
     if sectors is not None:
-        blocks = _sector_blocks(state.cutoff, sectors)
+        layout = _sector_layout(state.cutoff)
+        gathered = sectors[layout.gather]
+        blocks = [gathered[start:stop].reshape(k, k) for start, stop, k in layout.blocks]
     else:
         d = state.cutoff + 1
-        pt = state.tensor.transpose(0, 3, 2, 1).reshape(d * d, d * d)
-        blocks = (pt[np.ix_(idx, idx)] for idx in _pattern_blocks(np.packbits(pt != 0).tobytes(), d * d))
+        blocks = [state.tensor.transpose(0, 3, 2, 1).reshape(d * d, d * d)]
     trace_norm = sum(float(np.abs(np.linalg.eigvalsh(block)).sum()) for block in blocks)
     return float(_to_base(np.log(trace_norm), base))
 
@@ -545,9 +495,9 @@ class QuadratureWavefunctionTable:
 
     @classmethod
     def build(cls, grid, n_max: int) -> "QuadratureWavefunctionTable":
-        """The table on ``grid``; ValueError unless every grid point is finite
-        and ``n_max`` an integer >= 0."""
-        grid = _check_finite(np.asarray(grid, dtype=float), "grid")
+        """The table on ``grid``; ValueError unless ``grid`` is a vector of
+        finite points and ``n_max`` an integer >= 0."""
+        grid = _check_vector(grid, "grid")
         n_max = _check_cutoff(n_max, "n_max")
         values = np.empty((n_max + 1, grid.size))
         values[0] = np.pi**-0.25 * np.exp(-0.5 * grid**2)
@@ -598,7 +548,7 @@ def homodyne_povm_fock(state: FockState, mode: int, phi: float = 0.0, grid=None)
     The result keeps a read-only copy of a caller's grid; the default grid
     and its table are shared.
     """
-    reduced = partial_trace(state, [mode]).tensor
+    reduced = partial_trace(state, [_mode_index(mode, state.modes)]).tensor
     levels = np.arange(state.cutoff + 1)
     weights = (reduced * np.exp(1j * _check_finite(phi, "phi") * (levels - levels[:, None]))).real
     if grid is None:

@@ -69,7 +69,8 @@ ARGUMENTS = {
     ("fidelity", "gamma_rec"): (lambda g: cv.fidelity(np.eye(2), g), np.eye(2), "gamma_rec", False),
     ("teleport_monte_carlo", "gain"): (lambda g: cv.teleport_monte_carlo(_SETUP, 10, 0, gain=g), np.eye(2), "gain", False),
     ("gaussian_fock", "gamma"): (lambda g: fock.gaussian_fock(g, cutoff=8), _SIGNAL, "covariance matrix", False),
-    ("homodyne_povm_fock", "grid"): (lambda x: fock.homodyne_povm_fock(_FOCK, 0, grid=x), np.linspace(-1, 1, 5), "grid", None),
+    ("homodyne_povm_fock", "grid"): (lambda x: fock.homodyne_povm_fock(_FOCK, 0, grid=x), np.linspace(-1, 1, 5), "grid", False),
+    ("partial_trace", "keep"): (lambda k: fock.partial_trace(_FOCK, k), np.array([1.0]), "keep", False),
     ("number_state_fock", "ns"): (lambda ns: fock.number_state_fock(ns, cutoff=3), np.array([0.0, 1.0]), "occupations", False),
 }
 
@@ -80,7 +81,7 @@ NO_ARRAY_ARGUMENT = {
     "FiberParams", "FockState.purity", "FockState.trace", "apply_channel", "apply_loss_fock", "beamsplitter",
     "build_symplectic", "build_tmsv_fock", "covariance_from_fock", "default_grid", "degraded_tmsv", "fiber_channel",
     "fiber_from_length", "fiber_separability_threshold", "homodyne_conditional_fock", "ideal_displacement_gain",
-    "log_negativity_fock", "max_transmittable", "overlap_fock", "partial_trace", "pure_squeezed_fidelity", "rotation",
+    "log_negativity_fock", "max_transmittable", "overlap_fock", "pure_squeezed_fidelity", "rotation",
     "rotation_matrix", "separability_length", "squeeze", "squeezed_signal", "squeezed_state", "state_overlap",
     "symplectic_form", "teleport", "tensor_channels", "tmsv_state", "transmitted_log_negativity", "vacuum_fock",
     "vacuum_state", "validate_channel",
@@ -227,6 +228,16 @@ class TestDefectsRefused:
             fock.homodyne_povm_fock(_FOCK, 0, phi=NAN)
         with pytest.raises(ValueError, match="^phi must be finite, got nan$"):
             fock.homodyne_conditional_fock(_FOCK, 0, 0.0, phi=NAN)
+        # numpy raised "could not broadcast input array from shape (2,2) into shape (4,)"
+        with pytest.raises(ValueError, match=r"^grid must be a vector, got shape \(2, 2\)$"):
+            fock.QuadratureWavefunctionTable.build(np.zeros((2, 2)), 3)
+        with pytest.raises(ValueError, match=r"^grid must be a vector, got shape \(2, 2\)$"):
+            fock.homodyne_povm_fock(fock.vacuum_fock(1, 3), 0, 0.0, np.zeros((2, 2)))
+
+    def test_partial_trace_of_one_mode_index(self):
+        # raised "TypeError: 'int' object is not iterable"
+        with pytest.raises(ValueError, match=r"^keep must be a vector, got shape \(\)$"):
+            fock.partial_trace(_FOCK, 0)
 
     def test_number_state_of_a_stack(self):
         # built a two-mode "state" of trace 2
