@@ -7,16 +7,14 @@ conventions (x = (a + a^dag)/sqrt(2), gamma = twice the symmetrised
 covariance, vacuum gamma = 1) and the conversion of a natural logarithm
 to the requested log base.
 
-Both unitaries are exponentials of real antisymmetric generators, so
-each is taken through the Hermitian eigenproblem of 1j * gen, which keeps
-the module on numpy alone.  The squeezer is one d x d eigen-solve.  The
-loss beamsplitter conserves the total photon number n1 + n2 (Campos, Saleh
-and Teich, PRA 40, 1371 (1989)), so its generator is a direct sum of
-blocks of size at most d; each input |m, 0> needs only the (m + 1)-sized
-block n1 + n2 = m, never the dense d^2 x d^2 generator.
-
-Loss keeps the ket-minus-bra photon number of its mode, so it acts on
-each diagonal of the mode's (ket, bra) plane by itself, never through a
+The squeezer is exp of a real antisymmetric generator, one d x d
+Hermitian eigen-solve of 1j * gen, which keeps the module on numpy alone.
+Loss needs none: a beamsplitter with a vacuum ancilla drops each photon
+on its own with probability 1 - tau (Campos, Saleh and Teich, PRA 40,
+1371 (1989)), so each Kraus operator has one binomial entry per column;
+the tests check the maps against the dense two-mode exponential.  Loss
+keeps the ket-minus-bra photon number of its mode, so it acts on each
+diagonal of the mode's (ket, bra) plane by itself, never through a
 d^2 x d^2 superoperator.  E_N is the log of the trace norm of the partial
 transpose (Vidal and Werner, PRA 65, 032314 (2002)).
 
@@ -50,7 +48,7 @@ n_th = 0.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -69,7 +67,7 @@ _TRUNCATION_BUDGET = 1e-6
 _PURITY_TOL = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class FockState:
     """Density matrix over a truncated product Fock basis.
 
@@ -83,13 +81,14 @@ class FockState:
     one), so ``matrix`` may copy it.  build_tmsv_fock and apply_loss_fock
     return states held by their sectors (module docstring), whose
     ``tensor`` is built on its first read and kept read-only.  Neither
-    ``repr`` nor ``==`` reads the tensor: two states are equal only if
-    they are the same object.
+    ``repr`` nor ``==`` reads the tensor: ``repr`` shows the other fields
+    under this class's name, for a sector state too, and two states are
+    equal only if they are the same object.
     """
 
     modes: int
     cutoff: int
-    tensor: np.ndarray = field(repr=False)
+    tensor: np.ndarray
     trunc_weight: float = 0.0
 
     def __post_init__(self):
@@ -100,6 +99,9 @@ class FockState:
         if tensor.shape != expected:
             raise ValueError(f"tensor shape {tensor.shape} != {expected}")
         object.__setattr__(self, "tensor", _check_finite(tensor, "tensor"))
+
+    def __repr__(self) -> str:
+        return f"FockState(modes={self.modes}, cutoff={self.cutoff}, trunc_weight={self.trunc_weight!r})"
 
     @property
     def dim(self) -> int:
@@ -291,39 +293,30 @@ def _expm_antisymmetric(gen: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _loss_kraus(cutoff: int, transmittance: float) -> np.ndarray:
-    """Kraus operators of the loss channel, stacked as kraus[k] = E_k.
+def _loss_kraus(cutoff: int, transmittance: float) -> tuple[np.ndarray, ...]:
+    """The Kraus sum of the loss channel on each diagonal a - b = +-s of the
+    mode's (ket, bra) plane, s = 0..cutoff, one map per s.
 
-    The mode is coupled to a vacuum ancilla by U = exp[theta (a^dag g -
-    a g^dag)] with cos^2(theta) = transmittance, and the ancilla is traced
-    out: E_k = <k|U|0>.  Its only nonzero column entries E_k[m - k, m] =
-    <m - k, k|U|m, 0> come from the block n1 + n2 = m, spanned by |i, m - i>,
-    which fits under the cutoff, so the truncation is exact.  Read-only,
-    because the array is cached.
+    Of m photons, k are lost with probability p(m, k) = C(m, k) tau^(m-k)
+    (1 - tau)^k, and E_k has the one entry E_k[m - k, m] = +-sqrt(p(m, k)),
+    its sign set by k alone, so L_s[a, m] = sqrt(p(m + s, m - a) p(m, m - a))
+    for a <= m and exactly 0 below.  p is filled by Pascal's rule, a sum of
+    non-negative terms within the cutoff, so the truncation is exact.
+    Read-only, because cached; perfbench's tracer reads the cache's misses.
     """
     d = cutoff + 1
-    theta = np.arccos(np.sqrt(transmittance))
-    kraus = np.zeros((d, d, d))
-    for m in range(d):
-        i = np.arange(m + 1)
-        hop = theta * np.sqrt(i[1:] * (m + 1.0 - i[1:]))  # <i, m-i| gen |i-1, m-i+1>
-        column = _expm_antisymmetric(np.diag(hop, -1) - np.diag(hop, 1))[:, m]
-        kraus[m - i, i, m] = column
-    kraus.setflags(write=False)
-    return kraus
-
-
-@lru_cache(maxsize=32)
-def _loss_diagonals(cutoff: int, transmittance: float) -> tuple[np.ndarray, ...]:
-    """The loss map of each diagonal a - b = +-s of the mode's (ket, bra)
-    plane, the Kraus sum of E_k[s:, s:] * E_k[:d-s, :d-s] elementwise.  A
-    miss goes through _loss_kraus; read-only, because the maps are cached."""
-    kraus = _loss_kraus(cutoff, transmittance)  # (k, a, m)
-    d = cutoff + 1
-    maps = tuple(np.sum(kraus[:, s:, s:] * kraus[:, : d - s, : d - s], axis=0) for s in range(d))
-    for block in maps:
-        block.setflags(write=False)
-    return maps
+    p = np.zeros((d, d))
+    p[0, 0] = 1.0
+    for n in range(1, d):  # p[n - 1, -1] = 0 rolls into k = 0
+        p[n] = transmittance * p[n - 1] + (1.0 - transmittance) * np.roll(p[n - 1], 1)
+    amps, levels = np.sqrt(p), np.arange(d)
+    lost = levels - levels[:, None]  # k = m - a at (a, m); triu cuts k < 0
+    maps = []
+    for s in range(d):
+        m, k = levels[: d - s], lost[: d - s, : d - s]
+        maps.append(np.triu(amps[m + s, k] * amps[m, k]))
+        maps[-1].setflags(write=False)
+    return tuple(maps)
 
 
 def apply_loss_fock(state: FockState, mode: int, transmittance: float) -> FockState:
@@ -333,7 +326,7 @@ def apply_loss_fock(state: FockState, mode: int, transmittance: float) -> FockSt
     Every Kraus operator sits on one diagonal (E_k[a, m] = 0 unless
     a = m - k), so sum_k E_k x E_k^T keeps a - b on the mode's (ket, bra)
     plane: on the diagonal a - b = +-s it is one real matrix (see
-    _loss_diagonals) acting on the rows (j + s, j), or (j, j + s), of the
+    _loss_kraus) acting on the rows (j + s, j), or (j, j + s), of the
     real view of x, in place in one copy of the state with the mode's axes
     moved to the front.  The result's tensor is that copy seen in the
     state's axis order, so it may be a strided view.  A sector state stays
@@ -345,7 +338,7 @@ def apply_loss_fock(state: FockState, mode: int, transmittance: float) -> FockSt
     mode = _mode_index(mode, state.modes)
     if transmittance == 1.0:
         return state
-    maps = _loss_diagonals(state.cutoff, float(transmittance))
+    maps = _loss_kraus(state.cutoff, float(transmittance))
     sectors = _sectors(state)
     if sectors is not None:
         out = np.empty_like(sectors)

@@ -84,7 +84,9 @@ def _gamma_rec_explicit(gamma_in: np.ndarray, zeta: float, f1: FiberParams, f2: 
     precision long before zeta = 20; every term below is non-negative.
     ValueError where a product overflows, which the zeta range alone does
     not rule out.  The terms are Python floats, which overflow to inf without
-    a warning, and an inf leaves delta or a result non-finite.
+    a warning, and an inf leaves delta or a result non-finite.  ValueError
+    too where delta = det(gamma_in) + a (x + y) + a^2 >= 1, formed by
+    subtraction, rounds to 0 or below, as for a squeezed signal at eta = 40.
     """
     c = math.cosh(2.0 * zeta)
     s = math.sinh(2.0 * zeta)
@@ -97,6 +99,8 @@ def _gamma_rec_explicit(gamma_in: np.ndarray, zeta: float, f1: FiberParams, f2: 
     x, z, _, y = gamma_in.ravel().tolist()
     det_in = x * y - z * z
     delta = (x + a) * (y + a) - z * z
+    if math.isfinite(delta) and not delta > 0.0:
+        raise ValueError(f"the closed-form receiver covariance's denominator rounds to {delta!r} at zeta = {zeta!r}")
 
     # P = a*b - s^2 beta^2 with the growing parts cancelled exactly
     p_term = c * (alpha2 * g1 + alpha1 * g2) + g1 * g2 + beta**2
@@ -121,7 +125,8 @@ def teleport(setup: TeleportSetup) -> TeleportResult:
     failing, to a tolerance scaled by the magnitude of the mixed covariance
     matrix: the generic Schur complement loses absolute precision for
     strongly squeezed resources.  ValueError where the closed form overflows
-    inside the setup's zeta range, as for a squeezed signal near its end.
+    inside the setup's zeta range, as for a squeezed signal near its end, or
+    its denominator rounds to 0 or below, as for a squeezed signal at eta = 40.
     """
     gamma_dec = degraded_tmsv(setup.zeta, setup.f1, setup.f2)
     gamma_012 = _MIX @ _block_diag(setup.gamma_in, gamma_dec) @ _MIX.T

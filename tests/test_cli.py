@@ -258,7 +258,7 @@ class TestExitCodes:
     # The single-point commands across the input rules of the records they build: TeleportSetup holds
     # the zeta range and the signal's physicality, degraded_tmsv the range of tmsv_state.  The setup
     # needs its fibers first, so a bad t2 is reported before a bad zeta.  An overflow of the closed
-    # form inside the range is a numerical failure.
+    # form inside the range, or its denominator rounding to 0, is a numerical failure.
     @pytest.mark.parametrize(
         "argv, code, err",
         [
@@ -273,6 +273,10 @@ class TestExitCodes:
                 (["check-state", "--t2", "1.5", "--zeta", "400"], 2, "error: transmission magnitude must lie in [0, 1]"),
                 (["teleport", "--eta", "0.3", "--zeta", "177.785"], 3,
                  "numerical failure: the closed-form receiver covariance overflows at zeta = 177.785"),
+                (["teleport", "--eta", "40"], 3,
+                 "numerical failure: the closed-form receiver covariance's denominator rounds to 0.0 at zeta = 0.5"),
+                (["teleport", "--eta", "300"], 3,
+                 "numerical failure: the closed-form receiver covariance's denominator rounds to 0.0 at zeta = 0.5"),
             ]
         ],
     )

@@ -132,6 +132,17 @@ class TestTeleport:
         with pytest.raises(ValueError, match=message):
             cv.teleport_monte_carlo(setup, 10, seed=0)
 
+    @pytest.mark.parametrize("eta", [40.0, 300.0])
+    def test_rounded_away_denominator_raises(self, eta):
+        # delta = det(gamma_in) + a (x + y) + a^2 >= 1, formed by subtraction, rounds to 0
+        # here, and the float division raised ZeroDivisionError
+        setup = cv.TeleportSetup(cv.squeezed_signal(eta).gamma, 1.0)
+        message = r"^the closed-form receiver covariance's denominator rounds to 0\.0 at zeta = 1\.0$"
+        with pytest.raises(ValueError, match=message):
+            cv.teleport(setup)
+        with pytest.raises(ValueError, match=message):
+            cv.teleport_monte_carlo(setup, 10, seed=0)
+
 
 class TestFidelity:
     def test_perfect_match_of_pure_state(self, rng):
