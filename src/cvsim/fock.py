@@ -74,16 +74,16 @@ class FockState:
     ``tensor`` has shape (d, ..., d) with the ket indices first and the bra
     indices last (d = cutoff + 1); ``trunc_weight`` is the probability lost
     to the truncation when the state was built.  ``modes`` must be at least
-    1, ``cutoff`` an integer >= 0 and every entry of ``tensor`` finite, else
-    ValueError.  ``tensor`` is kept as float64 unless the input is complex,
-    then as complex128; a real state stays real through loss and partial
-    traces.  It may be a strided view (the dense apply_loss_fock returns
-    one), so ``matrix`` may copy it.  build_tmsv_fock and apply_loss_fock
-    return states held by their sectors (module docstring), whose
-    ``tensor`` is built on its first read and kept read-only.  Neither
-    ``repr`` nor ``==`` reads the tensor: ``repr`` shows the other fields
-    under this class's name, for a sector state too, and two states are
-    equal only if they are the same object.
+    1, ``cutoff`` an integer >= 0, ``trunc_weight`` a probability in [0, 1]
+    and every entry of ``tensor`` finite, else ValueError.  ``tensor`` is
+    kept as float64 unless the input is complex, then as complex128; a real
+    state stays real through loss and partial traces.  It may be a strided
+    view (the dense apply_loss_fock returns one), so ``matrix`` may copy
+    it.  build_tmsv_fock and apply_loss_fock return states held by their
+    sectors (module docstring), whose ``tensor`` is built on its first read
+    and kept read-only.  Neither ``repr`` nor ``==`` reads the tensor:
+    ``repr`` shows the other fields under this class's name, for a sector
+    state too, and two states are equal only if they are the same object.
     """
 
     modes: int
@@ -94,6 +94,8 @@ class FockState:
     def __post_init__(self):
         _check_mode_count(self.modes)
         object.__setattr__(self, "cutoff", _check_cutoff(self.cutoff))
+        if not 0.0 <= self.trunc_weight <= 1.0:  # NaN fails too
+            raise ValueError(f"trunc_weight must lie in [0, 1], got {self.trunc_weight!r}")
         expected = (self.cutoff + 1,) * (2 * self.modes)
         tensor = np.asarray(self.tensor, dtype=complex if np.iscomplexobj(self.tensor) else float)
         if tensor.shape != expected:
@@ -130,8 +132,13 @@ class _SectorState(FockState):
 
     @cached_property
     def tensor(self) -> np.ndarray:
-        tensor = np.zeros((self.cutoff + 1,) * 4)
-        tensor.reshape(-1)[_sector_layout(self.cutoff).dense] = self.sectors
+        d = self.cutoff + 1
+        tensor = np.zeros((d,) * 4)
+        for t, chunk in enumerate(_sector_layout(self.cutoff).chunks):
+            # Y_t is the diagonal of rho[t:, t:, :d - t, :d - t], Y_-t that of rho[:d - t, :d - t, t:, t:]
+            views = (tensor[t:, t:, : d - t, : d - t], tensor[: d - t, : d - t, t:, t:])
+            for y, view in zip(_chunk(self.sectors, chunk), views):
+                _diagonal(view, 2)[...] = y
         tensor.setflags(write=False)
         return tensor
 
@@ -149,16 +156,14 @@ class _SectorLayout(NamedTuple):
     The flat array holds, for t = 0..c, the sectors +t and -t as one
     (p, d - t, d - t) array, p = 1 for t = 0 and 2 after (Y_t, then Y_-t);
     ``chunks`` gives each as (start, stop, shape); the entry rho[m, n] of
-    rho[n, m] in sector +t sits at the same (j1, j2) in sector -t.  For
-    every entry in that order: ``dense`` is its index in the raveled d^4
-    tensor, ``gather`` orders the entries as the blocks of the partial
-    transpose, N = n1 + m2 ascending, each (k, k) with rows n1 and columns
-    m1 ascending, ``blocks`` gives each N as (start, stop, k) in that
-    order, and ``pure`` picks the entries rho[n, n, m, m] a TMSV fills,
+    rho[n, m] in sector +t sits at the same (j1, j2) in sector -t.
+    ``gather`` orders the entries as the blocks of the partial transpose,
+    N = n1 + m2 ascending, each (k, k) with rows n1 and columns m1
+    ascending, ``blocks`` gives each N as (start, stop, k) in that order,
+    and ``pure`` picks the entries rho[n, n, m, m] a TMSV fills,
     ``pure_levels`` their (n, m)."""
 
     chunks: tuple
-    dense: np.ndarray
     gather: np.ndarray
     blocks: tuple
     pure: np.ndarray
@@ -172,21 +177,20 @@ def _sector_layout(cutoff: int) -> _SectorLayout:
     chunks, levels, start = [], [], 0
     for t in range(d):
         j1, j2 = np.divmod(np.arange((d - t) ** 2), d - t)
-        pair = [(j1 + t, j2 + t, j1, j2)] + ([(j1, j2, j1 + t, j2 + t)] if t else [])
+        pair = [(j1 + t, j1, j2)] + ([(j1, j1 + t, j2 + t)] if t else [])  # (n1, m1, m2) of Y_t, Y_-t
         chunks.append((start, start + len(pair) * j1.size, (len(pair), d - t, d - t)))
         start = chunks[-1][1]
         levels += pair
-    n1, n2, m1, m2 = (np.concatenate(axis) for axis in zip(*levels))
-    dense = ((n1 * d + n2) * d + m1) * d + m2
+    n1, m1, m2 = (np.concatenate(axis) for axis in zip(*levels))
     gather = np.lexsort((m1, n1, n1 + m2))
-    pure = np.flatnonzero((n1 == n2) & (m1 == m2))
+    pure = np.flatnonzero(m1 == m2)  # n1 - m1 = n2 - m2, so n1 = n2 too
     pure_levels = n1[pure], m1[pure]
-    for a in (dense, gather, pure, *pure_levels):
+    for a in (gather, pure, *pure_levels):
         a.setflags(write=False)
     sizes = [min(n, cutoff) - max(0, n - cutoff) + 1 for n in range(2 * cutoff + 1)]
     stops = np.cumsum([k * k for k in sizes]).tolist()
     blocks = tuple((stop - k * k, stop, k) for stop, k in zip(stops, sizes))
-    return _SectorLayout(tuple(chunks), dense, gather, blocks, pure, pure_levels)
+    return _SectorLayout(tuple(chunks), gather, blocks, pure, pure_levels)
 
 
 def _sectors(state: FockState) -> np.ndarray | None:
@@ -201,10 +205,8 @@ def _chunk(sectors: np.ndarray, chunk: tuple) -> np.ndarray:
 
 
 def _diagonal(tensor: np.ndarray, modes: int) -> np.ndarray:
-    """The entries rho[n, n] indexed (n1, ..., nN), as np.diagonal views."""
-    for ket in range(modes, 0, -1):  # pair each ket axis with its bra axis
-        tensor = np.diagonal(tensor, 0, 0, ket)
-    return tensor
+    """The entries rho[n, n] indexed (n1, ..., nN), as one view, writeable if the tensor is."""
+    return np.einsum(tensor, [*range(modes)] * 2, [*range(modes)])
 
 
 def _populations(state: FockState) -> np.ndarray:
@@ -275,7 +277,7 @@ def build_tmsv_fock(zeta: float, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     # the norm of the d^2 state vector rounds unlike that of the d amplitudes
     amps = (np.diagonal(psi) / np.linalg.norm(psi)).real
     layout = _sector_layout(d - 1)
-    sectors = np.zeros(layout.dense.size)
+    sectors = np.zeros(layout.gather.size)
     n, m = layout.pure_levels
     sectors[layout.pure] = amps[n] * amps[m]
     return _SectorState(d - 1, sectors, weight)
@@ -579,27 +581,22 @@ def _squeeze_unitary(d: int, zeta: float) -> np.ndarray:
     return _expm_antisymmetric((-zeta / 2.0) * (a @ a - a.T @ a.T))
 
 
-def _rotation_unitary(d: int, theta: float) -> np.ndarray:
-    """Fock-space phase shifter acting as the counter-clockwise R(theta)."""
-    n = np.arange(d, dtype=float)
-    return np.diag(np.exp(1j * theta * n))
-
-
 def gaussian_fock(gamma, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     """Single-mode Gaussian state (zero mean) as a Fock density matrix.
 
     Decomposes gamma = R(theta) diag(nu k^2, nu/k^2) R(theta)^T and builds
     the rotated, squeezed thermal state with the matching unitaries; the
     thermal tail beyond the cutoff must not exceed the budget 1e-6.  A
-    covariance that is not a finite 2x2 matrix, or a cutoff that is not an
-    integer >= 0, raises ValueError.
+    covariance that is not a finite, symmetric 2x2 matrix, one that is not
+    positive definite with det >= 1, or a cutoff that is not an integer
+    >= 0, raises ValueError.
     """
-    gamma = _check_matrix(gamma, "covariance matrix", 2)
+    gamma = _check_matrix(gamma, "covariance matrix", 2, symmetric=True)
     d = _check_cutoff(cutoff) + 1
     nu = float(np.sqrt(max(np.linalg.det(gamma), 0.0)))
-    if not nu >= 1.0 - 1e-9:  # a negative determinant gives 0, a NaN one fails
-        raise ValueError("covariance matrix is unphysical")
     evals, evecs = np.linalg.eigh(0.5 * (gamma + gamma.T))
+    if not (nu >= 1.0 - 1e-9 and evals[0] > 0.0):  # det < 0 gives nu = 0, a NaN det fails, -gamma passes nu
+        raise ValueError("covariance matrix is unphysical")
     zeta = 0.5 * np.log(evals[1] / nu)
     theta = float(np.arctan2(evecs[1, 1], evecs[0, 1]))
 
@@ -611,6 +608,6 @@ def gaussian_fock(gamma, cutoff: int = DEFAULT_CUTOFF) -> FockState:
         raise ValueError(f"thermal tail {weight:.3e} exceeds the budget; raise the cutoff")
     probs = probs / probs.sum()
     rho = np.diag(probs).astype(complex)
-    u = _rotation_unitary(d, theta) @ _squeeze_unitary(d, float(zeta))
+    u = np.exp(1j * theta * np.arange(d))[:, None] * _squeeze_unitary(d, float(zeta))  # R(theta) scales row n
     rho = u @ rho @ u.conj().T
     return FockState(1, cutoff, rho, weight)

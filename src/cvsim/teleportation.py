@@ -44,7 +44,7 @@ class TeleportSetup:
 
     ``kappa_in`` is the signal's phase-space mean; it only matters for the
     outcome density and Monte-Carlo round trips, never for gamma_rec.
-    Checked and copied read-only when built: ValueError unless gamma_in is a finite, physical 2x2 matrix,
+    Checked and copied read-only when built: ValueError unless gamma_in is a finite, symmetric, physical 2x2 matrix,
     kappa_in a finite vector of length 2 and |zeta| <= _ZETA_MAX ~ 177.79, past which cosh(2 zeta)^2 overflows.
     """
 
@@ -55,7 +55,7 @@ class TeleportSetup:
     kappa_in: np.ndarray = field(default_factory=lambda: np.zeros(2))
 
     def __post_init__(self):
-        gamma = _check_matrix(self.gamma_in, "signal covariance", 2)
+        gamma = _check_matrix(self.gamma_in, "signal covariance", 2, symmetric=True)
         kappa = _check_vector(self.kappa_in, "signal mean", 2)
         _check_physical(gamma, "signal covariance")
         _check_squeezing("zeta", self.zeta, _ZETA_MAX, "cosh(2 zeta)^2")
@@ -155,9 +155,10 @@ def _overlap_prefactor(total: np.ndarray) -> float:
 def fidelity(gamma_in, gamma_rec) -> float:
     """Overlap fidelity of two zero-mean single-mode Gaussians,
     F = 2 / sqrt(det(gamma_in + gamma_rec)); the N = 1, zero-mean case of
-    :func:`state_overlap`.  ValueError unless both, and their sum, are finite
-    2x2 matrices."""
-    total = _check_matrix(gamma_in, "gamma_in", 2) + _check_matrix(gamma_rec, "gamma_rec", 2)
+    :func:`state_overlap`.  ValueError unless both are finite, symmetric
+    2x2 matrices and their sum is finite."""
+    gamma_in = _check_matrix(gamma_in, "gamma_in", 2, symmetric=True)
+    total = gamma_in + _check_matrix(gamma_rec, "gamma_rec", 2, symmetric=True)
     return float(_overlap_prefactor(_check_finite(total, "covariance sum")))
 
 

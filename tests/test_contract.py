@@ -186,6 +186,19 @@ class TestDefectsRefused:
         with pytest.raises(ValueError, match=r"^covariance matrix must be symmetric \(stack index 1\)$"):
             function(np.stack([_TMSV, gamma]))
 
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda g: fock.gaussian_fock(g), "covariance matrix", id="gaussian_fock"),
+        pytest.param(lambda g: cv.TeleportSetup(g, 0.5), "signal covariance", id="TeleportSetup"),
+        pytest.param(lambda g: cv.fidelity(g, np.eye(2)), "gamma_in", id="fidelity-gamma_in"),
+        pytest.param(lambda g: cv.fidelity(np.eye(2), g), "gamma_rec", id="fidelity-gamma_rec"),
+    ])
+    def test_asymmetric_one_mode_matrix(self, build, message):
+        # gaussian_fock's determinant read the antisymmetric part and its eigen-solve did not,
+        # TeleportSetup's teleport refused a three-mode matrix the caller never built, and
+        # fidelity against the vacuum read 0.9701 where the symmetric part gives 1.0
+        with pytest.raises(ValueError, match=f"^{message} must be symmetric$"):
+            build([[1.0, 0.5], [-0.5, 1.0]])
+
     def test_symmetry_tolerance_is_relative(self):
         scale = 1e3
         gamma = scale * np.eye(2)

@@ -250,10 +250,8 @@ class TestInputsStayUnwritten:
         assert np.array_equal(st.tensor, before)
 
 
-def _peak_tensors(fn):
-    """Peak memory that fn() allocates, in units of one cutoff-25 two-mode
-    complex tensor (26^4 entries)."""
-    unit = 26**4 * np.dtype(complex).itemsize
+def _peak_bytes(fn):
+    """Peak memory that fn() allocates, in bytes, as tracemalloc sees it."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
@@ -261,10 +259,16 @@ def _peak_tensors(fn):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         fn()
-        return (tracemalloc.get_traced_memory()[1] - base) / unit
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
             tracemalloc.stop()
+
+
+def _peak_tensors(fn):
+    """Peak memory that fn() allocates, in units of one cutoff-25 two-mode
+    complex tensor (26^4 entries)."""
+    return _peak_bytes(fn) / (26**4 * np.dtype(complex).itemsize)
 
 
 class TestMemory:
@@ -467,17 +471,28 @@ class TestSectorLayout:
 
     @pytest.mark.parametrize("cutoff", [0, 1, 5, 25])
     def test_layout_holds_each_entry_of_the_sectors_once(self, cutoff):
+        # a sector state of the distinct values 1..size shows where .tensor puts each entry
         d = cutoff + 1
         layout = fock._sector_layout(cutoff)
-        n1, n2, m1, m2 = np.unravel_index(layout.dense, (d,) * 4)
-        assert np.array_equal(n1 - m1, n2 - m2)
-        assert np.unique(layout.dense).size == layout.dense.size == layout.blocks[-1][1]
+        size = layout.gather.size
+        values = np.arange(1.0, size + 1)
+        tensor = fock._SectorState(cutoff, values, 0.0).tensor
+        n1, n2, m1, m2 = np.indices(tensor.shape)
+        # each value once, and every entry with n1 - m1 = n2 - m2 holds one
+        assert np.array_equal(np.sort(tensor[tensor != 0]), values)
+        assert np.array_equal(tensor != 0, n1 - m1 == n2 - m2)
+        assert size == layout.blocks[-1][1] == sum((d - abs(s)) ** 2 for s in range(-cutoff, cutoff + 1))
         assert [k for _, _, k in layout.blocks] == [min(n, cutoff) - max(0, n - cutoff) + 1 for n in range(2 * d - 1)]
-        assert layout.dense.size == sum((d - abs(s)) ** 2 for s in range(-cutoff, cutoff + 1))
+        assert cutoff != 25 or size == 11726
         # rho[m, n] of each entry rho[n, m] is at the same (j1, j2) in the other half of its chunk
-        swapped = np.concatenate([layout.dense[start:stop].reshape(shape)[::-1].ravel() for start, stop, shape in layout.chunks])
-        assert np.array_equal(swapped, np.ravel_multi_index((m1, m2, n1, n2), (d,) * 4))
-        assert cutoff != 25 or layout.dense.size == 11726
+        swapped = np.concatenate([fock._chunk(values, chunk)[::-1].ravel() for chunk in layout.chunks])
+        assert np.array_equal(fock._SectorState(cutoff, swapped, 0.0).tensor, tensor.transpose(2, 3, 0, 1))
+        # the gathered entries, cut by blocks, are the N = n1 + m2 blocks of the partial transpose
+        gathered, pt = values[layout.gather], tensor.transpose(0, 3, 2, 1)
+        for total, (start, stop, k) in enumerate(layout.blocks):
+            levels = np.arange(max(0, total - cutoff), max(0, total - cutoff) + k)
+            rows, cols = levels[:, None], levels[None, :]
+            assert np.array_equal(gathered[start:stop].reshape(k, k), pt[rows, total - rows, cols, total - cols])
 
 
 # every public kernel that reads a state
@@ -518,8 +533,9 @@ class TestNonFiniteTensor:
 
 @pytest.fixture
 def drop_cutoff_190_caches():
-    """The cutoff-190 sector layout and loss maps hold about 100 MB; the
-    caches are emptied after the test rather than kept for the session."""
+    """The cutoff-190 sector layout holds 36 MiB and its loss maps 18 MiB
+    per transmittance; the caches are emptied after the test rather than
+    kept for the session."""
     yield
     fock._sector_layout.cache_clear()
     fock._loss_kraus.cache_clear()
@@ -727,8 +743,17 @@ class TestLogNegativityFock:
         # zeta = 2 ends the fiber sweeps of demos 02 and 03; cutoff 190 drops
         # 8.4e-7 of the weight, and E_N is off by 1.6e-6 (1e-5 is the E_N
         # tolerance of the benchmark's oracle check)
-        st = _lossy_tmsv(2.0, 190, (0.7, 0.7))
-        e_n, warned = _e_n_and_warnings(st)
+        fock._sector_layout.cache_clear()
+        fock._loss_kraus.cache_clear()
+        chain = []
+
+        def cold_chain():
+            st = _lossy_tmsv(2.0, 190, (0.7, 0.7))
+            chain.extend((st, *_e_n_and_warnings(st)))
+
+        # 267 MiB measured; caching each entry's index in the d^4 tensor took it to 355 MiB
+        assert _peak_bytes(cold_chain) <= 300 * 2**20
+        st, e_n, warned = chain
         assert st.trunc_weight <= fock._TRUNCATION_BUDGET and warned == []
         assert abs(e_n - cv.transmitted_log_negativity(2.0, np.sqrt(0.7))) <= 1e-5
 
@@ -980,6 +1005,11 @@ class TestGaussianFock:
         with pytest.raises(ValueError, match="^covariance matrix is unphysical$"):
             fock.gaussian_fock(np.diag([-1.0, 2.0]))
 
+    def test_rejects_a_negative_definite_covariance(self):
+        # det(-1) = 1 passed the gate, and the log of a negative ratio warned
+        with pytest.raises(ValueError, match="^covariance matrix is unphysical$"):
+            fock.gaussian_fock(-np.eye(2))
+
 
 class TestConstructorInputs:
     @pytest.mark.parametrize("build, count", [
@@ -991,6 +1021,11 @@ class TestConstructorInputs:
     def test_rejects_fewer_than_one_mode(self, build, count):
         with pytest.raises(ValueError, match=f"mode count must be positive, got {count}$"):
             build()
+
+    @pytest.mark.parametrize("weight", [float("nan"), -0.5, 2.0, float("inf")])
+    def test_rejects_a_truncation_weight_that_is_not_a_probability(self, weight):
+        with pytest.raises(ValueError, match=r"^trunc_weight must lie in \[0, 1\], got"):
+            fock.FockState(1, 3, np.eye(4) / 4, trunc_weight=weight)
 
     @pytest.mark.parametrize("ns", [[1.7], [0, 0.5], [-1], [9], [float("nan")]])
     def test_rejects_occupations_that_are_not_levels(self, ns):
