@@ -176,12 +176,12 @@ def _run_entanglement_sweep(args):
     label = _BASE_LABEL[args.log_base]
     columns = ["l_over_lA", "t_squared", f"en_max_{label}", f"en_zeta_{label}"]
     rows = []
-    for l in lengths:
-        where = f"length={float(l)!r}, zeta={zeta!r}: "
-        en_max = _request(lambda: ent.max_transmittable(float(l), l_abs, args.log_base), where)
+    for l in map(float, lengths):
+        where = f"length={l!r}, zeta={zeta!r}: "
+        en_max = _request(lambda: ent.max_transmittable(l, l_abs, args.log_base), where)
         t_sq = math.exp(-2.0 * l / l_abs)
         en_zeta = _request(lambda: ent.transmitted_log_negativity(zeta, math.sqrt(t_sq), args.log_base), where)
-        rows.append([float(l / l_abs), t_sq, en_max, en_zeta])
+        rows.append([l / l_abs, t_sq, en_max, en_zeta])
     params = {"zeta": zeta, "absorption_length": l_abs}
     return params, columns, rows
 

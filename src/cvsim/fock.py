@@ -7,9 +7,11 @@ conventions (x = (a + a^dag)/sqrt(2), gamma = twice the symmetrised
 covariance, vacuum gamma = 1) and the conversion of a natural logarithm
 to the requested log base.
 
-The squeezer is exp of a real antisymmetric generator, one d x d
-Hermitian eigen-solve of 1j * gen, which keeps the module on numpy alone.
-Loss needs none: a beamsplitter with a vacuum ancilla drops each photon
+A one-mode Gaussian state is a thermal mixture over the eigenvectors of
+its own quadratic Hamiltonian (Williamson, Am. J. Math. 58, 141 (1936)),
+so gaussian_fock takes one d x d Hermitian eigen-solve, no squeezer and no
+matrix exponential, which keeps the module on numpy alone.  Loss needs no
+eigen-solve: a beamsplitter with a vacuum ancilla drops each photon
 on its own with probability 1 - tau (Campos, Saleh and Teich, PRA 40,
 1371 (1989)), so each Kraus operator has one binomial entry per column;
 the tests check the maps against the dense two-mode exponential.  Loss
@@ -47,6 +49,7 @@ n_th = 0.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -73,8 +76,8 @@ class FockState:
 
     ``tensor`` has shape (d, ..., d) with the ket indices first and the bra
     indices last (d = cutoff + 1); ``trunc_weight`` is the probability lost
-    to the truncation when the state was built.  ``modes`` must be at least
-    1, ``cutoff`` an integer >= 0, ``trunc_weight`` a probability in [0, 1]
+    to the truncation when the state was built.  ``modes`` must be an integer
+    >= 1, ``cutoff`` an integer >= 0, ``trunc_weight`` a probability in [0, 1]
     and every entry of ``tensor`` finite, else ValueError.  ``tensor`` is
     kept as float64 unless the input is complex, then as complex128; a real
     state stays real through loss and partial traces.  It may be a strided
@@ -92,7 +95,7 @@ class FockState:
     trunc_weight: float = 0.0
 
     def __post_init__(self):
-        _check_mode_count(self.modes)
+        object.__setattr__(self, "modes", _check_mode_count(self.modes))
         object.__setattr__(self, "cutoff", _check_cutoff(self.cutoff))
         if not 0.0 <= self.trunc_weight <= 1.0:  # NaN fails too
             raise ValueError(f"trunc_weight must lie in [0, 1], got {self.trunc_weight!r}")
@@ -233,9 +236,8 @@ def _trace_product(a: FockState, b: FockState) -> float:
 
 
 def vacuum_fock(modes: int = 1, cutoff: int = DEFAULT_CUTOFF) -> FockState:
-    """Vacuum |0, ..., 0> of ``modes`` modes, at least 1, else ValueError."""
-    _check_mode_count(modes)
-    return number_state_fock([0] * modes, cutoff)
+    """Vacuum |0, ..., 0> of ``modes`` modes, an integer >= 1, else ValueError."""
+    return number_state_fock([0] * _check_mode_count(modes), cutoff)
 
 
 def number_state_fock(ns, cutoff: int = DEFAULT_CUTOFF) -> FockState:
@@ -255,6 +257,15 @@ def number_state_fock(ns, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     return FockState(len(ns), cutoff, tensor)
 
 
+def _check_weight(weight: float) -> float:
+    """The truncation budget: ``weight`` if at most 1e-6, else ValueError."""
+    if weight > _TRUNCATION_BUDGET:
+        raise ValueError(
+            f"truncation weight {weight:.3e} exceeds the budget {_TRUNCATION_BUDGET:.1e}; raise the cutoff"
+        )
+    return weight
+
+
 def build_tmsv_fock(zeta: float, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     """Two-mode squeezed vacuum sqrt(1-q^2) sum_n q^n |nn>, q = tanh(zeta).
 
@@ -266,11 +277,7 @@ def build_tmsv_fock(zeta: float, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     """
     q = np.tanh(_check_finite(zeta, "squeezing"))
     d = _check_cutoff(cutoff) + 1
-    weight = float(q ** (2 * d))
-    if weight > _TRUNCATION_BUDGET:
-        raise ValueError(
-            f"truncation weight {weight:.3e} exceeds the budget {_TRUNCATION_BUDGET:.1e}; raise the cutoff"
-        )
+    weight = _check_weight(float(q ** (2 * d)))
     amps = np.sqrt(1.0 - q * q) * q ** np.arange(d)
     psi = np.zeros((d, d), dtype=complex)
     np.fill_diagonal(psi, amps)
@@ -281,17 +288,6 @@ def build_tmsv_fock(zeta: float, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     n, m = layout.pure_levels
     sectors[layout.pure] = amps[n] * amps[m]
     return _SectorState(d - 1, sectors, weight)
-
-
-def _destroy(d: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1)
-
-
-def _expm_antisymmetric(gen: np.ndarray) -> np.ndarray:
-    """exp(gen) for a real antisymmetric gen: with 1j gen = V diag(w) V^dag
-    Hermitian, exp(gen) = V diag(e^-iw) V^dag, which is real."""
-    w, v = np.linalg.eigh(1j * gen)
-    return ((v * np.exp(-1j * w)) @ v.conj().T).real
 
 
 @lru_cache(maxsize=32)
@@ -390,7 +386,7 @@ def partial_trace(state: FockState, keep) -> FockState:
 def _quadrature_ops(cutoff: int) -> np.ndarray:
     """x, p and the symmetrised products xx + xx, xp + px, pp + pp at this
     cutoff, stacked (5, d, d) complex; read-only, because cached."""
-    a = _destroy(cutoff + 1)
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
     x = (a + a.T) / np.sqrt(2.0)
     p = (a - a.T) / (1j * np.sqrt(2.0))
     ops = np.stack([x, p] + [u @ v + v @ u for u, v in ((x, x), (x, p), (p, p))]).astype(complex)
@@ -575,39 +571,49 @@ def homodyne_conditional_fock(state: FockState, mode: int, x: float, phi: float 
     return FockState(state.modes - 1, state.cutoff, sigma / prob, state.trunc_weight)
 
 
-def _squeeze_unitary(d: int, zeta: float) -> np.ndarray:
-    """Fock-space squeezer whose phase-space action is diag(e^zeta, e^-zeta)."""
-    a = _destroy(d)
-    return _expm_antisymmetric((-zeta / 2.0) * (a @ a - a.T @ a.T))
+def _photon_tail(gamma: np.ndarray, d: int) -> float:
+    """Population past level d - 1 of the zero-mean one-mode Gaussian state gamma.
+
+    Its photon-number law is sum_n p_n z^n = 2 Q(z)^(-1/2), Q(z) =
+    det(gamma + 1 + z (1 - gamma)) = q0 + q1 z + q2 z^2 (Ferraro, Olivares
+    and Paris, quant-ph/0503237), so 2 Q f' + Q' f = 0 gives p_0 = 2/sqrt(q0)
+    and 2 q0 (n + 1) p_(n+1) = -(2n + 1) q1 p_n - 2n q2 p_(n-1).
+    """
+    q0, q2 = np.linalg.det([np.eye(2) + gamma, np.eye(2) - gamma]).tolist()
+    q1 = 4.0 - q0 - q2  # Q(1) = det(2 * 1)
+    p = [0.0, 2.0 / math.sqrt(q0)]  # p_-1, p_0
+    for n in range(d - 1):
+        p.append(-((2 * n + 1) * q1 * p[-1] + 2 * n * q2 * p[-2]) / (2.0 * q0 * (n + 1)))
+    return max(0.0, 1.0 - math.fsum(p))
 
 
 def gaussian_fock(gamma, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     """Single-mode Gaussian state (zero mean) as a Fock density matrix.
 
-    Decomposes gamma = R(theta) diag(nu k^2, nu/k^2) R(theta)^T and builds
-    the rotated, squeezed thermal state with the matching unitaries; the
-    thermal tail beyond the cutoff must not exceed the budget 1e-6.  A
-    covariance that is not a finite, symmetric 2x2 matrix, one that is not
-    positive definite with det >= 1, or a cutoff that is not an integer
-    >= 0, raises ValueError.
+    By Williamson's theorem the state is the thermal mixture, with
+    p_n = (1 - mu) mu^n, mu = (nu - 1)/(nu + 1) and nu = sqrt(det gamma),
+    of the eigenvectors of H = r^T g r / 2, g = nu gamma^-1, whose spectrum
+    is n + 1/2.  H is compressed exactly onto the d = cutoff + 1 lowest
+    levels (its quadrature products are taken at d + 1 and cropped, as a
+    product of two truncated quadratures lacks a a^dag at the top level);
+    by min-max its k-th eigenvalue is then at least k + 1/2, so the sorted
+    eigenvectors take p_0, ..., p_c, renormalised.  The reported weight is
+    the exact population past the cutoff (_photon_tail) and must not
+    exceed the budget 1e-6.  A covariance that is not a finite, symmetric
+    2x2 matrix, one that is not positive definite with det >= 1, or a
+    cutoff that is not an integer >= 0, raises ValueError.
     """
     gamma = _check_matrix(gamma, "covariance matrix", 2, symmetric=True)
     d = _check_cutoff(cutoff) + 1
     nu = float(np.sqrt(max(np.linalg.det(gamma), 0.0)))
-    evals, evecs = np.linalg.eigh(0.5 * (gamma + gamma.T))
-    if not (nu >= 1.0 - 1e-9 and evals[0] > 0.0):  # det < 0 gives nu = 0, a NaN det fails, -gamma passes nu
+    if not (nu >= 1.0 - 1e-9 and gamma[0, 0] > 0.0):  # det < 0 gives nu = 0; det > 0 and gamma_00 > 0 is definite
         raise ValueError("covariance matrix is unphysical")
-    zeta = 0.5 * np.log(evals[1] / nu)
-    theta = float(np.arctan2(evecs[1, 1], evecs[0, 1]))
+    weight = _check_weight(_photon_tail(gamma, d))
 
-    n_bar = max(0.0, (nu - 1.0) / 2.0)  # a pure state gives mu = 0: e_0 and weight 0, as 0.0**0 == 1
-    mu = n_bar / (n_bar + 1.0)
+    mu = max(0.0, (nu - 1.0) / (nu + 1.0))  # a pure state gives mu = 0: e_0, as 0.0**0 == 1
     probs = (1.0 - mu) * mu ** np.arange(d)
-    weight = float(mu**d)
-    if weight > _TRUNCATION_BUDGET:
-        raise ValueError(f"thermal tail {weight:.3e} exceeds the budget; raise the cutoff")
-    probs = probs / probs.sum()
-    rho = np.diag(probs).astype(complex)
-    u = np.exp(1j * theta * np.arange(d))[:, None] * _squeeze_unitary(d, float(zeta))  # R(theta) scales row n
-    rho = u @ rho @ u.conj().T
+    g = nu * np.linalg.inv(gamma)
+    xx, xp, pp = _quadrature_ops(d)[2:, :d, :d]
+    _, v = np.linalg.eigh(g[0, 0] * xx + 2.0 * g[0, 1] * xp + g[1, 1] * pp)
+    rho = (v * (probs / probs.sum())) @ v.conj().T
     return FockState(1, cutoff, rho, weight)

@@ -59,8 +59,8 @@ _COSH_MAX = math.acosh(sys.float_info.max)  # ~710.48; cosh and sinh overflow pa
 
 
 def vacuum_state(n_modes: int = 1) -> GaussianState:
-    """Vacuum of n_modes >= 1 modes, gamma = 1; ValueError for fewer."""
-    _check_mode_count(n_modes)
+    """Vacuum of n_modes >= 1 modes, gamma = 1; ValueError for fewer or a fractional count."""
+    n_modes = _check_mode_count(n_modes)
     return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
@@ -72,7 +72,7 @@ def thermal_state(n_mean, n_modes: int | None = None) -> GaussianState:
     A state without modes (``[]`` or ``n_modes < 1``) raises ValueError.
     """
     if n_modes is not None:
-        _check_mode_count(n_modes)
+        n_modes = _check_mode_count(n_modes)
     ns = np.atleast_1d(_check_occupation(n_mean))
     if n_modes is not None and ns.size == 1:
         ns = np.full(n_modes, ns[0])

@@ -21,10 +21,14 @@ DEFAULT_TOL = 1e-9  # absolute tolerance of every validity test; not a parameter
 _SIGMA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _check_mode_count(n_modes) -> None:
-    """Every state and symplectic form has at least one mode."""
+def _check_mode_count(n_modes) -> int:
+    """The mode count as an int: every state and symplectic form has an
+    integral number of modes, at least one; else ValueError."""
+    if not float(n_modes).is_integer():
+        raise ValueError(f"mode count must be an integer, got {n_modes!r}")
     if not n_modes >= 1:
         raise ValueError(f"mode count must be positive, got {n_modes!r}")
+    return int(n_modes)
 
 
 @lru_cache(maxsize=16)
@@ -33,8 +37,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
     The array is built once per mode count and shared, so it is read-only.
     """
-    _check_mode_count(n_modes)
-    sigma = np.kron(np.eye(n_modes), _SIGMA_1)
+    sigma = np.kron(np.eye(_check_mode_count(n_modes)), _SIGMA_1)
     sigma.setflags(write=False)
     return sigma
 
@@ -233,8 +236,10 @@ def build_symplectic(gates, n_modes: int) -> np.ndarray:
 
     Each gate's block is written into the 2N x 2N identity by 2 x 2
     sub-blocks, one per pair of its modes.  An empty gate list yields the
-    identity; a mode that is not an integer in [0, N) raises ValueError.
+    identity; a mode count N that is not an integer >= 1, or a mode that is
+    not an integer in [0, N), raises ValueError.
     """
+    n_modes = _check_mode_count(n_modes)
     s = np.eye(2 * n_modes)
     for gate in gates:
         modes = [_mode_index(m, n_modes) for m in gate.modes]

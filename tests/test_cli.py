@@ -76,6 +76,18 @@ class TestEntanglementSweep:
         assert code == 2
         assert "length=-1.0," in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, first_row", [
+        pytest.param(["--length", "1e308"], "1e+308,0,0,0", id="length"),
+        pytest.param(["--absorption-length", "1e-320"], "0,1,inf,2", id="absorption-length"),
+    ])
+    def test_overflowing_ratio_runs_on_python_floats(self, capsys, argv, first_row):
+        # numpy scalars warned "overflow encountered in scalar multiply/divide",
+        # which this suite's error::RuntimeWarning turned into an exception
+        code, out = run_cli(capsys, ["entanglement-sweep", *argv])
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert rows[0] == first_row and set(rows[1:]) <= {"inf,0,0,0"}
+
 
 class TestSeparability:
     def test_rows_match_the_closed_forms_point_by_point(self, capsys):

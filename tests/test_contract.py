@@ -265,6 +265,37 @@ class TestDefectsRefused:
         assert cv.max_classical_squeezing(1.0) == 0.5 * np.log(3.0)
 
 
+# Each entry point that takes a mode count, called with one; what it builds.
+# 1.5 and 2.0 raised numpy's or Python's TypeError, and build_symplectic
+# returned a 0 x 0 matrix for 0 modes.
+MODE_COUNTS = {
+    "FockState": lambda n: fock.FockState(n, 1, np.eye(4).reshape(2, 2, 2, 2) / 4.0).tensor,
+    "vacuum_fock": lambda n: fock.vacuum_fock(n, 2).tensor,
+    "vacuum_state": lambda n: cv.vacuum_state(n).gamma,
+    "thermal_state": lambda n: cv.thermal_state(0.5, n_modes=n).gamma,
+    "symplectic_form": cv.symplectic_form,
+    "build_symplectic": lambda n: cv.build_symplectic([cv.beamsplitter(0, 1)], n),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MODE_COUNTS))
+class TestModeCount:
+    def test_fractional_count_is_refused(self, entry):
+        with pytest.raises(ValueError, match="^mode count must be an integer, got 1.5$"):
+            MODE_COUNTS[entry](1.5)
+
+    def test_zero_is_refused(self, entry):
+        with pytest.raises(ValueError, match="^mode count must be positive, got 0$"):
+            MODE_COUNTS[entry](0)
+
+    def test_integral_float_builds_what_the_int_builds(self, entry):
+        assert np.array_equal(MODE_COUNTS[entry](2.0), MODE_COUNTS[entry](2))
+
+
+def test_fock_state_keeps_an_int_mode_count():
+    assert type(fock.FockState(2.0, 1, np.eye(4).reshape(2, 2, 2, 2) / 4.0).modes) is int
+
+
 class TestEulerNearIdentity:
     def test_reproducer_factors_are_symplectic(self):
         # O1 and O2 failed check_symplectic by 3.8e-9 and 5.4e-9
@@ -354,7 +385,7 @@ RESULTS = {
 }
 EXEMPT = {
     "FockState": "its tensors are kernel outputs of 3.6-7.3 MB at cutoff 25, too large to copy per state; "
-    "ROADMAP item 9 owns the Fock module's input rule",
+    "ROADMAP item 11 (one contract suite over the public surface) owns the Fock module's input rule",
 }
 
 

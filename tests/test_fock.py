@@ -22,6 +22,15 @@ def _random_density(rng, modes, cutoff, real=False):
     return fock.FockState(modes, cutoff, (rho / np.trace(rho)).reshape((cutoff + 1,) * (2 * modes)))
 
 
+@lru_cache(maxsize=8)
+def _expm_squeezed_vacuum(zeta, cutoff=300):
+    """exp(-zeta/2 (a^2 - a^dag^2)) |0> from the dense exponential; read-only, because cached."""
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
+    psi = expm((-zeta / 2.0) * (a @ a - a.T @ a.T))[:, 0]
+    psi.setflags(write=False)
+    return psi
+
+
 @lru_cache(maxsize=16)
 def _dense_loss_kraus(cutoff, tau):
     """E_k = <k|U|0> from the dense exponential of the two-mode generator,
@@ -627,12 +636,19 @@ class TestUnitariesAgainstScipy:
             rest[m - k, m] = 0.0
             assert np.max(np.abs(rest)) <= 1e-12
 
-    @pytest.mark.parametrize("zeta", [-0.8, 0.1, 0.8, 1.5])
-    def test_squeeze_unitary_matches_expm(self, zeta):
-        d = 26
-        a = np.diag(np.sqrt(np.arange(1, d, dtype=float)), k=1)
-        ref = expm((-zeta / 2.0) * (a @ a - a.T @ a.T))
-        assert np.max(np.abs(fock._squeeze_unitary(d, zeta) - ref)) <= 1e-12
+    @pytest.mark.parametrize("zeta, cutoff", [
+        pytest.param(-0.8, 60, id="-0.8"),
+        pytest.param(0.1, 25, id="0.1"),
+        pytest.param(0.8, 60, id="0.8"),
+        pytest.param(1.5, 120, id="1.5"),
+    ])
+    def test_squeezed_state_matches_expm(self, zeta, cutoff):
+        # an error in the amplitudes is of the order of the dropped amplitude
+        # sqrt(w): measured 5e-7, 4e-15, 5e-7 and 2.4e-4 against 1.1e-6, 0,
+        # 1.1e-6 and 9.3e-4
+        psi = _expm_squeezed_vacuum(zeta)[: cutoff + 1]
+        st = fock.gaussian_fock(cv.squeezed_state(zeta).gamma, cutoff)
+        assert np.max(np.abs(st.matrix - np.outer(psi, psi))) <= np.sqrt(st.trunc_weight) + 1e-12
 
     def test_repeated_loss_call_hits_the_cache(self):
         fock._loss_kraus(7, 0.4321)
@@ -994,6 +1010,40 @@ class TestGaussianFock:
     def test_thermal_tail_budget(self):
         with pytest.raises(ValueError):
             fock.gaussian_fock(cv.thermal_state(5.0).gamma, cutoff=10)
+
+    @pytest.mark.parametrize("state", [
+        pytest.param(cv.squeezed_state(0.8), id="squeezed-0.8"),
+        pytest.param(cv.squeezed_state(1.5), id="squeezed-1.5"),
+        pytest.param(cv.squeezed_signal(2.0), id="signal-2.0"),
+    ])
+    def test_squeezed_tail_over_budget_is_refused(self, state):
+        # the weight was mu^d, the thermal tail alone, so a pure state reported 0.0;
+        # these drop 4.8e-6, 2.4e-2 and 1.9e-4 at cutoff 25
+        with pytest.raises(ValueError, match=r"^truncation weight \S+ exceeds the budget 1\.0e-06; raise the cutoff$"):
+            fock.gaussian_fock(state.gamma, cutoff=25)
+
+    def test_weight_is_the_population_past_the_cutoff(self):
+        st = fock.gaussian_fock(cv.squeezed_state(0.8).gamma, cutoff=40)
+        assert abs(st.trunc_weight - np.sum(_expm_squeezed_vacuum(0.8)[41:] ** 2)) <= 1e-12  # 5.48e-9
+
+    def test_tail_matches_a_high_cutoff_diagonal(self, rng):
+        # mixed, squeezed and rotated; at cutoff 150 the dropped weight is below 1e-30
+        for _ in range(6):
+            gamma = random_single_mode_physical(rng, max_squeeze=0.4, max_n=0.5)
+            probs = np.diagonal(fock.gaussian_fock(gamma, cutoff=150).matrix).real
+            for d in (6, 11, 21):
+                assert abs(fock._photon_tail(gamma, d) - probs[d:].sum()) <= 1e-14
+
+    def test_thermal_tail_is_mu_to_the_d(self):
+        mu = 0.7 / 1.7
+        st = fock.gaussian_fock(cv.thermal_state(0.7).gamma, cutoff=30)
+        assert abs(st.trunc_weight - mu**31) <= 1e-15
+
+    def test_one_eigen_solve(self, monkeypatch):
+        # the squeezer's decomposition took a 2 x 2 eigen-solve before the d x d one
+        solves = count_solves(monkeypatch, ("eig", "eigh", "eigvals", "eigvalsh", "svd"))
+        fock.gaussian_fock(cv.squeezed_state(0.35, 0.4).gamma, cutoff=25)
+        assert solves == [(26, 26)]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_covariance(self, bad):
