@@ -18,7 +18,8 @@ the tests check the maps against the dense two-mode exponential.  Loss
 keeps the ket-minus-bra photon number of its mode, so it acts on each
 diagonal of the mode's (ket, bra) plane by itself, never through a
 d^2 x d^2 superoperator.  E_N is the log of the trace norm of the partial
-transpose (Vidal and Werner, PRA 65, 032314 (2002)).
+transpose (Vidal and Werner, PRA 65, 032314 (2002)).  psi_n(X) comes from
+one recurrence, cached per cutoff on the default grid.
 
 Sector layout.  A state that commutes with n1 - n2 (a TMSV, with or
 without loss on either arm) has rho[n1, n2, m1, m2] = 0 unless
@@ -30,9 +31,10 @@ and rho[j1, j2, j1 - s, j2 - s] for s < 0, all of them in one flat
 array (see _sector_layout).  Loss on mode 0 is Y_s <- L_|s| Y_s and on
 mode 1 Y_s <- Y_s L_|s|^T.  The partial transpose of such a state is zero
 between different total photon numbers n1 + m2, so E_N solves its
-2 * cutoff + 1 blocks of size at most d, 51 of size at most 26 at cutoff
-25.  The reduced matrices come from Y_0 and the cross moments from Y_+-1.
-No d^4 tensor is made on that path; ``tensor`` is built on its first read.
+2 * cutoff + 1 blocks of size at most d.  The reduced matrices come from
+Y_0, the cross moments from Y_+-1, and conditioning one mode on a homodyne
+record contracts each Y_+-t in O(d^3).  No d^4 tensor is made on that
+path; ``tensor`` is built on its first read.
 Every other state (number states, gaussian_fock, any FockState built from
 a tensor) keeps the dense kernels, which are also the sector kernels'
 reference in the tests: both give the same bits for the tensor, the
@@ -58,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .entanglement import _check_base, _to_base
-from .symplectic import _check_finite, _check_matrix, _check_mode_count, _check_vector, _mode_index, _own
+from .symplectic import _check_finite, _check_matrix, _check_mode_count, _check_vector, _is_integer, _mode_index
 
 DEFAULT_CUTOFF = 25
 DEFAULT_GRID = (-8.0, 8.0, 801)
@@ -146,10 +148,10 @@ class _SectorState(FockState):
         return tensor
 
 
-def _check_cutoff(cutoff, name: str = "cutoff") -> int:
+def _check_cutoff(cutoff) -> int:
     """The cutoff as an int; ValueError unless an integer >= 0."""
-    if not (float(cutoff).is_integer() and cutoff >= 0):
-        raise ValueError(f"{name} must be an integer >= 0, got {cutoff!r}")
+    if not _is_integer(cutoff, 0):
+        raise ValueError(f"cutoff must be an integer >= 0, got {cutoff!r}")
     return int(cutoff)
 
 
@@ -471,49 +473,28 @@ def overlap_fock(state_a: FockState, state_b: FockState) -> float:
     return _trace_product(state_a, state_b)
 
 
-@dataclass(frozen=True)
-class QuadratureWavefunctionTable:
-    """Harmonic-oscillator eigenfunctions psi_n sampled on a grid.
-
-    Built by the stable two-term recurrence
-    psi_n = sqrt(2/n) X psi_(n-1) - sqrt((n-1)/n) psi_(n-2),
-    which avoids the factorial overflow of the closed form.  Both arrays
-    are read-only, and ``grid`` is the table's own copy of the caller's.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray  # shape (n_max + 1, len(grid))
-
-    @classmethod
-    def build(cls, grid, n_max: int) -> "QuadratureWavefunctionTable":
-        """The table on ``grid``; ValueError unless ``grid`` is a vector of
-        finite points and ``n_max`` an integer >= 0."""
-        grid = _check_vector(grid, "grid")
-        n_max = _check_cutoff(n_max, "n_max")
-        values = np.empty((n_max + 1, grid.size))
-        values[0] = np.pi**-0.25 * np.exp(-0.5 * grid**2)
-        if n_max >= 1:
-            values[1] = np.sqrt(2.0) * grid * values[0]
-        for n in range(2, n_max + 1):
-            values[n] = np.sqrt(2.0 / n) * grid * values[n - 1] - np.sqrt((n - 1.0) / n) * values[n - 2]
-        table = cls(grid=grid, values=values)
-        _own(table, grid=grid)
-        values.setflags(write=False)
-        return table
+def _wavefunctions(grid: np.ndarray, cutoff: int) -> np.ndarray:
+    """psi_n(X) of the levels n = 0..cutoff at the points X of ``grid``, shape
+    (cutoff + 1, len(grid)), by the stable two-term recurrence
+    psi_n = sqrt(2/n) X psi_(n-1) - sqrt((n-1)/n) psi_(n-2), which avoids the
+    factorial overflow of the closed form."""
+    values = np.zeros((cutoff + 1, grid.size))
+    values[0] = np.pi**-0.25 * np.exp(-0.5 * grid**2)
+    for n in range(1, cutoff + 1):  # psi_(-1) = 0: at n = 1, values[-1] is a row not yet filled
+        values[n] = np.sqrt(2.0 / n) * grid * values[n - 1] - np.sqrt((n - 1.0) / n) * values[n - 2]
+    return values
 
 
-@lru_cache(maxsize=1)
-def default_grid() -> np.ndarray:
-    """The DEFAULT_GRID points, built once and shared, so read-only."""
-    grid = np.linspace(*DEFAULT_GRID)
-    grid.setflags(write=False)
-    return grid
+_DEFAULT_POINTS = np.linspace(*DEFAULT_GRID)
+_DEFAULT_POINTS.setflags(write=False)
 
 
 @lru_cache(maxsize=4)
-def _default_table(cutoff: int) -> QuadratureWavefunctionTable:
-    """The table on the default grid up to the cutoff level, built once and shared."""
-    return QuadratureWavefunctionTable.build(default_grid(), cutoff)
+def _default_wavefunctions(cutoff: int) -> np.ndarray:
+    """_wavefunctions on the DEFAULT_GRID points, built once per cutoff; read-only, because cached."""
+    values = _wavefunctions(_DEFAULT_POINTS, cutoff)
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True)
@@ -522,50 +503,63 @@ class HomodyneFockResult:
     pdf: np.ndarray
 
 
-def _quadrature_amplitudes(cutoff: int, phi: float, grid: np.ndarray) -> np.ndarray:
-    """<n|X,phi> for every grid point X, shape (n_points, d); phi must be finite."""
-    table = QuadratureWavefunctionTable.build(grid, cutoff)
-    return np.exp(1j * _check_finite(phi, "phi") * np.arange(cutoff + 1))[None, :] * table.values.T
-
-
 def homodyne_povm_fock(state: FockState, mode: int, phi: float = 0.0, grid=None) -> HomodyneFockResult:
     """Outcome density of projecting one mode onto quadrature eigenstates |X, phi>.
 
     phi = 0 is an x measurement and phi = pi/2 a p measurement.  The density
     p(X) = <X,phi| rho_mode |X,phi> needs only the mode's reduced matrix R:
     with <n|X,phi> = e^(i phi n) psi_n(X) it is the column sum of
-    (W^T V) * V, V[n, X] = psi_n(X) the table and W = Re(R[m, n]
-    e^(i phi (n - m))), all real.
-    The result keeps a read-only copy of a caller's grid; the default grid
-    and its table are shared.
+    (W^T V) * V, V[n, X] = psi_n(X) and W = Re(R[m, n] e^(i phi (n - m))),
+    all real.  ``grid`` must be a vector of finite points, else ValueError;
+    the result keeps a read-only copy of it.  The default grid, DEFAULT_GRID
+    as (start, stop, points), and its psi_n are shared.
     """
     reduced = partial_trace(state, [_mode_index(mode, state.modes)]).tensor
     levels = np.arange(state.cutoff + 1)
     weights = (reduced * np.exp(1j * _check_finite(phi, "phi") * (levels - levels[:, None]))).real
     if grid is None:
-        grid, table = default_grid(), _default_table(state.cutoff)
+        grid, values = _DEFAULT_POINTS, _default_wavefunctions(state.cutoff)
     else:
-        table = QuadratureWavefunctionTable.build(grid, state.cutoff)
-        grid = table.grid
-    terms = weights.T @ table.values
-    terms *= table.values
+        grid = _check_vector(grid, "grid").copy()
+        grid.setflags(write=False)
+        values = _wavefunctions(grid, state.cutoff)
+    terms = weights.T @ values
+    terms *= values
     return HomodyneFockResult(grid=grid, pdf=terms.sum(axis=0))
 
 
 def homodyne_conditional_fock(state: FockState, mode: int, x: float, phi: float = 0.0) -> FockState:
     """Renormalised state of the other modes after the quadrature of
-    ``mode`` at angle phi reads x; ValueError if x has zero density."""
+    ``mode`` at angle phi reads x; ValueError if x has zero density.
+
+    With a_n = <n|x,phi>, the unnormalised state is sum_nm conj(a_n) a_m
+    rho[n, ., m, .].  A sector state gives it sector by sector, in O(d^3):
+    Y_t and Y_-t contract with the products conj(a_(j+t)) a_j and their
+    conjugates over the measured mode's index, onto the +t and -t diagonals
+    of the one-mode result.  A dense state sums level by level, ket then
+    bra, so the sum rounds alike on any strides.  The result is complex.
+    """
     if state.modes < 2:
         raise ValueError("conditioning needs a state of at least two modes")
     mode = _mode_index(mode, state.modes)
-    _check_finite(x, "homodyne record")
-    amp = _quadrature_amplitudes(state.cutoff, phi, np.array([float(x)]))[0]
-    moved = np.moveaxis(state.tensor, (mode, state.modes + mode), (0, 1))
-    # ket then bra, level by level, so the sum rounds alike on any strides
-    half = sum(a * moved[m] for m, a in enumerate(amp.conj()))
-    sigma = sum(a * half[n] for n, a in enumerate(amp))
-    rest = (state.cutoff + 1) ** (state.modes - 1)
-    prob = np.trace(sigma.reshape(rest, rest)).real
+    record = np.array([float(_check_finite(x, "homodyne record"))])
+    d = state.cutoff + 1
+    amp = np.exp(1j * _check_finite(phi, "phi") * np.arange(d)) * _wavefunctions(record, d - 1)[:, 0]
+    sectors = _sectors(state)
+    if sectors is not None:
+        sigma = np.zeros((d, d), dtype=complex)
+        subscripts = ("kj,kjl->kl", "kj,klj->kl")[mode]  # Y_+-t has mode 0 on its rows, mode 1 on its columns
+        for t, chunk in enumerate(_sector_layout(state.cutoff).chunks):
+            y = _chunk(sectors, chunk)
+            pairs = amp[t:].conj() * amp[: d - t]  # conj(a_(j+t)) a_j for Y_t, conjugated for Y_-t
+            lines = np.einsum(subscripts, np.stack([pairs, pairs.conj()])[: len(y)], y)
+            for line, view in zip(lines, (sigma[t:, : d - t], sigma[: d - t, t:])):
+                _diagonal(view, 1)[...] = line
+    else:
+        moved = np.moveaxis(state.tensor, (mode, state.modes + mode), (0, 1))
+        half = sum(a * moved[m] for m, a in enumerate(amp.conj()))
+        sigma = sum(a * half[n] for n, a in enumerate(amp))
+    prob = np.trace(sigma.reshape(d ** (state.modes - 1), -1)).real
     if not prob > 0.0:
         raise ValueError(f"homodyne record {x!r} has zero density")
     return FockState(state.modes - 1, state.cutoff, sigma / prob, state.trunc_weight)

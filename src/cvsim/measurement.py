@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import _check_each, _check_matrix, _check_physical, _check_symmetric, _check_vector, _own
+from .symplectic import _check_each, _check_matrix, _check_physical, _check_symmetric, _check_vector, _is_integer, _own
 
 MP_REL_TOL = 1e-12
 # near-eps rank cut of gaussian_project: the core C2 + D^2 is invertible for
@@ -71,7 +71,7 @@ def _checked_input(gamma, measured, per_mode: int) -> tuple[np.ndarray, list[int
     scale = _check_symmetric(gamma, "covariance matrix")
     bound = gamma.shape[0] // 2 * per_mode
     indices = sorted(set(measured))
-    if not all(float(i).is_integer() and 0 <= i < bound for i in indices):
+    if not all(_is_integer(i, 0, bound) for i in indices):
         raise ValueError(f"measured indices must be integers in [0, {bound}), got {indices}")
     _check_physical(gamma, "covariance matrix", scale)
     return gamma, [int(i) for i in indices]

@@ -10,6 +10,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,10 +22,15 @@ DEFAULT_TOL = 1e-9  # absolute tolerance of every validity test; not a parameter
 _SIGMA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def _is_integer(value, low: float, high: float = math.inf) -> bool:
+    """Whether ``value`` is a real number, which a string is not, and an integer in [low, high)."""
+    return isinstance(value, numbers.Real) and float(value).is_integer() and low <= value < high
+
+
 def _check_mode_count(n_modes) -> int:
     """The mode count as an int: every state and symplectic form has an
     integral number of modes, at least one; else ValueError."""
-    if not float(n_modes).is_integer():
+    if not _is_integer(n_modes, -math.inf):
         raise ValueError(f"mode count must be an integer, got {n_modes!r}")
     if not n_modes >= 1:
         raise ValueError(f"mode count must be positive, got {n_modes!r}")
@@ -44,7 +50,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 def _mode_index(mode, n_modes: int) -> int:
     """The mode index as an int; ValueError unless an integer in [0, n_modes)."""
-    if not (float(mode).is_integer() and 0 <= mode < n_modes):
+    if not _is_integer(mode, 0, n_modes):
         raise ValueError(f"mode index must be an integer in [0, {n_modes}), got {mode!r}")
     return int(mode)
 

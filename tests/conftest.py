@@ -35,6 +35,32 @@ def random_two_mode_physical(rng, max_squeeze=0.5, max_n=1.0):
     return s @ th @ s.T
 
 
+def random_two_mode_physical_stack(rng, count, n_gates=6, max_squeeze=0.5, max_n=1.0):
+    """``count`` covariance matrices drawn as random_two_mode_physical draws
+    one, in one vectorised pass, stacked (count, 4, 4): each of the n_gates
+    gates is a rotation by U(-pi, pi), a squeeze by U(-max_squeeze,
+    max_squeeze) on a uniform mode, or a beamsplitter on a uniformly ordered
+    pair, each kind with odds 1/3.  The same seed draws other states than
+    the one-by-one loop, whose random calls interleave."""
+    kind = rng.integers(0, 3, size=(count, n_gates))
+    on_0 = (rng.integers(0, 2, size=(count, n_gates)) == 0)[..., None, None]  # the mode, or the pair's order
+    u = rng.uniform(-1.0, 1.0, size=(count, n_gates))
+    c, s, e, zero = np.cos(np.pi * u), np.sin(np.pi * u), np.exp(max_squeeze * u), np.zeros_like(u)
+    rotation = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    squeeze = np.stack([np.stack([e, zero], -1), np.stack([zero, 1.0 / e], -1)], -2)
+    block = np.where((kind == 0)[..., None, None], rotation, squeeze)
+    gates = np.zeros((count, n_gates, 4, 4))
+    gates[..., :2, :2] = np.where(on_0, block, np.eye(2))
+    gates[..., 2:, 2:] = np.where(on_0, np.eye(2), block)
+    mix = cv.build_symplectic([cv.beamsplitter(0, 1)], 2)  # beamsplitter(1, 0) is its transpose
+    gates = np.where((kind == 2)[..., None, None], np.where(on_0, mix, mix.T), gates)
+    s = gates[:, 0]
+    for k in range(1, n_gates):  # the leftmost gate acts last, as in build_symplectic
+        s = s @ gates[:, k]
+    th = np.repeat(2.0 * rng.uniform(0.0, max_n, size=(count, 2)) + 1.0, 2, axis=-1)
+    return (s * th[:, None, :]) @ s.swapaxes(-1, -2)
+
+
 def random_single_mode_physical(rng, max_squeeze=0.6, max_n=1.0):
     n = rng.uniform(0.0, max_n)
     s = random_symplectic(rng, 1, n_gates=3, max_squeeze=max_squeeze)

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import cvsim as cv
 from cvsim import fock
-from conftest import random_fiber, random_symplectic, random_two_mode_physical
+from conftest import random_fiber, random_symplectic, random_two_mode_physical, random_two_mode_physical_stack
 
 SEED = 715517
 
@@ -63,7 +63,7 @@ def test_criterion_03_base_two_saturation_values():
 
 def test_criterion_04_separability_consistency_and_threshold():
     rng = np.random.default_rng(SEED)
-    states = np.array([random_two_mode_physical(rng) for _ in range(10_000)])
+    states = random_two_mode_physical_stack(rng, 10_000)
     try:
         cv.is_separable(states)  # a RuntimeError names the first disagreeing state
         disagreement = None

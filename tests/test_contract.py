@@ -75,11 +75,11 @@ ARGUMENTS = {
 }
 
 # Public callables with no matrix or vector argument, and the result records
-# and the two containers whose array fields are checked apart from the
-# registry (OutcomeDensity when built, QuadratureWavefunctionTable by build).
+# and the container whose array fields are checked apart from the registry
+# (OutcomeDensity, when built).
 NO_ARRAY_ARGUMENT = {
     "FiberParams", "FockState.purity", "FockState.trace", "apply_channel", "apply_loss_fock", "beamsplitter",
-    "build_symplectic", "build_tmsv_fock", "covariance_from_fock", "default_grid", "degraded_tmsv", "fiber_channel",
+    "build_symplectic", "build_tmsv_fock", "covariance_from_fock", "degraded_tmsv", "fiber_channel",
     "fiber_from_length", "fiber_separability_threshold", "homodyne_conditional_fock", "ideal_displacement_gain",
     "log_negativity_fock", "max_transmittable", "overlap_fock", "pure_squeezed_fidelity", "rotation",
     "rotation_matrix", "separability_length", "squeeze", "squeezed_signal", "squeezed_state", "state_overlap",
@@ -88,7 +88,7 @@ NO_ARRAY_ARGUMENT = {
 }
 RECORDS = {
     "ClassicalityVerdict", "ConditionalResult", "CovarianceReport", "FockState", "HomodyneFockResult", "HomodyneResult",
-    "NegativityReport", "OutcomeDensity", "QuadratureWavefunctionTable", "SeparabilityVerdict", "TeleportResult",
+    "NegativityReport", "OutcomeDensity", "SeparabilityVerdict", "TeleportResult",
 }
 
 
@@ -243,8 +243,6 @@ class TestDefectsRefused:
             fock.homodyne_conditional_fock(_FOCK, 0, 0.0, phi=NAN)
         # numpy raised "could not broadcast input array from shape (2,2) into shape (4,)"
         with pytest.raises(ValueError, match=r"^grid must be a vector, got shape \(2, 2\)$"):
-            fock.QuadratureWavefunctionTable.build(np.zeros((2, 2)), 3)
-        with pytest.raises(ValueError, match=r"^grid must be a vector, got shape \(2, 2\)$"):
             fock.homodyne_povm_fock(fock.vacuum_fock(1, 3), 0, 0.0, np.zeros((2, 2)))
 
     def test_partial_trace_of_one_mode_index(self):
@@ -290,6 +288,29 @@ class TestModeCount:
 
     def test_integral_float_builds_what_the_int_builds(self, entry):
         assert np.array_equal(MODE_COUNTS[entry](2.0), MODE_COUNTS[entry](2))
+
+
+# Counts and indices that are not real numbers; float() reads each string,
+# and the comparison after it raised TypeError.
+NON_NUMERIC = {
+    "vacuum_state": (lambda: cv.vacuum_state("2"), "^mode count must be an integer, got '2'$"),
+    "thermal_state": (lambda: cv.thermal_state(0.1, "2"), "^mode count must be an integer, got '2'$"),
+    "vacuum_fock": (lambda: fock.vacuum_fock(1, "3"), "^cutoff must be an integer >= 0, got '3'$"),
+    "build_tmsv_fock": (lambda: fock.build_tmsv_fock(0.3, "5"), "^cutoff must be an integer >= 0, got '5'$"),
+    "build_symplectic": (
+        lambda: cv.build_symplectic([cv.rotation("0", 0.1)], 1), r"^mode index must be an integer in \[0, 1\), got '0'$"
+    ),
+    "homodyne_project": (
+        lambda: cv.homodyne_project(_TMSV, ["0"]), r"^measured indices must be integers in \[0, 4\), got \['0'\]$"
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_NUMERIC))
+def test_non_numeric_count_is_refused(entry):
+    call, message = NON_NUMERIC[entry]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_fock_state_keeps_an_int_mode_count():
@@ -354,11 +375,6 @@ OWN_COPIES = {
         lambda a: cv.TeleportSetup(a["gamma_in"], 12.0, _FIBER, _FIBER, kappa_in=a["kappa_in"]),
         lambda s: [s.gamma_in, s.kappa_in, cv.teleport(s).fidelity_zero_mean, cv.teleport_monte_carlo(s, 10, seed=0)],
     ),
-    "QuadratureWavefunctionTable": (
-        lambda: {"grid": np.linspace(-2.0, 2.0, 9)},
-        lambda a: fock.QuadratureWavefunctionTable.build(a["grid"], 4),
-        lambda t: [t.grid, t.values],
-    ),
 }
 RESULTS = {
     "ConditionalResult": (
@@ -385,7 +401,7 @@ RESULTS = {
 }
 EXEMPT = {
     "FockState": "its tensors are kernel outputs of 3.6-7.3 MB at cutoff 25, too large to copy per state; "
-    "ROADMAP item 11 (one contract suite over the public surface) owns the Fock module's input rule",
+    "ROADMAP item 9 (one contract suite over the public surface) owns the Fock module's input rule",
 }
 
 

@@ -74,7 +74,7 @@ def _dense_log_negativity(state):
 def _einsum_pdf(state, mode, phi):
     """Homodyne density as the three-operand einsum <X,phi| rho_mode |X,phi>."""
     reduced = fock.partial_trace(state, [mode]).tensor
-    amps = fock._quadrature_amplitudes(state.cutoff, phi, fock.default_grid())
+    amps = fock._default_wavefunctions(state.cutoff).T * np.exp(1j * phi * np.arange(state.cutoff + 1))
     return np.einsum("gm,mn,gn->g", amps.conj(), reduced, amps).real
 
 
@@ -334,7 +334,7 @@ class TestMemory:
             fock.homodyne_povm_fock(st, 0)
             built.append("tensor" in vars(st))
 
-        chain()  # the per-cutoff layout, loss maps and default-grid table are cached
+        chain()  # the per-cutoff layout, loss maps and default-grid wavefunctions are cached
         assert _peak_tensors(chain) <= 0.05
         assert built == [False] * 6
 
@@ -451,6 +451,9 @@ class TestSectorLayout:
                 for phi in (0.0, 0.7):
                     pdf = fock.homodyne_povm_fock(st, mode, phi).pdf
                     assert np.array_equal(pdf, fock.homodyne_povm_fock(ref, mode, phi).pdf)
+                    # the sector sums run in another order than the dense level-by-level sums
+                    cond = fock.homodyne_conditional_fock(st, mode, 0.3, phi).tensor
+                    assert np.max(np.abs(cond - fock.homodyne_conditional_fock(ref, mode, 0.3, phi).tensor)) <= 1e-15
             for got, want in zip(fock.covariance_from_fock(st), fock.covariance_from_fock(ref), strict=True):
                 assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
             assert st.trace() == ref.trace()
@@ -518,6 +521,13 @@ _STATE_KERNELS = {
 }
 
 
+@pytest.mark.parametrize("kernel", sorted(_STATE_KERNELS))
+def test_kernels_leave_a_sector_state_unbuilt(kernel):
+    st = fock.build_tmsv_fock(0.4, 8)
+    _STATE_KERNELS[kernel](st)
+    assert fock._sectors(st) is not None and "tensor" not in vars(st)
+
+
 class TestNonFiniteTensor:
     """FockState refuses a tensor with a NaN or inf entry, so no kernel
     reads one (log_negativity_fock returned nan and inf)."""
@@ -548,6 +558,32 @@ def drop_cutoff_190_caches():
     yield
     fock._sector_layout.cache_clear()
     fock._loss_kraus.cache_clear()
+
+
+def _conditioning_bound(zeta, cutoff, variance, gamma):
+    """A bound on the error of each entry of ``gamma``, the covariance the
+    oracle gives for one arm of the TMSV at cutoff c, with pure loss on both
+    arms, once a quadrature of the other arm reads 0; ``variance`` is the
+    exact gamma entry of the quadrature read.
+
+    The oracle conditions L(P), not L(Phi): Phi = sum_nm a_n a_m |nn><mm|,
+    a_n = sqrt(1 - lam) q^n, lam = q^2 = tanh^2 zeta, and P its part with
+    n, m <= c (its renormalisation cancels in the conditioning).  At record 0
+    both means vanish (psi_n(0) = 0 for odd n; the Gaussian mean is linear
+    in the record), so gamma = <A> = Tr[S A] / Tr[S], A = 2x^2, xp + px or
+    2p^2 of the other mode and S = <0| L(.) |0>.  The loss factorises over
+    the arms for each pair (n, m).  The read arm gives sum_k e_nk e_mk
+    psi_(n-k)(0) psi_(m-k)(0), e_nk the binomial amplitudes of loss, at most
+    pi^-1/2 (Cramer's bound |psi_n| <= pi^-1/4, then Cauchy-Schwarz).  The
+    other arm gives at most n + m + 1, as |A[i, j]| <= i + j + 1 and A[i, j]
+    = 0 unless i - j is 0 or +-2, which loss keeps and which is n - m.  So
+    D = Phi - P has |Tr[S_D A]| <= pi^-1/2 T, T the sum of a_n a_m (n + m + 1)
+    over n - m in {0, +-2} with max(n, m) > c, and Tr[S_D] <= pi^-1/2 w,
+    w = lam^d.  <A>_Phi - <A>_P = (Tr[S_D A] - <A>_P Tr[S_D]) / Tr[S_Phi],
+    and Tr[S_Phi] = 1 / sqrt(pi variance), the exact density at 0."""
+    lam, d = np.tanh(zeta) ** 2, cutoff + 1
+    tail = lam**d * (2 * d + 1 + 2 * lam / (1 - lam)) + 2 * lam ** (d - 1) * (2 * d - 1 + 2 * lam / (1 - lam))
+    return np.sqrt(variance) * (tail + lam**d * np.max(np.abs(gamma)))
 
 
 class TestLossDiagonals:
@@ -766,12 +802,22 @@ class TestLogNegativityFock:
         def cold_chain():
             st = _lossy_tmsv(2.0, 190, (0.7, 0.7))
             chain.extend((st, *_e_n_and_warnings(st)))
+            # x (phi = 0), then p (phi = pi/2), of mode 0 reads 0; the d^4 tensor would take 10.6 GB
+            chain.extend(fock.homodyne_conditional_fock(st, 0, 0.0, phi) for phi in (0.0, np.pi / 2))
 
         # 267 MiB measured; caching each entry's index in the d^4 tensor took it to 355 MiB
         assert _peak_bytes(cold_chain) <= 300 * 2**20
-        st, e_n, warned = chain
-        assert st.trunc_weight <= fock._TRUNCATION_BUDGET and warned == []
+        st, e_n, warned, *conditionals = chain
+        assert st.trunc_weight <= fock._TRUNCATION_BUDGET and warned == [] and "tensor" not in vars(st)
         assert abs(e_n - cv.transmitted_log_negativity(2.0, np.sqrt(0.7))) <= 1e-5
+        # reading x of mode 0 is homodyne_project's index 1 (it names the conjugate
+        # quadrature), reading p its index 0; measured 7.1e-5 against a bound of 4.8e-3
+        fiber = cv.FiberParams(t_mag=np.sqrt(0.7))
+        gamma = cv.degraded_tmsv(2.0, fiber, fiber)
+        for cond, index in zip(conditionals, (1, 0), strict=True):
+            got = fock.covariance_from_fock(cond)[1]
+            want = cv.homodyne_project(gamma, [index]).gamma_out
+            assert np.max(np.abs(got - want)) <= _conditioning_bound(2.0, 190, gamma[1 - index, 1 - index], got)
 
     def test_base_two(self):
         st = fock.build_tmsv_fock(0.3, cutoff=25)
@@ -819,17 +865,15 @@ class TestWavefunctions:
         # the default grid clips the n = 25 tail at the 1e-4 level, so the
         # 1e-6 check runs on a grid wide enough for every tabulated state
         grid = np.linspace(-10.0, 10.0, 1201)
-        table = fock.QuadratureWavefunctionTable.build(grid, 25)
-        overlaps = np.trapezoid(table.values[:, None, :] * table.values[None, :, :], grid, axis=-1)
+        values = fock._wavefunctions(grid, 25)
+        overlaps = np.trapezoid(values[:, None, :] * values[None, :, :], grid, axis=-1)
         assert np.max(np.abs(overlaps - np.eye(26))) <= 1e-6
-        table_default = fock.QuadratureWavefunctionTable.build(fock.default_grid(), 25)
-        norms = np.trapezoid(table_default.values**2, table_default.grid, axis=-1)
+        norms = np.trapezoid(fock._default_wavefunctions(25) ** 2, np.linspace(-8.0, 8.0, 801), axis=-1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-3
 
     def test_ground_state(self):
         grid = np.linspace(-3, 3, 7)
-        table = fock.QuadratureWavefunctionTable.build(grid, 0)
-        assert_allclose(table.values[0], np.pi**-0.25 * np.exp(-0.5 * grid**2))
+        assert_allclose(fock._wavefunctions(grid, 0)[0], np.pi**-0.25 * np.exp(-0.5 * grid**2))
 
 
 class TestHomodynePovm:
@@ -865,16 +909,14 @@ class TestHomodynePovm:
         assert abs(second - np.cosh(2 * zeta) / 2.0) <= 1e-6
 
     def test_default_grid_is_shared_and_read_only(self):
-        grid = fock.default_grid()
-        assert grid is fock.default_grid() and not grid.flags.writeable
-        assert np.array_equal(grid, np.linspace(-8.0, 8.0, 801))
-        assert fock.homodyne_povm_fock(fock.vacuum_fock(1, 4), 0).grid is grid
+        grids = [fock.homodyne_povm_fock(fock.vacuum_fock(1, cutoff), 0).grid for cutoff in (4, 4, 9)]
+        assert grids[0] is grids[1] is grids[2] and not grids[0].flags.writeable
+        assert np.array_equal(grids[0], np.linspace(-8.0, 8.0, 801))
 
     def test_default_grid_table_is_built_once_per_cutoff(self):
-        table = fock._default_table(4)
-        assert table is fock._default_table(4)
-        assert not table.values.flags.writeable and not table.grid.flags.writeable
-        assert np.array_equal(table.values, fock.QuadratureWavefunctionTable.build(fock.default_grid(), 4).values)
+        values = fock._default_wavefunctions(4)
+        assert values is fock._default_wavefunctions(4) and not values.flags.writeable
+        assert np.array_equal(values, fock._wavefunctions(np.linspace(-8.0, 8.0, 801), 4))
 
     def test_conditional_state_matches_gaussian_machinery(self):
         # measuring x on one arm in Fock space reproduces the covariance the
@@ -882,7 +924,7 @@ class TestHomodynePovm:
         # conjugate-projector naming, is homodyne_project of the p index)
         zeta = 0.4
         st = fock.build_tmsv_fock(zeta, cutoff=25)
-        grid = fock.default_grid()
+        grid = np.linspace(-8.0, 8.0, 801)
         x = grid[int(np.argmin(np.abs(grid - 0.7)))]
         cond = fock.homodyne_conditional_fock(st, 0, x, phi=0.0)
         assert cond.modes == 1 and abs(cond.trace() - 1.0) <= 1e-12
@@ -898,7 +940,7 @@ class TestHomodynePovm:
         st = _random_density(rng, 2, 6)
         grid = np.linspace(-2.0, 2.0, 5)
         pdf = fock.homodyne_povm_fock(st, 1, phi=0.3, grid=grid).pdf
-        table = fock.QuadratureWavefunctionTable.build(grid, 6).values.T * np.exp(0.3j * np.arange(7))
+        table = fock._wavefunctions(grid, 6).T * np.exp(0.3j * np.arange(7))
         for x, p, amp in zip(grid, pdf, table):
             cond = fock.homodyne_conditional_fock(st, 1, x, phi=0.3)
             sigma = np.einsum("m,ambn,n->ab", amp.conj(), st.tensor, amp)
@@ -1126,6 +1168,9 @@ class TestRealArithmetic:
         # contraction, another order of sums, within the sector-vs-dense bound
         gamma, ref_gamma = got.pop(16), want.pop(16)
         assert np.max(np.abs(gamma - ref_gamma)) <= 1e-14 * max(1.0, np.max(np.abs(ref_gamma)))
+        # readings 14 and 9, the conditional states: sector against dense sums, likewise
+        for reading in (14, 9):
+            assert np.max(np.abs(got.pop(reading) - want.pop(reading))) <= 1e-15
         _assert_same_readings(got, want)
 
     @pytest.mark.parametrize("modes, cutoff", [(1, 0), (1, 9), (2, 1), (2, 6), (3, 3)])
@@ -1160,11 +1205,6 @@ class TestCutoffRule:
         with pytest.raises(ValueError, match=rf"^cutoff must be an integer >= 0, got {cutoff!r}$"):
             _CUTOFF_ENTRY_POINTS[entry](cutoff)
 
-    @pytest.mark.parametrize("n_max", [-1, 2.5, float("nan")])
-    def test_rejects_bad_table_size(self, n_max):
-        with pytest.raises(ValueError, match=rf"^n_max must be an integer >= 0, got {n_max!r}$"):
-            fock.QuadratureWavefunctionTable.build(np.zeros(3), n_max)
-
     def test_empty_tensor_with_negative_cutoff_is_refused(self):
         with pytest.raises(ValueError, match="^cutoff must be"):
             fock.FockState(2, -1, np.zeros((0,) * 4))
@@ -1174,4 +1214,3 @@ class TestCutoffRule:
         assert type(st.cutoff) is int and st.matrix.shape == (81, 81)
         assert abs(fock.log_negativity_fock(st) - fock.log_negativity_fock(fock.build_tmsv_fock(0.3, 8))) <= _E_N_TOL
         assert fock.build_tmsv_fock(0.001, 2.0).cutoff == 2
-        assert fock.QuadratureWavefunctionTable.build(np.zeros(3), 2.0).values.shape == (3, 3)

@@ -44,7 +44,8 @@ def _public_callables():
 def test_audited_names_are_gone():
     for name in REMOVED:
         assert name not in cv.__all__ and not hasattr(cv, name), name
-    assert not hasattr(fock, "boundary_population")
+    for name in ("boundary_population", "QuadratureWavefunctionTable", "default_grid"):
+        assert not hasattr(fock, name), name
     assert not hasattr(measurement, "_pseudo_determinant")
 
 

@@ -134,7 +134,7 @@ class TestFailureNamesTheMatrix:
             cv.symplectic_eigenvalues(np.array([np.eye(2), -np.eye(2)]))
 
     def test_cross_checks(self):
-        # the pure TMSV's cross-checks fail from zeta ~ 5 on (ROADMAP item 6, correct answers at both ends)
+        # the pure TMSV's cross-checks fail from zeta ~ 5 on (ROADMAP item 4, correct answers at both ends)
         deep = np.array([cv.tmsv_state(0.5).gamma, cv.tmsv_state(12.0).gamma])
         with pytest.raises(RuntimeError, match=r"^separability criterion and .*\(stack index 1\)$"):
             cv.is_separable(deep)
