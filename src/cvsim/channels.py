@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import DEFAULT_TOL, _block_diag, _check_finite, _check_matrix, _own, rotation_matrix, symplectic_form
+from .symplectic import DEFAULT_TOL, _block_diag, _check_finite, _check_matrix, _is_real, _own, rotation_matrix
+from .symplectic import symplectic_form
 from .states import GaussianState, _check_occupation, tmsv_state
 
 _PARAM_TOL = 1e-12  # slack of the energy-conservation rule |T|^2 + |R|^2 <= 1
@@ -58,11 +59,11 @@ class FiberParams:
 
 
 def _check_fiber(t_mag: float, r_mag: float = 0.0) -> None:
-    """The fiber-magnitude rule, else ValueError: |T| and |R| in [0, 1]
-    and |T|^2 + |R|^2 <= 1."""
-    if not 0.0 <= t_mag <= 1.0:
+    """The fiber-magnitude rule, else ValueError: |T| and |R| real numbers
+    in [0, 1] and |T|^2 + |R|^2 <= 1."""
+    if not (_is_real(t_mag) and 0.0 <= t_mag <= 1.0):
         raise ValueError("transmission magnitude must lie in [0, 1]")
-    if not 0.0 <= r_mag <= 1.0:
+    if not (_is_real(r_mag) and 0.0 <= r_mag <= 1.0):
         raise ValueError("reflection magnitude must lie in [0, 1]")
     if t_mag**2 + r_mag**2 > 1.0 + _PARAM_TOL:
         raise ValueError("energy conservation requires |T|^2 + |R|^2 <= 1")
@@ -70,10 +71,10 @@ def _check_fiber(t_mag: float, r_mag: float = 0.0) -> None:
 
 def _check_length(l_abs: float, length: float = 0.0) -> None:
     """The fiber-length rule, else ValueError: absorption length l_abs > 0
-    and fiber length >= 0; NaN fails both."""
-    if not l_abs > 0.0:
+    and fiber length >= 0; NaN and a string fail both."""
+    if not (_is_real(l_abs) and l_abs > 0.0):
         raise ValueError(f"absorption length must be positive, got {l_abs!r}")
-    if not length >= 0.0:
+    if not (_is_real(length) and length >= 0.0):
         raise ValueError(f"fiber length must be non-negative, got {length!r}")
 
 

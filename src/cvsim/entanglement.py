@@ -10,7 +10,7 @@ import numpy as np
 
 from .channels import _check_fiber, _check_length
 from .states import _check_occupation
-from .symplectic import _SIGMA_1, DEFAULT_TOL, _check_each, _check_matrix, _check_physical, _min_eigenvalue
+from .symplectic import DEFAULT_TOL, _check_each, _check_matrix, _check_physical, _is_real, _min_eigenvalue
 from .symplectic import _result, _spectrum
 
 # gamma^PT = gamma * _PT_SIGNS + 0.0 flips the second mode's p row and column;
@@ -37,7 +37,7 @@ def _to_base(nats, base):
 
 
 def _check_non_negative_zeta(zeta) -> None:
-    if not zeta >= 0.0:
+    if not (_is_real(zeta) and zeta >= 0.0):
         raise ValueError(f"squeezing zeta must be non-negative, got {zeta!r}")
 
 
@@ -50,12 +50,12 @@ def _two_mode(gamma, physical: bool = True) -> np.ndarray:
     return gamma
 
 
-def _blocks(gamma: np.ndarray):
-    """The 2 x 2 blocks [..., i, j] (rows of mode i, columns of mode j) of a
-    (..., 4, 4) stack, and det C1, det C2, det C3 from one det over them."""
-    blocks = gamma.reshape(*gamma.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -2)
-    dets = np.linalg.det(blocks)
-    return blocks, dets[..., 0, 0][()], dets[..., 1, 1][()], dets[..., 0, 1][()]
+def _invariants(gamma: np.ndarray):
+    """det C1, det C2, det C3 of the 2 x 2 blocks [[C1, C3], [C3^T, C2]] of a
+    (..., 4, 4) stack, from one det over the blocks, and det gamma: the four
+    local symplectic invariants both closed forms read."""
+    dets = np.linalg.det(gamma.reshape(*gamma.shape[:-2], 2, 2, 2, 2).swapaxes(-3, -2))
+    return dets[..., 0, 0][()], dets[..., 1, 1][()], dets[..., 0, 1][()], np.linalg.det(gamma)
 
 
 def partial_transpose(gamma) -> np.ndarray:
@@ -68,10 +68,15 @@ def partial_transpose(gamma) -> np.ndarray:
 class SeparabilityVerdict:
     """Outcome of the two equivalent separability tests.
 
-    ``lhs >= rhs`` is the determinant-form criterion; ``pt_min_eig`` is the
-    smallest eigenvalue of gamma^PT + i Sigma.  Both must agree outside the
-    boundary band _BORDERLINE_BAND, otherwise an internal-consistency error
-    is raised; a disagreement inside the band counts as separable.
+    ``lhs >= rhs`` is Simon's criterion (PRL 84, 2726 (2000)), with
+    lhs = det gamma + 1 - 2 |det C3| and rhs = det C1 + det C2.  Simon
+    writes lhs as det C1 det C2 + (1 - |det C3|)^2 - tr(C1 J C3 J C2 J C3^T J);
+    the identity det gamma = det C1 det C2 + (det C3)^2 - tr(C1 J C3 J C2
+    J C3^T J) turns it into the four local invariants, with no product to
+    cancel.  ``pt_min_eig`` is the smallest eigenvalue of gamma^PT + i Sigma.
+    Both must agree outside the boundary band _BORDERLINE_BAND, otherwise
+    an internal-consistency error is raised; a disagreement inside the band
+    counts as separable.
     """
 
     separable: bool
@@ -85,13 +90,12 @@ _BORDERLINE_BAND = 1e-8  # relative width of the boundary band of is_separable
 
 def is_separable(gamma) -> SeparabilityVerdict:
     """Both tests on a (4, 4) gamma, giving a bool and floats, or on a stack
-    (..., 4, 4), giving arrays of shape (...)."""
+    (..., 4, 4), giving arrays of shape (...).  Simon's criterion is read off
+    the invariants as lhs = det gamma + 1 - 2 |det C3| (see
+    SeparabilityVerdict)."""
     gamma = _two_mode(gamma)
-    blocks, det1, det2, det3 = _blocks(gamma)
-    c1, c2, c3 = blocks[..., 0, 0, :, :], blocks[..., 1, 1, :, :], blocks[..., 0, 1, :, :]
-    chain = c1 @ _SIGMA_1 @ c3 @ _SIGMA_1 @ c2 @ _SIGMA_1 @ c3.swapaxes(-1, -2) @ _SIGMA_1
-    # x^2 as C pow, as a numpy scalar's ** 2 rounds it; x * x differs in ~0.1 % of inputs
-    lhs = det1 * det2 + np.float_power(1.0 - abs(det3), 2.0) - np.trace(chain, axis1=-2, axis2=-1)
+    det1, det2, det3, det_g = _invariants(gamma)
+    lhs = det_g + 1.0 - 2.0 * abs(det3)
     rhs = det1 + det2
     pt_min = _min_eigenvalue(gamma * _PT_SIGNS + 0.0)
 
@@ -129,10 +133,9 @@ def log_negativity(gamma, base="e") -> NegativityReport:
     """
     base = _check_base(base)
     gamma = _two_mode(gamma)
-    _, det1, det2, det3 = _blocks(gamma)
-    det_g = np.linalg.det(gamma)
+    det1, det2, det3, det_g = _invariants(gamma)
     a_half = 0.5 * (det1 + det2) - det3
-    a_sq = np.float_power(a_half, 2.0)  # C pow, as in is_separable
+    a_sq = np.float_power(a_half, 2.0)  # C pow, as a numpy scalar's ** 2 rounds it
     disc = a_sq - det_g
     _check_each(disc >= -DEFAULT_TOL * np.maximum(1.0, a_sq), "negative discriminant: inconsistent covariance data")
     # A + sqrt(A^2 - det gamma) = nu~_+^2 >= 1 for a physical gamma

@@ -60,7 +60,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .entanglement import _check_base, _to_base
-from .symplectic import _check_finite, _check_matrix, _check_mode_count, _check_vector, _is_integer, _mode_index
+from .symplectic import _check_finite, _check_matrix, _check_mode_count, _check_vector, _is_integer, _is_real
+from .symplectic import _mode_index
 
 DEFAULT_CUTOFF = 25
 DEFAULT_GRID = (-8.0, 8.0, 801)
@@ -333,7 +334,7 @@ def apply_loss_fock(state: FockState, mode: int, transmittance: float) -> FockSt
     one: the diagonal a - b = +-s of either mode holds the sectors +-s, and
     each pair takes one product with the same matrix.
     """
-    if not 0.0 <= transmittance <= 1.0:
+    if not (_is_real(transmittance) and 0.0 <= transmittance <= 1.0):
         raise ValueError("transmittance must lie in [0, 1]")
     mode = _mode_index(mode, state.modes)
     if transmittance == 1.0:

@@ -70,11 +70,11 @@ def _checked_input(gamma, measured, per_mode: int) -> tuple[np.ndarray, list[int
     gamma = _check_matrix(gamma, "covariance matrix")
     scale = _check_symmetric(gamma, "covariance matrix")
     bound = gamma.shape[0] // 2 * per_mode
-    indices = sorted(set(measured))
-    if not all(_is_integer(i, 0, bound) for i in indices):
-        raise ValueError(f"measured indices must be integers in [0, {bound}), got {indices}")
+    measured = list(measured)
+    if not all(_is_integer(i, 0, bound) for i in measured):  # before sorting, which compares them
+        raise ValueError(f"measured indices must be integers in [0, {bound}), got {measured}")
     _check_physical(gamma, "covariance matrix", scale)
-    return gamma, [int(i) for i in indices]
+    return gamma, sorted({int(i) for i in measured})
 
 
 def _split(gamma: np.ndarray, support: list[int]):

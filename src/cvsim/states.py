@@ -18,6 +18,7 @@ from .symplectic import (
     _check_physical,
     _check_squeezing,
     _check_vector,
+    _is_real,
     _own,
     _result,
     check_symplectic,
@@ -48,7 +49,10 @@ class GaussianState:
 
 def _check_occupation(n_mean) -> np.ndarray:
     """Mean thermal photon numbers, a scalar or an array-like, as a float
-    array; ValueError unless each is finite and >= 0."""
+    array; ValueError unless each is finite and >= 0, and a scalar is a real
+    number, which a string is not."""
+    if not (_is_real(n_mean) or np.ndim(n_mean)):
+        raise ValueError(f"mean thermal photon number must be a real number, got {n_mean!r}")
     n_mean = _check_finite(np.asarray(n_mean, dtype=float), "mean thermal photon number")
     if not np.all(n_mean >= 0.0):
         raise ValueError("mean thermal photon number must be non-negative")

@@ -22,9 +22,17 @@ DEFAULT_TOL = 1e-9  # absolute tolerance of every validity test; not a parameter
 _SIGMA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number, which a string is not: a Python or
+    numpy real scalar, or a 0-d array of one."""
+    if isinstance(value, np.ndarray):
+        return value.ndim == 0 and value.dtype.kind in "biuf"
+    return isinstance(value, numbers.Real)
+
+
 def _is_integer(value, low: float, high: float = math.inf) -> bool:
-    """Whether ``value`` is a real number, which a string is not, and an integer in [low, high)."""
-    return isinstance(value, numbers.Real) and float(value).is_integer() and low <= value < high
+    """Whether ``value`` is a real number and an integer in [low, high)."""
+    return _is_real(value) and float(value).is_integer() and low <= value < high
 
 
 def _check_mode_count(n_modes) -> int:
@@ -73,9 +81,12 @@ def rotation_matrix(theta: float) -> np.ndarray:
 
 
 def _check_finite(x, name: str, core: int | None = None):
-    """``x``; ValueError naming ``name`` unless the scalar ``x`` or each entry of
-    the array ``x`` is finite.  ``core`` as in _check_each, default x.ndim."""
+    """``x``; ValueError naming ``name`` unless the scalar ``x`` is a finite
+    real number or each entry of the array ``x`` is finite.  ``core`` as in
+    _check_each, default x.ndim."""
     if not isinstance(x, np.ndarray) or x.ndim == 0:
+        if not _is_real(x):
+            raise ValueError(f"{name} must be a real number, got {x!r}")
         if not math.isfinite(x):
             raise ValueError(f"{name} must be finite, got {float(x)!r}")
     else:
@@ -137,8 +148,8 @@ _EXP_MAX = math.log(sys.float_info.max)  # ~709.78; exp overflows past it
 
 def _check_squeezing(name: str, value: float, limit: float, overflowing: str) -> None:
     """The squeezing-range rule: ValueError where |value| > limit, before
-    ``overflowing`` would overflow, and where value is NaN."""
-    if abs(value) > limit:
+    ``overflowing`` would overflow, and where value is NaN or not a real number."""
+    if _is_real(value) and abs(value) > limit:
         raise ValueError(f"|{name}| = {abs(value)!r} is past {limit:.5g}, where {overflowing} overflows")
     _check_finite(value, name)
 

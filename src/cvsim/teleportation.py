@@ -25,6 +25,7 @@ from .symplectic import (
     _check_physical,
     _check_squeezing,
     _check_vector,
+    _is_real,
     _own,
     beamsplitter,
     build_symplectic,
@@ -176,7 +177,10 @@ def pure_squeezed_fidelity(eta: float, zeta: float) -> float:
     through an undegraded TMSV:
     F = sqrt(1 - sinh^2(eta) / (cosh(eta) + cosh(2 zeta))^2).  ValueError
     where sinh(eta) or cosh(eta) + cosh(2 zeta) overflows, as at eta = 800,
-    zeta = 400 or (eta, zeta) = (710, 355), or is NaN."""
+    zeta = 400 or (eta, zeta) = (710, 355), or is NaN, and where eta or zeta
+    is not a real number."""
+    if not (_is_real(eta) and _is_real(zeta)):
+        raise ValueError(f"eta and zeta must be real numbers, got eta = {eta!r}, zeta = {zeta!r}")
     try:
         sinh, total = math.sinh(eta), math.cosh(eta) + math.cosh(2.0 * zeta)
     except OverflowError:

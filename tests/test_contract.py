@@ -303,6 +303,15 @@ NON_NUMERIC = {
     "homodyne_project": (
         lambda: cv.homodyne_project(_TMSV, ["0"]), r"^measured indices must be integers in \[0, 4\), got \['0'\]$"
     ),
+    # sorting the indices compared '0' with 1 before the integer rule saw them
+    "homodyne_project, mixed": (
+        lambda: cv.homodyne_project(_TMSV, ["0", 1]),
+        r"^measured indices must be integers in \[0, 4\), got \['0', 1\]$",
+    ),
+    "gaussian_project, mixed": (
+        lambda: cv.gaussian_project(_TMSV, ["0", 1], np.eye(4)),
+        r"^measured indices must be integers in \[0, 2\), got \['0', 1\]$",
+    ),
 }
 
 
@@ -311,6 +320,73 @@ def test_non_numeric_count_is_refused(entry):
     call, message = NON_NUMERIC[entry]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# Scalar arguments that are not real numbers.  Each call raised Python's
+# TypeError from a comparison or from arithmetic, except the three occupations
+# (FiberParams n_th, separability_length, thermal_state), which read the
+# string as a float; separability_length then failed in its arithmetic.
+NON_REAL = {
+    "tmsv_state": (lambda: cv.tmsv_state("0.3"), "^zeta must be a real number, got '0.3'$"),
+    "squeezed_signal": (lambda: cv.squeezed_signal("1"), "^eta must be a real number, got '1'$"),
+    "rotation_matrix": (lambda: cv.rotation_matrix("1"), "^theta must be a real number, got '1'$"),
+    "FiberParams t_mag": (lambda: cv.FiberParams("0.5"), r"^transmission magnitude must lie in \[0, 1\]$"),
+    "FiberParams phase": (lambda: cv.FiberParams(1.0, phase="0.1"), "^phase must be a real number, got '0.1'$"),
+    "FiberParams n_th": (
+        lambda: cv.FiberParams(0.5, n_th="0.1"), "^mean thermal photon number must be a real number, got '0.1'$"
+    ),
+    "thermal_state": (
+        lambda: cv.thermal_state("0.5"), "^mean thermal photon number must be a real number, got '0.5'$"
+    ),
+    "TeleportSetup": (lambda: cv.TeleportSetup(np.eye(2), "0.5"), "^zeta must be a real number, got '0.5'$"),
+    "transmitted_log_negativity": (
+        lambda: cv.transmitted_log_negativity("1", 0.5), "^squeezing zeta must be non-negative, got '1'$"
+    ),
+    "separability_length": (
+        lambda: cv.separability_length(1.0, "0.1", 1.0), "^mean thermal photon number must be a real number, got '0.1'$"
+    ),
+    "max_transmittable": (lambda: cv.max_transmittable("1", 1.0), "^fiber length must be non-negative, got '1'$"),
+    "pure_squeezed_fidelity": (
+        lambda: cv.pure_squeezed_fidelity("1", 1.0), "^eta and zeta must be real numbers, got eta = '1', zeta = 1.0$"
+    ),
+    "build_tmsv_fock": (lambda: fock.build_tmsv_fock("0.3", 5), "^squeezing must be a real number, got '0.3'$"),
+    "apply_loss_fock": (lambda: fock.apply_loss_fock(_FOCK, 0, "0.5"), r"^transmittance must lie in \[0, 1\]$"),
+    "homodyne_povm_fock": (lambda: fock.homodyne_povm_fock(_FOCK, 0, "0.5"), "^phi must be a real number, got '0.5'$"),
+    "homodyne_conditional_fock": (
+        lambda: fock.homodyne_conditional_fock(_FOCK, 0, "0.1"), "^homodyne record must be a real number, got '0.1'$"
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_REAL))
+def test_string_is_not_a_real_number(entry):
+    call, message = NON_REAL[entry]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+# Scalar rules given numpy real scalars and 0-d float arrays: each call must
+# return what it returns for the Python float.
+REAL_SCALARS = {
+    "tmsv_state": lambda x: cv.tmsv_state(x).gamma,
+    "rotation_matrix": cv.rotation_matrix,
+    "FiberParams": lambda x: cv.fiber_channel(cv.FiberParams(x, phase=x, r_mag=x, n_th=x)).a,
+    "thermal_state": lambda x: cv.thermal_state(x).gamma,
+    "TeleportSetup": lambda x: cv.teleport(cv.TeleportSetup(np.eye(2), x)).fidelity_zero_mean,
+    "separability_length": lambda x: cv.separability_length(x, x, x),
+    "max_transmittable": lambda x: cv.max_transmittable(x, x),
+    "pure_squeezed_fidelity": lambda x: cv.pure_squeezed_fidelity(x, x),
+    "build_tmsv_fock": lambda x: fock.build_tmsv_fock(x, 20).tensor,
+    "apply_loss_fock": lambda x: fock.apply_loss_fock(_FOCK, 0, x).tensor,
+    "homodyne_conditional_fock": lambda x: fock.homodyne_conditional_fock(_FOCK, 0, x, phi=x).tensor,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_SCALARS))
+@pytest.mark.parametrize("wrap", [np.float64, np.array], ids=["float64", "0-d array"])
+def test_numpy_real_scalars_are_accepted(entry, wrap):
+    call = REAL_SCALARS[entry]
+    assert np.array_equal(call(wrap(0.5)), call(0.5))
 
 
 def test_fock_state_keeps_an_int_mode_count():

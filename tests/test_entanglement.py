@@ -2,6 +2,7 @@ import decimal
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -60,6 +61,55 @@ class TestIsSeparable:
 
     def test_criterion_agrees_with_pt_test(self, rng):
         cv.is_separable(np.array([random_two_mode_physical(rng) for _ in range(500)]))  # raises on disagreement
+
+    @pytest.mark.parametrize("zeta", [1.0, 3.0, 5.0, 8.0, 10.0, 12.0, 15.0])
+    def test_pure_tmsv_lhs(self, zeta):
+        # the product chain C1 J C3 J C2 J C3^T J cancelled terms of size e^(8 zeta): lhs was off by
+        # 3.8e-8 (relative) at zeta = 5 and 9.5e-3 at zeta = 8, and zeta = 10 to 15 raised RuntimeError
+        gamma = cv.tmsv_state(zeta).gamma
+        verdict = cv.is_separable(gamma)
+        assert verdict.separable is False
+        with mpmath.workdps(50):
+            want = 2 - 2 * mpmath.sinh(2 * mpmath.mpf(zeta)) ** 2
+            assert abs(mpmath.mpf(verdict.lhs) - want) <= _tmsv_lhs_bound(gamma, want)
+
+    @pytest.mark.parametrize("zeta, phase", [(7.0, 0.0), (7.0, 0.6), (7.5, 0.0)])
+    def test_deep_lossy_tmsv_past_the_threshold(self, zeta, phase):
+        # the product chain raised RuntimeError here; n_th = 0.5 is just past n_crit = 0.4999996
+        fiber = cv.FiberParams(t_mag=math.sqrt(0.5), phase=phase, n_th=0.5)
+        assert cv.fiber_separability_threshold(zeta, fiber.t_mag) < 0.5
+        assert cv.is_separable(cv.degraded_tmsv(zeta, fiber, fiber)).separable is True
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _det_rounding(log_pivots):
+    """Relative error bound of numpy's det, exp(sum of log |pivot|) over LU's pivots: each
+    log is within one ulp, eps |log p|; their sum adds at most eps sum |log p|; exp one ulp."""
+    return _EPS * (1 + 2 * log_pivots)
+
+
+def _tmsv_lhs_bound(gamma, want):
+    """Bound on |lhs - want| for is_separable's lhs = det gamma + 1 - 2 |det C3| of the float
+    TMSV matrix: the exact lhs of its entries c and s, plus the rounding of each step.
+
+    det C3 has the pivots s and -s.  gamma's x and p blocks are [[c, +-s], [+-s, c]], so
+    det gamma has the pivots c, c, u, u, where LU forms u = c - s (s / c) with at most four
+    roundings (1 / c, two products, the difference) of terms of size c; so c u lies within
+    2 eps c^2 + (eps / 2) |c u| of c^2 - s^2, and det gamma = (c u)^2 >= 0."""
+    c, s = mpmath.mpf(gamma[0, 0]), mpmath.mpf(gamma[0, 2])
+    exact = abs(c * c - s * s)
+    spread = 2 * _EPS * c * c
+    hi, lo = (exact + spread) / (1 - _EPS / 2), max(0, (exact - spread) / (1 + _EPS / 2))
+    # (c u)^2 (1 +- rounding) grows with u, so the extremes sit at hi and lo
+    det_hi = hi**2 * (1 + _det_rounding(2 * mpmath.log(c) + 2 * abs(mpmath.log(hi / c))))
+    det_lo = lo**2 * (1 - _det_rounding(2 * mpmath.log(c) + 2 * abs(mpmath.log(lo / c)))) if lo else 0
+    det_error = max(det_hi - exact**2, exact**2 - det_lo)
+    det3_error = s * s * _det_rounding(2 * mpmath.log(s))
+    # fl(det gamma + 1), then minus 2 |det C3|: one rounding each
+    sums = _EPS * (det_hi + 1 + s * s + det3_error)
+    return abs(exact**2 + 1 - 2 * s * s - want) + det_error + 2 * det3_error + sums
 
 
 class TestLogNegativity:

@@ -1,7 +1,7 @@
-"""cvsim runs on numpy alone: with scipy made unimportable, the package and
-its CLI import, and a README CLI example and the Fock demo print exactly
-their goldens.  scipy stays a test-only reference.  The package also keeps
-to the numpy floor that pyproject.toml declares."""
+"""cvsim runs on numpy alone: with scipy, sympy and mpmath made unimportable,
+the package and its CLI import, and a README CLI example and the Fock demo
+print exactly their goldens.  The three stay test-only references.  The
+package also keeps to the numpy floor that pyproject.toml declares."""
 
 import os
 import re
@@ -12,14 +12,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # a None entry in sys.modules makes every later ``import scipy...`` fail
-_BLOCK_SCIPY = "import sys\nsys.modules['scipy'] = None\nimport cvsim, cvsim.cli\n"
+_BLOCK_TEST_ONLY = (
+    "import sys\nsys.modules.update(dict.fromkeys(['scipy', 'sympy', 'mpmath']))\nimport cvsim, cvsim.cli\n"
+)
 
 
 def _run_without_scipy(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _BLOCK_SCIPY + code],
+        [sys.executable, "-c", _BLOCK_TEST_ONLY + code],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -133,11 +133,15 @@ class TestFailureNamesTheMatrix:
         with pytest.raises(ValueError, match=r"^covariance matrix is not positive semidefinite \(stack index 1\)$"):
             cv.symplectic_eigenvalues(np.array([np.eye(2), -np.eye(2)]))
 
-    def test_cross_checks(self):
-        # the pure TMSV's cross-checks fail from zeta ~ 5 on (ROADMAP item 4, correct answers at both ends)
+    def test_cross_checks(self, monkeypatch):
+        # log_negativity's cross-check fails on the pure TMSV from zeta ~ 5 on (ROADMAP item 4, correct
+        # answers at both ends); is_separable's no longer does, so its partial-transpose eigenvalue is
+        # forced to say separable at index 1, where the criterion says entangled
         deep = np.array([cv.tmsv_state(0.5).gamma, cv.tmsv_state(12.0).gamma])
-        with pytest.raises(RuntimeError, match=r"^separability criterion and .*\(stack index 1\)$"):
-            cv.is_separable(deep)
+        with monkeypatch.context() as patch:
+            patch.setattr(cv.entanglement, "_min_eigenvalue", lambda g: np.array([-0.5, 0.5]))
+            with pytest.raises(RuntimeError, match=r"^separability criterion and .*\(stack index 1\)$"):
+                cv.is_separable(deep)
         with pytest.raises(RuntimeError, match=r"^closed-form and symplectic-spectrum .*\(stack index 1\)$"):
             cv.log_negativity(deep)
 
