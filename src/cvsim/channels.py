@@ -13,7 +13,7 @@ from .states import GaussianState, _check_occupation, tmsv_state
 _PARAM_TOL = 1e-12  # slack of the energy-conservation rule |T|^2 + |R|^2 <= 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianChannel:
     """A map gamma -> A gamma A^T + G, kappa -> A kappa.
 

@@ -98,13 +98,15 @@ def _scalar(grid: np.ndarray, name: str) -> float:
     return float(grid[0])
 
 
-def _request(build, where: str = ""):
+def _request(build, **point):
     """``build()``; a ValueError, raised for an input outside the domain of
-    what it builds, is a malformed request, its message prefixed by ``where``."""
+    what it builds, is a malformed request, its message prefixed by the grid
+    ``point`` as name=value pairs, formatted only then."""
     try:
         return build()
     except ValueError as exc:
-        raise SpecError(where + str(exc)) from exc
+        where = ", ".join(f"{name}={value!r}" for name, value in point.items())
+        raise SpecError(f"{where}: {exc}" if point else str(exc)) from exc
 
 
 def load_config(path: str) -> dict:
@@ -125,24 +127,18 @@ def load_config(path: str) -> dict:
     return values
 
 
-def _fmt_csv(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        return format(value, ".12g")
-    return str(value)
-
-
 def _emit(command: str, params: dict, columns: list[str], rows: list[list], args) -> str:
     if args.format == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt_csv(v) for v in row) for row in rows)
-        return "\n".join(lines) + "\n"
+        # one format for the table, each column's from the kind of its first cell:
+        # a float to 12 significant digits (inf included), a bool as true or false
+        line = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0])
+        cells = tuple(("false", "true")[v] if v is True or v is False else v for row in rows for v in row)
+        return ",".join(columns) + "\n" + "\n".join([line] * len(rows)) % cells + "\n"
 
-    json_rows = [[None if isinstance(v, float) and math.isinf(v) else v for v in row] for row in rows]
-    infinite = [[i, j] for i, row in enumerate(json_rows) for j, v in enumerate(row) if v is None]
+    # every cell is a number; an infinite one is flagged and written as null
+    infinite = [[i, j] for i, row in enumerate(rows) for j, v in enumerate(row) if math.isinf(v)]
+    for i, j in infinite:
+        rows[i][j] = None
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -150,7 +146,7 @@ def _emit(command: str, params: dict, columns: list[str], rows: list[list], args
         "seed": args.seed,
         "parameters": params,
         "columns": columns,
-        "rows": json_rows,
+        "rows": rows,
         "infinite_flags": infinite,
     }
     return _json_text(doc) + "\n"
@@ -177,10 +173,10 @@ def _run_entanglement_sweep(args):
     columns = ["l_over_lA", "t_squared", f"en_max_{label}", f"en_zeta_{label}"]
     rows = []
     for l in map(float, lengths):
-        where = f"length={l!r}, zeta={zeta!r}: "
-        en_max = _request(lambda: ent.max_transmittable(l, l_abs, args.log_base), where)
+        en_max = _request(lambda: ent.max_transmittable(l, l_abs, args.log_base), length=l, zeta=zeta)
         t_sq = math.exp(-2.0 * l / l_abs)
-        en_zeta = _request(lambda: ent.transmitted_log_negativity(zeta, math.sqrt(t_sq), args.log_base), where)
+        en_zeta = _request(lambda: ent.transmitted_log_negativity(zeta, math.sqrt(t_sq), args.log_base),
+                           length=l, zeta=zeta)
         rows.append([l / l_abs, t_sq, en_max, en_zeta])
     params = {"zeta": zeta, "absorption_length": l_abs}
     return params, columns, rows
@@ -206,11 +202,11 @@ def _run_separability(args):
     columns = ["zeta", "t_squared", "r_squared", "nth_crit", "l_s_over_lA"]
     rows = []
     for zeta in map(float, zetas):
-        l_s = _request(lambda: ent.separability_length(zeta, nth, l_abs), f"zeta={zeta!r}: ")
+        l_s = _request(lambda: ent.separability_length(zeta, nth, l_abs), zeta=zeta)
         l_s_over_la = l_s / l_abs if math.isfinite(l_s) else l_s
         for t2 in map(float, t2s):
             n_crit = _request(lambda: ent.fiber_separability_threshold(zeta, math.sqrt(t2), math.sqrt(r2)),
-                              f"zeta={zeta!r}, t2={t2!r}: ")
+                              zeta=zeta, t2=t2)
             rows.append([zeta, t2, r2, n_crit, l_s_over_la])
     return {"nth": nth, "absorption_length": l_abs}, columns, rows
 
@@ -226,8 +222,9 @@ def _run_teleport(args):
     eta = _scalar(parse_grid(args.eta), "eta")
     zeta = _scalar(parse_grid(args.zeta), "zeta")
     fiber = _fibers(args)
-    # the signal and the setup refuse a squeezing past their range, the setup an unphysical signal
-    result = teleport(_request(lambda: TeleportSetup(squeezed_signal(eta).gamma, zeta, fiber, fiber)))
+    # the signal and the setup refuse a squeezing past their range, the setup an unphysical signal,
+    # teleport a closed form that overflows or whose denominator rounds to 0
+    result = _request(lambda: teleport(TeleportSetup(squeezed_signal(eta).gamma, zeta, fiber, fiber)))
     g = result.gamma_rec
     gain = result.gain
     columns = [

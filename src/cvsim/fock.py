@@ -61,7 +61,7 @@ import numpy as np
 
 from .entanglement import _check_base, _to_base
 from .symplectic import _check_finite, _check_matrix, _check_mode_count, _check_vector, _is_integer, _is_real
-from .symplectic import _mode_index
+from .symplectic import _mode_index, _real_array
 
 DEFAULT_CUTOFF = 25
 DEFAULT_GRID = (-8.0, 8.0, 801)
@@ -251,7 +251,7 @@ def number_state_fock(ns, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     read as 1.
     """
     cutoff = _check_cutoff(cutoff)
-    ns = np.atleast_1d(np.asarray(ns, dtype=float))
+    ns = np.atleast_1d(_real_array(ns, "occupations"))
     if not np.all((ns >= 0) & (ns <= cutoff) & (ns == np.round(ns))):
         raise ValueError(f"occupations must be integers in [0, {cutoff}], got {ns.tolist()}")
     _check_vector(ns, "occupations")  # one per mode, not a stack
@@ -498,7 +498,7 @@ def _default_wavefunctions(cutoff: int) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomodyneFockResult:
     grid: np.ndarray
     pdf: np.ndarray

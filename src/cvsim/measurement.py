@@ -92,7 +92,7 @@ def _quadratic_columns(cols: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return ((mat.T @ cols) * cols).sum(axis=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionalResult:
     """Reduced state after measuring subsystem 2.
 
@@ -132,7 +132,7 @@ def _conjugate_quadrature(q: int) -> int:
     return q + 1 if q % 2 == 0 else q - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeDensity:
     """Gaussian density of the homodyne record.
 
@@ -175,7 +175,7 @@ class OutcomeDensity:
         return (root @ rng.standard_normal((size, self.mean.size)).T + (self.mean * self.signs)[:, np.newaxis]).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomodyneResult:
     gamma_out: np.ndarray
     mean_map: np.ndarray

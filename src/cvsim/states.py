@@ -20,6 +20,7 @@ from .symplectic import (
     _check_vector,
     _is_real,
     _own,
+    _real_array,
     _result,
     check_symplectic,
     rotation_matrix,
@@ -27,7 +28,7 @@ from .symplectic import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """First moments kappa (length 2N) and covariance matrix gamma (2N x 2N).
 
@@ -49,11 +50,11 @@ class GaussianState:
 
 def _check_occupation(n_mean) -> np.ndarray:
     """Mean thermal photon numbers, a scalar or an array-like, as a float
-    array; ValueError unless each is finite and >= 0, and a scalar is a real
-    number, which a string is not."""
+    array; ValueError unless each is a real number, which a string is not,
+    finite and >= 0."""
     if not (_is_real(n_mean) or np.ndim(n_mean)):
         raise ValueError(f"mean thermal photon number must be a real number, got {n_mean!r}")
-    n_mean = _check_finite(np.asarray(n_mean, dtype=float), "mean thermal photon number")
+    n_mean = _check_finite(_real_array(n_mean, "mean thermal photon number"), "mean thermal photon number")
     if not np.all(n_mean >= 0.0):
         raise ValueError("mean thermal photon number must be non-negative")
     return n_mean

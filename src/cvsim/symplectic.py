@@ -35,6 +35,16 @@ def _is_integer(value, low: float, high: float = math.inf) -> bool:
     return _is_real(value) and float(value).is_integer() and low <= value < high
 
 
+def _real_array(x, name: str) -> np.ndarray:
+    """``x`` as a float array; ValueError naming ``name`` unless its entries
+    are real numbers (bool, int or float), which strings and complex numbers
+    are not."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {x.dtype}")
+    return x.astype(float, copy=False)
+
+
 def _check_mode_count(n_modes) -> int:
     """The mode count as an int: every state and symplectic form has an
     integral number of modes, at least one; else ValueError."""
@@ -95,11 +105,11 @@ def _check_finite(x, name: str, core: int | None = None):
 
 
 def _check_matrix(m, name: str, size=None, stack=False, even=True, symmetric=False) -> np.ndarray:
-    """The matrix rule: ``m`` as a finite float array of shape (n, n), or
+    """The matrix rule: ``m`` as a finite real array of shape (n, n), or
     with ``stack`` (..., n, n); n is ``size`` if given, and with ``even``
     2N for N >= 1 modes.  With ``symmetric``, the symmetry rule too.  Else
     ValueError naming ``name``."""
-    m = np.asarray(m, dtype=float)
+    m = _real_array(m, name)
     if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if even:
@@ -115,9 +125,9 @@ def _check_matrix(m, name: str, size=None, stack=False, even=True, symmetric=Fal
 
 
 def _check_vector(v, name: str, length: int | None = None, stack: bool = False) -> np.ndarray:
-    """The vector rule: ``v`` as a finite float array of shape (length,), any
+    """The vector rule: ``v`` as a finite real array of shape (length,), any
     length if None, or with ``stack`` (..., length); else ValueError naming ``name``."""
-    v = np.asarray(v, dtype=float)
+    v = _real_array(v, name)
     if v.ndim < 1 or (v.ndim > 1 and not stack) or length not in (None, v.shape[-1]):
         of_length = "" if length is None else f" of length {length}"
         raise ValueError(f"{name} must be a vector{of_length}, got shape {v.shape}")

@@ -39,7 +39,7 @@ _MIX.setflags(write=False)
 _ZETA_MAX = math.acosh(math.sqrt(np.finfo(float).max)) / 2.0  # ~177.79
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TeleportSetup:
     """Signal covariance [[x, z], [z, y]], resource squeezing and fibers.
 
@@ -63,7 +63,7 @@ class TeleportSetup:
         _own(self, gamma_in=gamma, kappa_in=kappa)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TeleportResult:
     """gamma_rec is outcome independent; gain maps the record
     (X_x0, -X_p1), scaled as described in the measurement module, to the

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -174,6 +175,52 @@ class TestJsonWriter:
         assert out == json.dumps(doc, indent=2) + "\n"
 
 
+class TestEmitter:
+    """Seeded tables through _emit: one column of Python floats, one of numpy
+    float64, one of bools and one that mixes the two float kinds."""
+
+    EDGES = [-0.0, 0.0, math.inf, -math.inf, 5e-324, -5e-324, 1.7e308, -1.7e308]
+
+    @classmethod
+    def seeded_rows(cls, seed):
+        rng = np.random.default_rng(seed)
+
+        def value():
+            if rng.uniform() < 0.3:
+                return cls.EDGES[int(rng.integers(len(cls.EDGES)))]
+            return float(rng.normal()) * 10.0 ** int(rng.integers(-320, 308))
+
+        return [
+            [value(), np.float64(value()), bool(rng.integers(2)), (float, np.float64)[int(rng.integers(2))](value())]
+            for _ in range(int(rng.integers(1, 40)))
+        ]
+
+    @staticmethod
+    def emit(rows, fmt):
+        args = argparse.Namespace(format=fmt, log_base="e", seed=None)
+        return cli._emit("fidelity-sweep", {}, ["a", "b", "flag", "c"], [list(row) for row in rows], args)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_csv_cells(self, seed):
+        rows = self.seeded_rows(seed)
+        header, *lines = self.emit(rows, "csv").split("\n")
+        assert header == "a,b,flag,c" and lines.pop() == ""
+        want = [[("false", "true")[v] if isinstance(v, bool) else format(v, ".12g") for v in row] for row in rows]
+        assert [line.split(",") for line in lines] == want
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_json_flags_every_infinity_in_row_major_order(self, seed):
+        rows = self.seeded_rows(seed)
+        out = self.emit(rows, "json")
+        doc = json.loads(out)
+        flags = [[i, j] for i, row in enumerate(rows) for j, v in enumerate(row) if v in (math.inf, -math.inf)]
+        assert doc["infinite_flags"] == flags
+        for i, j in flags:
+            rows[i][j] = None
+        assert doc["rows"] == [list(row) for row in rows]
+        assert out == json.dumps(doc, indent=2) + "\n"
+
+
 class TestDeterminismAndOutput:
     def test_byte_identical_reruns(self, capsys):
         argv = ["fidelity-sweep", "--eta", "0:1:6", "--zeta", "0:1:6", "--seed", "3"]
@@ -269,8 +316,8 @@ class TestExitCodes:
 
     # The single-point commands across the input rules of the records they build: TeleportSetup holds
     # the zeta range and the signal's physicality, degraded_tmsv the range of tmsv_state.  The setup
-    # needs its fibers first, so a bad t2 is reported before a bad zeta.  An overflow of the closed
-    # form inside the range, or its denominator rounding to 0, is a numerical failure.
+    # needs its fibers first, so a bad t2 is reported before a bad zeta.  teleport refuses a closed
+    # form that overflows inside the range, or whose denominator rounds to 0.
     @pytest.mark.parametrize(
         "argv, code, err",
         [
@@ -283,12 +330,12 @@ class TestExitCodes:
                 (["check-state", "--zeta", "400"], 2, "error: |zeta| = 400.0 is past 355.24, where cosh(2 zeta) overflows"),
                 (["teleport", "--t2", "1.5", "--zeta", "400"], 2, "error: transmission magnitude must lie in [0, 1]"),
                 (["check-state", "--t2", "1.5", "--zeta", "400"], 2, "error: transmission magnitude must lie in [0, 1]"),
-                (["teleport", "--eta", "0.3", "--zeta", "177.785"], 3,
-                 "numerical failure: the closed-form receiver covariance overflows at zeta = 177.785"),
-                (["teleport", "--eta", "40"], 3,
-                 "numerical failure: the closed-form receiver covariance's denominator rounds to 0.0 at zeta = 0.5"),
-                (["teleport", "--eta", "300"], 3,
-                 "numerical failure: the closed-form receiver covariance's denominator rounds to 0.0 at zeta = 0.5"),
+                (["teleport", "--eta", "0.3", "--zeta", "177.785"], 2,
+                 "error: the closed-form receiver covariance overflows at zeta = 177.785"),
+                (["teleport", "--eta", "40"], 2,
+                 "error: the closed-form receiver covariance's denominator rounds to 0.0 at zeta = 0.5"),
+                (["teleport", "--eta", "300"], 2,
+                 "error: the closed-form receiver covariance's denominator rounds to 0.0 at zeta = 0.5"),
             ]
         ],
     )
@@ -304,6 +351,16 @@ class TestExitCodes:
         monkeypatch.setitem(cli._RUNNERS, "check-state", boom)
         code, _ = run_cli(capsys, ["check-state", "--zeta", "0.5"])
         assert code == 3
+
+    def test_teleport_cross_check_failure_exits_3(self, capsys, monkeypatch):
+        # only teleport's refusals, its ValueErrors, are malformed requests
+        def disagree(setup):
+            raise RuntimeError("closed-form and Schur-complement receiver covariances disagree")
+
+        monkeypatch.setattr(cli, "teleport", disagree)
+        assert cli.main(["teleport"]) == 3
+        err = "numerical failure: closed-form and Schur-complement receiver covariances disagree\n"
+        assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize(
         "argv",
@@ -383,7 +440,11 @@ def test_readme_example_matches_golden(capsys, name, fmt):
 
 @pytest.mark.parametrize(
     "argv, code",
-    [(README_EXAMPLES["separability"], 0), (["separability", "--zeta", "0", "--nth", "-1"], 2)],
+    [
+        (README_EXAMPLES["separability"], 0),
+        (["separability", "--zeta", "0", "--nth", "-1"], 2),
+        (README_EXAMPLES["fidelity-sweep"] + ["--format", "json"], 0),
+    ],
 )
 def test_module_entry_point_exit_code(argv, code):
     """``python -m cvsim.cli`` hands main's return value to sys.exit."""
@@ -392,4 +453,5 @@ def test_module_entry_point_exit_code(argv, code):
     proc = subprocess.run([sys.executable, "-m", "cvsim.cli", *argv], env=env, capture_output=True, text=True)
     assert proc.returncode == code
     if code == 0:
-        assert proc.stdout == (GOLDEN_DIR / "separability.csv").read_text(encoding="utf-8")
+        fmt = "json" if "json" in argv else "csv"
+        assert proc.stdout == (GOLDEN_DIR / f"{argv[0]}.{fmt}").read_text(encoding="utf-8")

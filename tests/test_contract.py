@@ -365,6 +365,31 @@ def test_string_is_not_a_real_number(entry):
         call()
 
 
+# Arrays whose entries are not real numbers.  The matrix, vector and
+# occupation rules converted with dtype=float: numeric strings were parsed,
+# a complex array lost its imaginary part (so the first call reported
+# physical=True), and a list with one complex entry raised TypeError.
+NON_REAL_ARRAYS = {
+    "validate_covariance, complex": (
+        lambda: cv.validate_covariance(np.eye(2) * (1 + 1j)), "covariance matrix", "complex128"
+    ),
+    "validate_covariance, one complex entry": (
+        lambda: cv.validate_covariance([[1.0, 0.0], [0.0, 1j]]), "covariance matrix", "complex128"
+    ),
+    "is_separable": (lambda: cv.is_separable(np.eye(4).astype(str)), "covariance matrix", "<U32"),
+    "GaussianState": (lambda: cv.GaussianState(["0", "0"], [["1", "0"], ["0", "1"]]), "covariance matrix", "<U1"),
+    "thermal_state": (lambda: cv.thermal_state(["0.5", 1.0]), "mean thermal photon number", "<U32"),
+    "number_state_fock": (lambda: fock.number_state_fock(["1", "2"]), "occupations", "<U1"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_REAL_ARRAYS))
+def test_array_of_non_real_entries_is_refused(entry):
+    call, name, dtype = NON_REAL_ARRAYS[entry]
+    with pytest.raises(ValueError, match=rf"^{name} must hold real numbers, got dtype {dtype}$"):
+        call()
+
+
 # Scalar rules given numpy real scalars and 0-d float arrays: each call must
 # return what it returns for the Python float.
 REAL_SCALARS = {
@@ -515,6 +540,16 @@ def test_input_records_hold_read_only_arrays(name):
     record = build(given)
     for field in given:
         assert getattr(record, field) is not given[field] and not getattr(record, field).flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(OWN_COPIES) + sorted(RESULTS))
+def test_array_records_compare_by_identity(name):
+    # a generated == compared the arrays and raised numpy's "truth value ... is ambiguous",
+    # and the generated hash of a frozen record raised TypeError
+    arrays, build, _ = (OWN_COPIES | RESULTS)[name]
+    record, twin = build(arrays()), build(arrays())
+    assert record == record and record != twin
+    assert hash(record) == hash(record) and len({record, twin}) == 2
 
 
 def test_outcome_density_fields_are_its_three_arrays():
