@@ -211,59 +211,50 @@ def _run_separability(args):
     return {"nth": nth, "absorption_length": l_abs}, columns, rows
 
 
-def _fibers(args) -> FiberParams:
+def _fiber(args) -> tuple[FiberParams, dict]:
+    """The fiber on both arms, and its cells of the command's one result row."""
     t2 = _scalar(parse_grid(args.t2), "t2")
     r2 = _scalar(parse_grid(args.r2), "r2")
     nth = _scalar(parse_grid(args.nth), "nth")
-    return _request(lambda: FiberParams(t_mag=math.sqrt(t2), r_mag=math.sqrt(r2), n_th=nth))
+    fiber = _request(lambda: FiberParams(t_mag=math.sqrt(t2), r_mag=math.sqrt(r2), n_th=nth))
+    return fiber, {"t_squared": fiber.t_mag**2, "r_squared": fiber.r_mag**2, "nth": fiber.n_th}
 
 
 def _run_teleport(args):
     eta = _scalar(parse_grid(args.eta), "eta")
     zeta = _scalar(parse_grid(args.zeta), "zeta")
-    fiber = _fibers(args)
+    fiber, fiber_cells = _fiber(args)
     # the signal and the setup refuse a squeezing past their range, the setup an unphysical signal,
     # teleport a closed form that overflows or whose denominator rounds to 0
     result = _request(lambda: teleport(TeleportSetup(squeezed_signal(eta).gamma, zeta, fiber, fiber)))
-    g = result.gamma_rec
-    gain = result.gain
-    columns = [
-        "eta", "zeta", "t_squared", "r_squared", "nth",
-        "f_qu", "gamma_rec_xx", "gamma_rec_xp", "gamma_rec_pp",
-        "gain_11", "gain_12", "gain_21", "gain_22",
-    ]
-    row = [
-        eta, zeta, fiber.t_mag**2, fiber.r_mag**2, fiber.n_th,
-        result.fidelity_zero_mean, g[0, 0], g[0, 1], g[1, 1],
-        gain[0, 0], gain[0, 1], gain[1, 0], gain[1, 1],
-    ]
-    return {}, columns, [row]
+    g, gain = result.gamma_rec, result.gain
+    cells = {
+        "eta": eta, "zeta": zeta, **fiber_cells, "f_qu": result.fidelity_zero_mean,
+        "gamma_rec_xx": g[0, 0], "gamma_rec_xp": g[0, 1], "gamma_rec_pp": g[1, 1],
+        "gain_11": gain[0, 0], "gain_12": gain[0, 1], "gain_21": gain[1, 0], "gain_22": gain[1, 1],
+    }
+    return {}, list(cells), [list(cells.values())]
 
 
 def _run_check_state(args):
     zeta = _scalar(parse_grid(args.zeta), "zeta")
-    fiber = _fibers(args)
+    fiber, fiber_cells = _fiber(args)
     gamma = _request(lambda: degraded_tmsv(zeta, fiber, fiber))  # past the zeta range of tmsv_state
     report = validate_covariance(gamma)
-    columns = [
-        "zeta", "t_squared", "r_squared", "nth",
-        "physical", "min_eig_gamma_plus_isigma", "nu_1", "nu_2",
-        "min_gamma_eig", "classical", "separable", f"e_n_{_BASE_LABEL[args.log_base]}",
-    ]
     if not report.physical:
         raise ArithmeticError(
             f"degraded TMSV covariance is unphysical (min eigenvalue {report.min_eigenvalue:.3e})"
         )
     nus = symplectic_eigenvalues(gamma)
     cls = classicality_test(gamma)
-    verdict = ent.is_separable(gamma)
-    neg = ent.log_negativity(gamma, args.log_base)
-    row = [
-        zeta, fiber.t_mag**2, fiber.r_mag**2, fiber.n_th,
-        report.physical, report.min_eigenvalue, float(nus[0]), float(nus[1]),
-        cls.min_gamma_eigenvalue, cls.classical, verdict.separable, neg.e_n,
-    ]
-    return {}, columns, [row]
+    cells = {
+        "zeta": zeta, **fiber_cells, "physical": report.physical,
+        "min_eig_gamma_plus_isigma": report.min_eigenvalue, "nu_1": float(nus[0]), "nu_2": float(nus[1]),
+        "min_gamma_eig": cls.min_gamma_eigenvalue, "classical": cls.classical,
+        "separable": ent.is_separable(gamma).separable,
+        f"e_n_{_BASE_LABEL[args.log_base]}": ent.log_negativity(gamma, args.log_base).e_n,
+    }
+    return {}, list(cells), [list(cells.values())]
 
 
 _RUNNERS = {
@@ -323,8 +314,12 @@ def main(argv=None) -> int:
         params.setdefault(key, str(getattr(args, key)))
     text = _emit(args.command, params, columns, rows, args)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write output {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -80,8 +80,9 @@ class FockState:
     ``tensor`` has shape (d, ..., d) with the ket indices first and the bra
     indices last (d = cutoff + 1); ``trunc_weight`` is the probability lost
     to the truncation when the state was built.  ``modes`` must be an integer
-    >= 1, ``cutoff`` an integer >= 0, ``trunc_weight`` a probability in [0, 1]
-    and every entry of ``tensor`` finite, else ValueError.  ``tensor`` is
+    >= 1, ``cutoff`` an integer >= 0, ``trunc_weight`` a real number in
+    [0, 1] (a string is not one) and every entry of ``tensor`` a finite
+    bool, int, float or complex number, else ValueError.  ``tensor`` is
     kept as float64 unless the input is complex, then as complex128; a real
     state stays real through loss and partial traces.  It may be a strided
     view (the dense apply_loss_fock returns one), so ``matrix`` may copy
@@ -100,10 +101,11 @@ class FockState:
     def __post_init__(self):
         object.__setattr__(self, "modes", _check_mode_count(self.modes))
         object.__setattr__(self, "cutoff", _check_cutoff(self.cutoff))
-        if not 0.0 <= self.trunc_weight <= 1.0:  # NaN fails too
+        if not (_is_real(self.trunc_weight) and 0.0 <= self.trunc_weight <= 1.0):  # NaN fails too
             raise ValueError(f"trunc_weight must lie in [0, 1], got {self.trunc_weight!r}")
         expected = (self.cutoff + 1,) * (2 * self.modes)
-        tensor = np.asarray(self.tensor, dtype=complex if np.iscomplexobj(self.tensor) else float)
+        tensor = np.asarray(self.tensor)  # complex stays complex; else the rule of every real array
+        tensor = tensor.astype(complex, copy=False) if tensor.dtype.kind == "c" else _real_array(tensor, "tensor")
         if tensor.shape != expected:
             raise ValueError(f"tensor shape {tensor.shape} != {expected}")
         object.__setattr__(self, "tensor", _check_finite(tensor, "tensor"))
@@ -397,6 +399,9 @@ def _quadrature_ops(cutoff: int) -> np.ndarray:
     return ops
 
 
+_SECOND_MOMENTS = np.array([[2, 3], [3, 4]])  # xx, xp and pp in _quadrature_ops, as one mode's 2 x 2 block
+
+
 def covariance_from_fock(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     """Extract (kappa, gamma) by taking first and second moments.
 
@@ -424,14 +429,9 @@ def covariance_from_fock(state: FockState) -> tuple[np.ndarray, np.ndarray]:
         # (j, l, a) = sum_ik rho[i, j, k, l] A_a[k, i] over k = i +- 1, then closed with B_b[l, j]
         half = sum(np.diagonal(state.tensor, s, 0, 2) @ np.diagonal(ops[:2], -s, 1, 2).T for s in (1, -1))
         cross = 2.0 * np.einsum("jla,blj->ab", half, ops[:2]).real
-    dim = 2 * state.modes
-    gamma = np.empty((dim, dim))
-    for i in range(dim):
-        for j in range(i, dim):
-            # xx, xp or pp of one mode, else the cross-mode pair
-            second = moments[i // 2][2 + i % 2 + j % 2] if i // 2 == j // 2 else cross[i % 2, j % 2]
-            gamma[i, j] = gamma[j, i] = second - 2.0 * kappa[i] * kappa[j]
-    return kappa, gamma
+    second = [mom[_SECOND_MOMENTS] for mom in moments]  # [[xx, xp], [xp, pp]] of each mode
+    rows = [[second[0], cross], [cross.T, second[1]]] if state.modes == 2 else [second]
+    return kappa, np.concatenate([np.concatenate(row, 1) for row in rows]) - 2.0 * np.outer(kappa, kappa)
 
 
 def _boundary_population(state: FockState) -> float:

@@ -27,7 +27,7 @@ def _is_real(value) -> bool:
     numpy real scalar, or a 0-d array of one."""
     if isinstance(value, np.ndarray):
         return value.ndim == 0 and value.dtype.kind in "biuf"
-    return isinstance(value, numbers.Real)
+    return isinstance(value, (int, float, numbers.Real))  # int and float skip the slower ABC check
 
 
 def _is_integer(value, low: float, high: float = math.inf) -> bool:
@@ -261,21 +261,19 @@ def beamsplitter(mode_i: int, mode_j: int) -> Gate:
 def build_symplectic(gates, n_modes: int) -> np.ndarray:
     """Ordered product of gate matrices; the leftmost gate acts last.
 
-    Each gate's block is written into the 2N x 2N identity by 2 x 2
-    sub-blocks, one per pair of its modes.  An empty gate list yields the
-    identity; a mode count N that is not an integer >= 1, or a mode that is
-    not an integer in [0, N), raises ValueError.
+    Each gate's block is written into the 2N x 2N identity at the rows and
+    columns of both quadratures of each of its modes, in the gate's order.
+    An empty gate list yields the identity; a mode count N that is not an
+    integer >= 1, or a mode that is not an integer in [0, N), raises
+    ValueError.
     """
     n_modes = _check_mode_count(n_modes)
     s = np.eye(2 * n_modes)
     for gate in gates:
         modes = [_mode_index(m, n_modes) for m in gate.modes]
+        rows = np.array([2 * m + q for m in modes for q in (0, 1)], dtype=int)  # both quadratures of each mode
         g = np.eye(2 * n_modes)
-        g_modes = g.reshape(n_modes, 2, n_modes, 2)  # a view: [mode, q, mode, q]
-        block = gate.block.reshape(len(modes), 2, len(modes), 2)
-        for r, mr in enumerate(modes):
-            for c, mc in enumerate(modes):
-                g_modes[mr, :, mc] = block[r, :, c]
+        g[rows[:, None], rows] = gate.block.reshape(len(rows), len(rows))  # a block of another size fails here
         s = s @ g
     return s
 

@@ -236,6 +236,18 @@ class TestDeterminismAndOutput:
         assert text.startswith("eta,zeta,f_qu\n")
         assert text.endswith("\n")
 
+    # an output path that cannot be written is a malformed request; it exited 1 with a traceback
+    @pytest.mark.parametrize("where", [
+        pytest.param(lambda tmp: tmp / "missing" / "x.csv", id="missing-directory"),
+        pytest.param(lambda tmp: tmp, id="a-directory"),
+    ])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, where):
+        target = str(where(tmp_path))
+        code = cli.main(["fidelity-sweep", "--eta", "0", "--zeta", "0", "--out", target])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write output {target}: ")
+
     def test_twelve_significant_digits(self, capsys):
         _, out = run_cli(capsys, ["fidelity-sweep", "--eta", "1", "--zeta", "0"])
         value = out.strip().split("\n")[1].split(",")[2]

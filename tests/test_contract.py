@@ -355,6 +355,9 @@ NON_REAL = {
     "homodyne_conditional_fock": (
         lambda: fock.homodyne_conditional_fock(_FOCK, 0, "0.1"), "^homodyne record must be a real number, got '0.1'$"
     ),
+    "FockState trunc_weight": (
+        lambda: fock.FockState(1, 1, np.eye(2) / 2, "0.1"), r"^trunc_weight must lie in \[0, 1\], got '0.1'$"
+    ),
 }
 
 
@@ -380,6 +383,10 @@ NON_REAL_ARRAYS = {
     "GaussianState": (lambda: cv.GaussianState(["0", "0"], [["1", "0"], ["0", "1"]]), "covariance matrix", "<U1"),
     "thermal_state": (lambda: cv.thermal_state(["0.5", 1.0]), "mean thermal photon number", "<U32"),
     "number_state_fock": (lambda: fock.number_state_fock(["1", "2"]), "occupations", "<U1"),
+    # FockState parsed the strings and kept the object array, each a state of trace 1.0;
+    # a complex tensor stays allowed
+    "FockState, strings": (lambda: fock.FockState(1, 1, [["1", "0"], ["0", "0"]]), "tensor", "<U1"),
+    "FockState, objects": (lambda: fock.FockState(1, 1, np.eye(2, dtype=object) / 2), "tensor", "object"),
 }
 
 

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import cvsim as cv
-from cvsim.symplectic import _block_diag
+from cvsim.symplectic import Gate, _block_diag
 from conftest import random_single_mode_physical, random_symplectic, random_two_mode_physical
 
 SIGMA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -153,6 +153,11 @@ class TestBuildSymplectic:
 
     def test_empty_is_identity(self):
         assert_allclose(cv.build_symplectic([], 3), np.eye(6))
+
+    def test_mode_named_twice_keeps_the_last_pair_written(self):
+        # the mode pairs are written in row-major order, so the (1, 1) sub-block is the one kept
+        block = np.arange(1.0, 17.0).reshape(4, 4)
+        assert np.array_equal(cv.build_symplectic([Gate((0, 0), block)], 1), block[2:, 2:])
 
     def test_leftmost_gate_applied_last(self):
         gates = [cv.beamsplitter(0, 1), cv.squeeze(0, -0.3)]
