@@ -15,11 +15,12 @@ import cvsim as cv
 print(__doc__)
 
 print(f"{'l/l_A':>8} {'|T|^2':>8} {'E_N_max':>10} {'E_N(zeta=1)':>12} {'E_N(zeta=0.5)':>13}")
-for l in np.linspace(0.0, 2.0, 11):
-    t_sq = math.exp(-2.0 * l)
-    e_max = cv.max_transmittable(l, 1.0)
-    e_1 = cv.transmitted_log_negativity(1.0, math.sqrt(t_sq))
-    e_half = cv.transmitted_log_negativity(0.5, math.sqrt(t_sq))
+lengths = np.linspace(0.0, 2.0, 11)
+t_sqs = np.exp(-2.0 * lengths)
+# each closed form takes the whole column at once
+columns = (lengths, t_sqs, cv.max_transmittable(lengths, 1.0),
+           cv.transmitted_log_negativity(1.0, np.sqrt(t_sqs)), cv.transmitted_log_negativity(0.5, np.sqrt(t_sqs)))
+for l, t_sq, e_max, e_1, e_half in zip(*columns):
     print(f"{l:8.2f} {t_sq:8.4f} {e_max:10.4f} {e_1:12.4f} {e_half:13.4f}")
 
 print()

@@ -19,7 +19,7 @@ etas = (0.0, 0.5, 1.0, 1.5)
 zetas = (0.0, 0.25, 0.5, 1.0, 2.0)
 print(f"{'eta':>5} " + " ".join(f"zeta={z:<5.2f}" for z in zetas))
 for eta in etas:
-    row = [cv.pure_squeezed_fidelity(eta, z) for z in zetas]
+    row = cv.pure_squeezed_fidelity(eta, np.array(zetas))
     print(f"{eta:5.2f} " + " ".join(f"{v:10.6f}" for v in row))
 print("The zeta = 0 column is the classical benchmark sqrt(2/(1+cosh eta)).")
 

@@ -1,11 +1,11 @@
 """Everything above, re-derived the brute-force way.
 
 The fock module rebuilds the same physics in a truncated number basis:
-states are explicit density matrices, loss is a beamsplitter with a vacuum
-ancilla, homodyne detection is a projection onto tabulated oscillator
-eigenfunctions, and the log-negativity is a literal trace norm.  None of
-the covariance-matrix formulas enter, which is what makes the agreement a
-meaningful check.
+states are explicit density matrices, loss acts through binomial Kraus
+maps on each ket-bra diagonal, homodyne detection is a projection onto
+oscillator eigenfunctions psi_n(X) that come from one recurrence, and the
+log-negativity is a literal trace norm.  None of the covariance-matrix
+formulas enter, which is what makes the agreement a meaningful check.
 """
 
 import math

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import DEFAULT_TOL, _block_diag, _check_finite, _check_matrix, _is_real, _own, rotation_matrix
-from .symplectic import symplectic_form
+from .symplectic import DEFAULT_TOL, _block_diag, _check_finite, _check_matrix, _check_rule, _is_real, _own, _result
+from .symplectic import rotation_matrix, symplectic_form
 from .states import GaussianState, _check_occupation, tmsv_state
 
 _PARAM_TOL = 1e-12  # slack of the energy-conservation rule |T|^2 + |R|^2 <= 1
@@ -50,6 +50,8 @@ class FiberParams:
         _check_fiber(self.t_mag, self.r_mag)
         _check_finite(self.phase, "phase")
         _check_occupation(self.n_th)
+        if not all(map(_is_real, (self.t_mag, self.phase, self.r_mag, self.n_th))):  # the rules take arrays
+            raise ValueError("fiber parameters must be real numbers, not arrays")
 
     @property
     def noise(self) -> float:
@@ -58,24 +60,27 @@ class FiberParams:
         return self.r_mag**2 + (2.0 * self.n_th + 1.0) * absorbed
 
 
-def _check_fiber(t_mag: float, r_mag: float = 0.0) -> None:
-    """The fiber-magnitude rule, else ValueError: |T| and |R| real numbers
-    in [0, 1] and |T|^2 + |R|^2 <= 1."""
-    if not (_is_real(t_mag) and 0.0 <= t_mag <= 1.0):
-        raise ValueError("transmission magnitude must lie in [0, 1]")
-    if not (_is_real(r_mag) and 0.0 <= r_mag <= 1.0):
-        raise ValueError("reflection magnitude must lie in [0, 1]")
-    if t_mag**2 + r_mag**2 > 1.0 + _PARAM_TOL:
-        raise ValueError("energy conservation requires |T|^2 + |R|^2 <= 1")
+def _in_unit(v):
+    return (0.0 <= v) & (v <= 1.0)
 
 
-def _check_length(l_abs: float, length: float = 0.0) -> None:
-    """The fiber-length rule, else ValueError: absorption length l_abs > 0
-    and fiber length >= 0; NaN and a string fail both."""
-    if not (_is_real(l_abs) and l_abs > 0.0):
-        raise ValueError(f"absorption length must be positive, got {l_abs!r}")
-    if not (_is_real(length) and length >= 0.0):
-        raise ValueError(f"fiber length must be non-negative, got {length!r}")
+def _check_fiber(t_mag, r_mag=0.0):
+    """The fiber-magnitude rule on scalars or arrays, else ValueError: |T|
+    and |R| real numbers in [0, 1] and |T|^2 + |R|^2 <= 1; returns them,
+    an array as a float array (see _check_rule)."""
+    t_mag = _check_rule(t_mag, _in_unit, "transmission magnitude must lie in [0, 1]", "transmission magnitude")
+    r_mag = _check_rule(r_mag, _in_unit, "reflection magnitude must lie in [0, 1]", "reflection magnitude")
+    _check_rule(t_mag**2 + r_mag**2, lambda p: p <= 1.0 + _PARAM_TOL,
+                "energy conservation requires |T|^2 + |R|^2 <= 1", "")
+    return t_mag, r_mag
+
+
+def _check_length(l_abs, length=0.0):
+    """The fiber-length rule on scalars or arrays, else ValueError:
+    absorption length l_abs > 0 and fiber length >= 0, NaN failing both;
+    returns them as _check_rule does."""
+    l_abs = _check_rule(l_abs, lambda l: l > 0.0, "absorption length must be positive, got {!r}", "absorption length")
+    return l_abs, _check_rule(length, lambda l: l >= 0.0, "fiber length must be non-negative, got {!r}", "fiber length")
 
 
 IDEAL_FIBER = FiberParams(t_mag=1.0)
@@ -111,8 +116,8 @@ def fiber_channel(p: FiberParams) -> GaussianChannel:
 
 def fiber_from_length(length: float, l_abs: float, n_th: float = 0.0) -> FiberParams:
     """Fiber with Lambert-Beer extinction |T| = exp(-length/l_abs) and R = 0."""
-    _check_length(l_abs, length)
-    return FiberParams(t_mag=float(np.exp(-length / l_abs)), n_th=n_th)
+    l_abs, length = _check_length(l_abs, length)
+    return FiberParams(t_mag=_result(np.exp(-length / l_abs)), n_th=n_th)  # an array fails its rule
 
 
 def tensor_channels(*channels: GaussianChannel) -> GaussianChannel:

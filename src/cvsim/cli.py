@@ -165,32 +165,42 @@ def _json_text(doc: dict) -> str:
     return "{\n" + ",\n".join(fields) + "\n}"
 
 
+def _sweep(build, **axes) -> list[list]:
+    """The rows build(**point) over the product grid of ``axes`` (name ->
+    grid), the first axis outermost, each column from one call over the whole
+    grid; a ratio past the float range is inf, as for Python floats.  A
+    ValueError, raised for a point outside the domain of what ``build``
+    builds, is a malformed request: the points are then built one by one,
+    and the first that fails is named."""
+    grid = dict(zip(axes, (g.ravel() for g in np.meshgrid(*axes.values(), indexing="ij"))))
+    with np.errstate(over="ignore", invalid="ignore"):  # the sqrt of a negative t2 is NaN, which its rule refuses
+        try:
+            return np.column_stack(np.broadcast_arrays(*build(**grid))).tolist()
+        except ValueError:
+            for values in zip(*grid.values()):
+                point = dict(zip(grid, map(float, values)))
+                _request(lambda: build(**point), **point)
+            raise
+
+
 def _run_entanglement_sweep(args):
     lengths = _check_grid(parse_grid(args.length), "length")
     zeta = _scalar(parse_grid(args.zeta), "zeta")
     l_abs = _scalar(parse_grid(args.absorption_length), "absorption length")
     label = _BASE_LABEL[args.log_base]
     columns = ["l_over_lA", "t_squared", f"en_max_{label}", f"en_zeta_{label}"]
-    rows = []
-    for l in map(float, lengths):
-        en_max = _request(lambda: ent.max_transmittable(l, l_abs, args.log_base), length=l, zeta=zeta)
-        t_sq = math.exp(-2.0 * l / l_abs)
-        en_zeta = _request(lambda: ent.transmitted_log_negativity(zeta, math.sqrt(t_sq), args.log_base),
-                           length=l, zeta=zeta)
-        rows.append([l / l_abs, t_sq, en_max, en_zeta])
-    params = {"zeta": zeta, "absorption_length": l_abs}
-    return params, columns, rows
+
+    def build(length, zeta):
+        en_max = ent.max_transmittable(length, l_abs, args.log_base)  # refuses a bad length or l_abs first
+        t_sq = np.exp(-2.0 * length / l_abs)
+        return length / l_abs, t_sq, en_max, ent.transmitted_log_negativity(zeta, np.sqrt(t_sq), args.log_base)
+
+    return {"zeta": zeta, "absorption_length": l_abs}, columns, _sweep(build, length=lengths, zeta=np.array([zeta]))
 
 
 def _run_fidelity_sweep(args):
-    etas = _check_grid(parse_grid(args.eta), "eta")
-    zetas = _check_grid(parse_grid(args.zeta), "zeta")
-    columns = ["eta", "zeta", "f_qu"]
-    rows = []
-    for eta in map(float, etas):
-        for zeta in map(float, zetas):
-            rows.append([eta, zeta, _request(lambda: pure_squeezed_fidelity(eta, zeta))])  # its message names both
-    return {}, columns, rows
+    grid = {"eta": _check_grid(parse_grid(args.eta), "eta"), "zeta": _check_grid(parse_grid(args.zeta), "zeta")}
+    return {}, ["eta", "zeta", "f_qu"], _sweep(lambda eta, zeta: (eta, zeta, pure_squeezed_fidelity(eta, zeta)), **grid)
 
 
 def _run_separability(args):
@@ -200,15 +210,12 @@ def _run_separability(args):
     nth = _scalar(parse_grid(args.nth), "nth")
     l_abs = _scalar(parse_grid(args.absorption_length), "absorption length")
     columns = ["zeta", "t_squared", "r_squared", "nth_crit", "l_s_over_lA"]
-    rows = []
-    for zeta in map(float, zetas):
-        l_s = _request(lambda: ent.separability_length(zeta, nth, l_abs), zeta=zeta)
-        l_s_over_la = l_s / l_abs if math.isfinite(l_s) else l_s
-        for t2 in map(float, t2s):
-            n_crit = _request(lambda: ent.fiber_separability_threshold(zeta, math.sqrt(t2), math.sqrt(r2)),
-                              zeta=zeta, t2=t2)
-            rows.append([zeta, t2, r2, n_crit, l_s_over_la])
-    return {"nth": nth, "absorption_length": l_abs}, columns, rows
+
+    def build(zeta, t2):
+        l_s = ent.separability_length(zeta, nth, l_abs)
+        return zeta, t2, r2, ent.fiber_separability_threshold(zeta, np.sqrt(t2), np.sqrt(r2)), l_s / l_abs
+
+    return {"nth": nth, "absorption_length": l_abs}, columns, _sweep(build, zeta=zetas, t2=t2s)
 
 
 def _fiber(args) -> tuple[FiberParams, dict]:

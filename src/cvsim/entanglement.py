@@ -3,21 +3,20 @@ closed forms for TMSV degradation in absorbing fibers."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import _check_fiber, _check_length
 from .states import _check_occupation
-from .symplectic import DEFAULT_TOL, _check_each, _check_matrix, _check_physical, _is_real, _min_eigenvalue
+from .symplectic import DEFAULT_TOL, _check_each, _check_matrix, _check_physical, _check_rule, _min_eigenvalue
 from .symplectic import _result, _spectrum
 
 # gamma^PT = gamma * _PT_SIGNS + 0.0 flips the second mode's p row and column;
 # + 0.0 keeps a flipped 0.0 at 0.0, as the product with diag(1, 1, 1, -1) did
 _PT_SIGNS = np.outer([1.0, 1.0, 1.0, -1.0], [1.0, 1.0, 1.0, -1.0])
 
-_LN2 = math.log(2.0)
+_LN2 = float(np.log(2.0))
 
 # -log(1 - x) of an x near 1 keeps few of x's digits; past this x the closed
 # forms take -log of 1 - x summed from parts that do not cancel
@@ -36,9 +35,10 @@ def _to_base(nats, base):
     return nats / _LN2 if _check_base(base) == "2" else nats
 
 
-def _check_non_negative_zeta(zeta) -> None:
-    if not (_is_real(zeta) and zeta >= 0.0):
-        raise ValueError(f"squeezing zeta must be non-negative, got {zeta!r}")
+def _check_non_negative_zeta(zeta):
+    """zeta, a scalar or an array, as _check_rule returns it; ValueError
+    unless each value is a real number >= 0 (inf included)."""
+    return _check_rule(zeta, lambda z: z >= 0.0, "squeezing zeta must be non-negative, got {!r}", "squeezing zeta")
 
 
 def _two_mode(gamma, physical: bool = True) -> np.ndarray:
@@ -153,44 +153,50 @@ def log_negativity(gamma, base="e") -> NegativityReport:
     return NegativityReport(f_value=_result(f_closed), e_n=_result(_to_base(e_closed, base)), log_base=base)
 
 
-def fiber_separability_threshold(zeta: float, t_mag: float, r_mag: float = 0.0) -> float:
+# The closed forms below take scalars, giving a float, or arrays, which
+# broadcast, giving an array.  Each branch is one numpy expression, chosen
+# by np.where, so a point gives the same bits alone as inside an array.  The
+# branch not chosen may divide by 0, and 2 zeta or 2 l / l_abs may pass the
+# float range, so each is formed under np.errstate(all="ignore").
+
+
+def fiber_separability_threshold(zeta, t_mag, r_mag=0.0):
     """Thermal occupation at which the degraded TMSV turns separable.
 
-    n_crit = |T|^2 (1 - e^(-2 zeta)) / (2 (1 - |R|^2 - |T|^2)).  Without
-    absorption (|T|^2 + |R|^2 = 1) the threshold is infinite: entanglement
-    survives any zero-temperature fiber, so math.inf is returned.
+    n_crit = |T|^2 (1 - e^(-2 zeta)) / (2 (1 - |R|^2 - |T|^2)), 0 at
+    zeta = 0.  Without absorption (|T|^2 + |R|^2 = 1) the threshold is
+    infinite: entanglement survives any zero-temperature fiber, so inf is
+    returned.
 
     Raises ValueError for zeta < 0 and for fiber magnitudes that
-    ``FiberParams`` rejects.
+    ``FiberParams`` rejects, naming the first failing entry of an array.
     """
-    _check_non_negative_zeta(zeta)
-    _check_fiber(t_mag, r_mag)
-    absorption = 1.0 - t_mag**2 - r_mag**2
-    if zeta == 0.0:
-        return 0.0
-    if absorption <= 0.0:
-        return math.inf
-    return t_mag**2 * (-math.expm1(-2.0 * zeta)) / (2.0 * absorption)
+    zeta = _check_non_negative_zeta(zeta)
+    t_mag, r_mag = _check_fiber(t_mag, r_mag)
+    t_sq = t_mag * t_mag
+    absorption = 1.0 - t_sq - r_mag * r_mag
+    with np.errstate(all="ignore"):
+        n_crit = np.where(absorption > 0.0, t_sq * -np.expm1(-2.0 * zeta) / (2.0 * absorption), np.inf)
+    return _result(np.where(zeta == 0.0, 0.0, n_crit))
 
 
-def separability_length(zeta: float, n_th: float, l_abs: float) -> float:
+def separability_length(zeta, n_th, l_abs):
     """Fiber length (Lambert-Beer, R = 0) at which the TMSV turns separable.
 
-    l_S = (l_abs/2) ln[1 + (1 - e^(-2 zeta)) / (2 n_th)]; diverges for
-    n_th -> 0, in which case math.inf is returned.  Raises ValueError for
-    zeta < 0, n_th < 0 or infinite, or l_abs <= 0, NaN included.
+    l_S = (l_abs/2) ln[1 + (1 - e^(-2 zeta)) / (2 n_th)], 0 at zeta = 0;
+    diverges for n_th -> 0, in which case inf is returned.  Raises
+    ValueError for zeta < 0, n_th < 0 or infinite, or l_abs <= 0, NaN
+    included, naming the first failing entry of an array.
     """
-    _check_non_negative_zeta(zeta)
-    _check_occupation(n_th)
-    _check_length(l_abs)
-    if zeta == 0.0:
-        return 0.0
-    if n_th == 0.0:
-        return math.inf
-    return 0.5 * l_abs * math.log1p(-math.expm1(-2.0 * zeta) / (2.0 * n_th))
+    zeta = _check_non_negative_zeta(zeta)
+    n_th = _check_occupation(n_th)
+    l_abs, _ = _check_length(l_abs)
+    with np.errstate(all="ignore"):  # x / 0 = inf at n_th = 0, and 0 / 0 at zeta = 0 too
+        l_s = 0.5 * l_abs * np.log1p(-np.expm1(-2.0 * zeta) / (2.0 * n_th))
+    return _result(np.where(zeta == 0.0, 0.0, l_s))
 
 
-def transmitted_log_negativity(zeta: float, t_mag: float, base="e") -> float:
+def transmitted_log_negativity(zeta, t_mag, base="e"):
     """Log-negativity of a TMSV after two zero-temperature fibers.
 
     E_N = -log[1 - |T|^2 (1 - e^(-2 zeta))], independent of the reflection
@@ -199,31 +205,29 @@ def transmitted_log_negativity(zeta: float, t_mag: float, base="e") -> float:
     (1 - |T|)(1 + |T|) + |T|^2 e^(-2 zeta), so E_N keeps its digits there.
     Raises ValueError for zeta < 0 or |T| outside [0, 1].
     """
-    base = _check_base(base)
-    _check_non_negative_zeta(zeta)
-    _check_fiber(t_mag)
-    loss_arg = t_mag**2 * (-math.expm1(-2.0 * zeta))
-    if loss_arg <= _NEAR_SATURATION:
-        nats = -math.log1p(-loss_arg)
-    elif t_mag < 1.0:  # the first part is then positive
-        nats = -math.log((1.0 - t_mag) * (1.0 + t_mag) + t_mag**2 * math.exp(-2.0 * zeta))
-    else:  # e^(-2 zeta) underflows from zeta ~ 372 on
-        nats = 2.0 * zeta
-    return _to_base(nats, base)
+    zeta = _check_non_negative_zeta(zeta)
+    t_mag, _ = _check_fiber(t_mag)
+    t_sq = t_mag * t_mag
+    with np.errstate(all="ignore"):
+        loss_arg = t_sq * -np.expm1(-2.0 * zeta)
+        near = -np.log((1.0 - t_mag) * (1.0 + t_mag) + t_sq * np.exp(-2.0 * zeta))  # positive below |T| = 1
+        # at |T| = 1, 2 zeta, where e^(-2 zeta) underflows from zeta ~ 372 on
+        nats = np.where(loss_arg <= _NEAR_SATURATION, -np.log1p(-loss_arg), np.where(t_mag < 1.0, near, 2.0 * zeta))
+        return _result(_to_base(nats, base))
 
 
-def max_transmittable(length: float, l_abs: float, base="e") -> float:
+def max_transmittable(length, l_abs, base="e"):
     """Saturation bound: E_N,max = -log[1 - e^(-2 l / l_abs)], inf at l = 0.
 
     Near l = 0 the argument of the log is -expm1(-2 l / l_abs), so E_N,max
     keeps its digits there.  Raises ValueError for length < 0 or
-    l_abs <= 0, NaN included.
+    l_abs <= 0, NaN included, and where both are infinite, naming the first
+    failing entry of an array.
     """
-    base = _check_base(base)
-    _check_length(l_abs, length)
-    exponent = -2.0 * length / l_abs
-    t_sq = math.exp(exponent)
-    if t_sq <= _NEAR_SATURATION:
-        return _to_base(-math.log1p(-t_sq), base)
-    residual = -math.expm1(exponent)
-    return _to_base(-math.log(residual) if residual > 0.0 else math.inf, base)
+    l_abs, length = _check_length(l_abs, length)
+    with np.errstate(all="ignore"):  # inf / inf is the one NaN the length rule lets through
+        exponent = _check_rule(-2.0 * length / l_abs, lambda e: e <= 0.0,
+                               "fiber length and absorption length are both infinite", "")
+        t_sq = np.exp(exponent)
+        nats = np.where(t_sq <= _NEAR_SATURATION, -np.log1p(-t_sq), -np.log(-np.expm1(exponent)))
+        return _result(_to_base(nats, base))

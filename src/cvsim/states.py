@@ -12,6 +12,7 @@ import numpy as np
 from .symplectic import (
     _EXP_MAX,
     DEFAULT_TOL,
+    _check_each,
     _check_finite,
     _check_matrix,
     _check_mode_count,
@@ -51,12 +52,11 @@ class GaussianState:
 def _check_occupation(n_mean) -> np.ndarray:
     """Mean thermal photon numbers, a scalar or an array-like, as a float
     array; ValueError unless each is a real number, which a string is not,
-    finite and >= 0."""
+    finite and >= 0, naming the first failing index of an array."""
     if not (_is_real(n_mean) or np.ndim(n_mean)):
         raise ValueError(f"mean thermal photon number must be a real number, got {n_mean!r}")
     n_mean = _check_finite(_real_array(n_mean, "mean thermal photon number"), "mean thermal photon number")
-    if not np.all(n_mean >= 0.0):
-        raise ValueError("mean thermal photon number must be non-negative")
+    _check_each(n_mean >= 0.0, "mean thermal photon number must be non-negative")
     return n_mean
 
 

@@ -104,6 +104,21 @@ def _check_finite(x, name: str, core: int | None = None):
     return x
 
 
+def _check_rule(x, ok, message: str, name: str):
+    """``x`` if a real number, else as a float array; ValueError unless
+    ``ok`` holds for each value.  The text is message.format(v): v is a
+    scalar ``x`` itself, which fails too where it is not a real number, or
+    the first failing entry of an array, whose index the text then names.
+    ``name`` names an array whose entries are not real numbers."""
+    if _is_real(x) or not np.ndim(x):
+        if not (_is_real(x) and ok(x)):
+            raise ValueError(message.format(x))
+        return x
+    x = _real_array(x, name)
+    _check_each(ok(x), lambda i: message.format(float(x[i])))
+    return x
+
+
 def _check_matrix(m, name: str, size=None, stack=False, even=True, symmetric=False) -> np.ndarray:
     """The matrix rule: ``m`` as a finite real array of shape (n, n), or
     with ``stack`` (..., n, n); n is ``size`` if given, and with ``even``
@@ -231,10 +246,15 @@ def check_symplectic(s) -> bool:
 @dataclass(frozen=True, eq=False)
 class Gate:
     """One elementary symplectic gate: the 2k x 2k matrix ``block`` acting on
-    the k listed ``modes`` (in that order) and as the identity elsewhere."""
+    the k listed ``modes`` (in that order) and as the identity elsewhere.
+    The block is checked (finite, real, 2k x 2k) and copied read-only when
+    the gate is built."""
 
     modes: tuple[int, ...]
     block: np.ndarray
+
+    def __post_init__(self):
+        _own(self, block=_check_matrix(self.block, "gate block", 2 * len(self.modes)))
 
 
 def rotation(mode: int, theta: float) -> Gate:
@@ -273,7 +293,7 @@ def build_symplectic(gates, n_modes: int) -> np.ndarray:
         modes = [_mode_index(m, n_modes) for m in gate.modes]
         rows = np.array([2 * m + q for m in modes for q in (0, 1)], dtype=int)  # both quadratures of each mode
         g = np.eye(2 * n_modes)
-        g[rows[:, None], rows] = gate.block.reshape(len(rows), len(rows))  # a block of another size fails here
+        g[rows[:, None], rows] = gate.block
         s = s @ g
     return s
 

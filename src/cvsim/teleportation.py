@@ -20,6 +20,7 @@ from .states import GaussianState
 from .symplectic import (
     _SIGMA_1,
     _block_diag,
+    _check_each,
     _check_finite,
     _check_matrix,
     _check_physical,
@@ -27,6 +28,8 @@ from .symplectic import (
     _check_vector,
     _is_real,
     _own,
+    _real_array,
+    _result,
     beamsplitter,
     build_symplectic,
     rotation_matrix,
@@ -35,8 +38,9 @@ from .symplectic import (
 # The 50:50 beamsplitter that mixes the signal (mode 0) with the near arm (mode 1).
 _MIX = build_symplectic([beamsplitter(0, 1)], 3)
 _MIX.setflags(write=False)
+_FLOAT_MAX = np.finfo(float).max
 # past it cosh(2 zeta)^2, which the closed form forms, overflows
-_ZETA_MAX = math.acosh(math.sqrt(np.finfo(float).max)) / 2.0  # ~177.79
+_ZETA_MAX = math.acosh(math.sqrt(_FLOAT_MAX)) / 2.0  # ~177.79
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,25 +182,23 @@ def state_overlap(state_a: GaussianState, state_b: GaussianState) -> float:
     return float(_overlap_prefactor(total) * np.exp(-_quadratic_columns(delta, np.linalg.inv(total)))[0])
 
 
-def pure_squeezed_fidelity(eta: float, zeta: float) -> float:
+def pure_squeezed_fidelity(eta, zeta):
     """Closed-form teleportation fidelity of a pure squeezed signal
     through an undegraded TMSV:
-    F = sqrt(1 - sinh^2(eta) / (cosh(eta) + cosh(2 zeta))^2).  ValueError
-    where sinh(eta) or cosh(eta) + cosh(2 zeta) overflows, as at eta = 800,
-    zeta = 400 or (eta, zeta) = (710, 355), or is NaN, and where eta or zeta
-    is not a real number."""
-    if not (_is_real(eta) and _is_real(zeta)):
+    F = sqrt(1 - sinh^2(eta) / (cosh(eta) + cosh(2 zeta))^2), a float for
+    scalars and an array for arrays, which broadcast.  ValueError where
+    sinh(eta) or cosh(eta) + cosh(2 zeta) overflows, as at eta = 800,
+    zeta = 400 or (eta, zeta) = (710, 355), or is NaN, naming the first
+    such (eta, zeta), and where eta or zeta is not a real number."""
+    if not all(_is_real(x) or np.ndim(x) for x in (eta, zeta)):
         raise ValueError(f"eta and zeta must be real numbers, got eta = {eta!r}, zeta = {zeta!r}")
-    try:
-        sinh, total = math.sinh(eta), math.cosh(eta) + math.cosh(2.0 * zeta)
-    except OverflowError:
-        sinh = total = math.inf
-    if not (math.isfinite(sinh) and math.isfinite(total)):  # NaN and inf arguments too
-        raise ValueError(
-            f"sinh(eta) or cosh(eta) + cosh(2 zeta) overflows or is NaN at eta = {eta!r}, zeta = {zeta!r}"
-        )
-    ratio = sinh / total
-    return math.sqrt(1.0 - ratio * ratio)
+    eta, zeta = np.broadcast_arrays(_real_array(eta, "eta"), _real_array(zeta, "zeta"))
+    with np.errstate(all="ignore"):
+        sinh, total = np.sinh(eta), np.cosh(eta) + np.cosh(2.0 * zeta)
+    _check_each((abs(sinh) <= _FLOAT_MAX) & (total <= _FLOAT_MAX), lambda i: "sinh(eta) or cosh(eta) + cosh(2 zeta) "
+                f"overflows or is NaN at eta = {float(eta[i])!r}, zeta = {float(zeta[i])!r}")  # NaN fails <=
+    ratio = sinh / total  # |ratio| may round past 1 where F is below the rounding of 1 - ratio^2, F ~ 1e-8
+    return _result(np.sqrt(np.maximum(1.0 - ratio * ratio, 0.0)))
 
 
 def ideal_displacement_gain(f1: FiberParams, f2: FiberParams) -> np.ndarray:

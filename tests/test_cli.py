@@ -90,6 +90,41 @@ class TestEntanglementSweep:
         assert rows[0] == first_row and set(rows[1:]) <= {"inf,0,0,0"}
 
 
+class TestSweepColumns:
+    @pytest.mark.parametrize("argv, closed_forms", [
+        (["entanglement-sweep", "--length", "0:2:50"], ["max_transmittable", "transmitted_log_negativity"]),
+        (["fidelity-sweep", "--eta", "0:1:40", "--zeta", "0:1:30"], ["pure_squeezed_fidelity"]),
+        (["separability", "--zeta", "0:1:40", "--t2", "0.1:0.9:30"],
+         ["separability_length", "fiber_separability_threshold"]),
+    ])
+    def test_each_closed_form_is_called_once(self, capsys, monkeypatch, argv, closed_forms):
+        calls = []
+        for name in closed_forms:
+            module = cli if hasattr(cli, name) else cli.ent
+            function = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, f=function, n=name: calls.append(n) or f(*args))
+        code, out = run_cli(capsys, argv)
+        assert code == 0 and len(out.splitlines()) > 50
+        assert sorted(calls) == sorted(closed_forms)
+
+    @pytest.mark.parametrize("argv, err", [
+        (["separability", "--zeta", "0.1,0.2", "--t2", "0.5,1.5"],
+         "error: zeta=0.1, t2=1.5: transmission magnitude must lie in [0, 1]\n"),
+        (["separability", "--zeta", "0.1", "--t2=-0.5"], "error: zeta=0.1, t2=-0.5: transmission magnitude must lie in [0, 1]\n"),
+        (["separability", "--zeta", "0.1,0.2", "--nth=-1"], "error: zeta=0.1, t2=0.5: mean thermal photon number must be "
+         "non-negative\n"),
+        (["fidelity-sweep", "--eta", "0,1,800", "--zeta", "0,1"], "error: eta=800.0, zeta=0.0: sinh(eta) or cosh(eta) + "
+         "cosh(2 zeta) overflows or is NaN at eta = 800.0, zeta = 0.0\n"),
+        (["entanglement-sweep", "--length", "0,1", "--zeta=-2"], "error: length=0.0, zeta=-2.0: squeezing zeta must be "
+         "non-negative, got -2.0\n"),
+    ])
+    def test_first_failing_point_is_named(self, capsys, argv, err):
+        # the suite turns RuntimeWarning into an error, so the square root of a negative t2 must not warn
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == err
+
+
 class TestSeparability:
     def test_rows_match_the_closed_forms_point_by_point(self, capsys):
         """zeta = 0 rows included: both closed forms run once per distinct

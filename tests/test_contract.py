@@ -15,6 +15,7 @@ import pytest
 
 import cvsim as cv
 from cvsim import fock
+from cvsim.symplectic import Gate
 from test_public_api import _public_callables
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,9 +75,10 @@ ARGUMENTS = {
     ("number_state_fock", "ns"): (lambda ns: fock.number_state_fock(ns, cutoff=3), np.array([0.0, 1.0]), "occupations", False),
 }
 
-# Public callables with no matrix or vector argument, and the result records
-# and the container whose array fields are checked apart from the registry
-# (OutcomeDensity, when built).
+# Public callables with no matrix or vector argument (the five closed forms
+# take scalars or arrays of parameters, whose rules CLOSED_FORMS and
+# BAD_ENTRY below test), and the result records and the container whose
+# array fields are checked apart from the registry (OutcomeDensity, when built).
 NO_ARRAY_ARGUMENT = {
     "FiberParams", "FockState.purity", "FockState.trace", "apply_channel", "apply_loss_fock", "beamsplitter",
     "build_symplectic", "build_tmsv_fock", "covariance_from_fock", "degraded_tmsv", "fiber_channel",
@@ -213,6 +215,18 @@ class TestDefectsRefused:
         # NaN gave a NaN degraded_tmsv, inf an "invalid value in cos" warning
         with pytest.raises(ValueError, match="^phase must be finite, got"):
             cv.FiberParams(t_mag=0.5, phase=phase)
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda a: cv.FiberParams(a), id="t_mag"),
+        pytest.param(lambda a: cv.FiberParams(0.5, phase=a), id="phase"),
+        pytest.param(lambda a: cv.FiberParams(0.5, r_mag=a), id="r_mag"),
+        pytest.param(lambda a: cv.FiberParams(0.5, n_th=a), id="n_th"),
+        pytest.param(lambda a: cv.fiber_from_length(a, 1.0), id="fiber_from_length"),
+    ])
+    def test_fiber_of_arrays(self, build):
+        # an array n_th was accepted and noise then raised TypeError; the fiber rules take arrays for the closed forms
+        with pytest.raises(ValueError, match="^fiber parameters must be real numbers, not arrays$"):
+            build(np.array([0.5, 0.1]))
 
     def test_rotation_angle(self):
         with pytest.raises(ValueError, match="^theta must be finite, got nan$"):
@@ -387,6 +401,12 @@ NON_REAL_ARRAYS = {
     # a complex tensor stays allowed
     "FockState, strings": (lambda: fock.FockState(1, 1, [["1", "0"], ["0", "0"]]), "tensor", "<U1"),
     "FockState, objects": (lambda: fock.FockState(1, 1, np.eye(2, dtype=object) / 2), "tensor", "object"),
+    "transmitted_log_negativity": (lambda: cv.transmitted_log_negativity(["0.1"], 0.5), "squeezing zeta", "<U3"),
+    "max_transmittable": (lambda: cv.max_transmittable(1.0, ["1"]), "absorption length", "<U1"),
+    "fiber_separability_threshold": (
+        lambda: cv.fiber_separability_threshold(1.0, 0.5, np.array(["0.1"])), "reflection magnitude", "<U3"
+    ),
+    "pure_squeezed_fidelity": (lambda: cv.pure_squeezed_fidelity(0.5, [0.1, 1j]), "zeta", "complex128"),
 }
 
 
@@ -406,6 +426,8 @@ REAL_SCALARS = {
     "thermal_state": lambda x: cv.thermal_state(x).gamma,
     "TeleportSetup": lambda x: cv.teleport(cv.TeleportSetup(np.eye(2), x)).fidelity_zero_mean,
     "separability_length": lambda x: cv.separability_length(x, x, x),
+    "transmitted_log_negativity": lambda x: cv.transmitted_log_negativity(x, x),
+    "fiber_separability_threshold": lambda x: cv.fiber_separability_threshold(x, x, x),
     "max_transmittable": lambda x: cv.max_transmittable(x, x),
     "pure_squeezed_fidelity": lambda x: cv.pure_squeezed_fidelity(x, x),
     "build_tmsv_fock": lambda x: fock.build_tmsv_fock(x, 20).tensor,
@@ -419,6 +441,157 @@ REAL_SCALARS = {
 def test_numpy_real_scalars_are_accepted(entry, wrap):
     call = REAL_SCALARS[entry]
     assert np.array_equal(call(wrap(0.5)), call(0.5))
+
+
+# The paper's five closed forms, each called on its arguments, with a seeded
+# draw of n points and the edges of its branches.  Each takes scalars, giving
+# a float, and arrays, which broadcast, through one numpy path.
+def _unit_to_one(rng, n):
+    """n values in [0, 1]: uniform, and 1 - 10^U(-16, -1) near 1."""
+    return np.where(rng.uniform(size=n) < 0.5, rng.uniform(size=n), 1.0 - 10.0 ** rng.uniform(-16.0, -1.0, n))
+
+
+def _squeezings(rng, n):
+    """n values of zeta >= 0: uniform on [0, 3], and 10^U(-12, 3)."""
+    return np.where(rng.uniform(size=n) < 0.5, rng.uniform(0.0, 3.0, n), 10.0 ** rng.uniform(-12.0, 3.0, n))
+
+
+def _threshold_points(rng, n):
+    t = _unit_to_one(rng, n)
+    r = np.sqrt(1.0 - t * t) * rng.uniform(size=n) ** rng.choice([1.0, 0.0], n)  # |R|^2 = 1 - |T|^2 in half of them
+    return _squeezings(rng, n), t, r
+
+
+def _either_side(value, below):
+    """The two adjacent floats near ``value`` between which ``below`` turns
+    from True to False: the two sides of a branch switch."""
+    while not below(value):
+        value = np.nextafter(value, -np.inf)
+    while below(np.nextafter(value, np.inf)):
+        value = np.nextafter(value, np.inf)
+    return [value, np.nextafter(value, np.inf)]
+
+
+# the near-saturation switch, at loss 0.99: 1 - e^(-2 zeta) at |T| = 1, |T|^2 at zeta = inf, e^(-2 l / l_abs)
+_SATURATION_ZETAS = _either_side(-0.5 * np.log(0.01), lambda z: -np.expm1(-2.0 * z) <= 0.99)
+_SATURATION_T = _either_side(np.sqrt(0.99), lambda t: t * t <= 0.99)
+_SATURATION_LENGTHS = _either_side(-0.5 * np.log(0.99), lambda l: np.exp(-2.0 * l) > 0.99)
+CLOSED_FORMS = {
+    "transmitted_log_negativity": (
+        cv.transmitted_log_negativity,
+        lambda rng, n: (_squeezings(rng, n), _unit_to_one(rng, n)),
+        [(0.0, 0.5), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (372.0, 1.0), (400.0, 1.0), (1e3, 1.0), (np.inf, 1.0),
+         (np.inf, 0.5)] + [(z, 1.0) for z in _SATURATION_ZETAS] + [(np.inf, t) for t in _SATURATION_T],
+    ),
+    "max_transmittable": (
+        cv.max_transmittable,
+        lambda rng, n: (np.where(rng.uniform(size=n) < 0.5, rng.uniform(0.0, 5.0, n), 10.0 ** rng.uniform(-20.0, 2.0, n)),
+                        rng.uniform(0.1, 10.0, n)),
+        [(0.0, 1.0), (0.0, 2.0), (1e-300, 1.0), (np.inf, 1.0), (1.0, np.inf)] + [(l, 1.0) for l in _SATURATION_LENGTHS],
+    ),
+    "fiber_separability_threshold": (
+        cv.fiber_separability_threshold,
+        _threshold_points,
+        [(0.0, 0.5, 0.0), (0.0, 0.6, 0.8), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 0.0, 1.0), (1.0, 0.6, 0.8),
+         (np.inf, 0.5, 0.1)],
+    ),
+    "separability_length": (
+        cv.separability_length,
+        lambda rng, n: (_squeezings(rng, n), 10.0 ** rng.uniform(-9.0, 2.0, n), rng.uniform(0.1, 10.0, n)),
+        [(0.0, 0.5, 1.0), (0.5, 0.0, 1.0), (0.0, 0.0, 1.0), (np.inf, 0.5, 2.0)],
+    ),
+    "pure_squeezed_fidelity": (
+        cv.pure_squeezed_fidelity,
+        lambda rng, n: (rng.uniform(-3.0, 3.0, n) * 10.0 ** rng.uniform(0.0, 2.0, n), _squeezings(rng, n) / 3.0),
+        [(0.0, 0.0), (0.5, 0.0), (0.0, 2.0), (709.0, 354.0), (-709.0, 0.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_form_point_alone_and_inside_an_array_agree_bitwise(name):
+    function, draw, edges = CLOSED_FORMS[name]
+    points = np.column_stack(draw(np.random.default_rng(36), 10_000))
+    points = np.concatenate([points, np.array(edges, dtype=float)])
+    batch = function(*points.T)
+    assert isinstance(batch, np.ndarray) and batch.shape == (len(points),)
+    alone = [function(*map(float, point)) for point in points]
+    assert all(type(value) is float for value in alone)
+    assert np.array_equal(np.array(alone).view(np.int64), batch.view(np.int64))
+
+
+def test_closed_forms_broadcast():
+    zeta, t_mag = np.array([[0.3], [1.0]]), np.array([0.2, 0.5, 1.0])
+    got = cv.transmitted_log_negativity(zeta, t_mag, base="2")
+    assert got.shape == (2, 3)
+    assert got[1, 2] == cv.transmitted_log_negativity(1.0, 1.0, base="2") == 2.0 / np.log(2.0)
+    assert cv.pure_squeezed_fidelity(np.zeros(4), 0.5).tolist() == [1.0] * 4
+
+
+# One bad entry of an array: the rule's message for that entry, then its index.
+BAD_ENTRY = {
+    "transmitted_log_negativity, zeta": (
+        lambda: cv.transmitted_log_negativity([0.1, -1.0, np.nan], 0.5),
+        r"squeezing zeta must be non-negative, got -1.0 \(stack index 1\)",
+    ),
+    "transmitted_log_negativity, t_mag": (
+        lambda: cv.transmitted_log_negativity(0.1, [[0.5, 0.2], [1.5, 0.3]]),
+        r"transmission magnitude must lie in \[0, 1\] \(stack index 1, 0\)",
+    ),
+    "max_transmittable, length": (
+        lambda: cv.max_transmittable([0.0, np.nan], 1.0), r"fiber length must be non-negative, got nan \(stack index 1\)"
+    ),
+    "max_transmittable, l_abs": (
+        lambda: cv.max_transmittable(1.0, [1.0, 2.0, 0.0]), r"absorption length must be positive, got 0.0 \(stack index 2\)"
+    ),
+    # inf / inf has no value; the math form returned inf
+    "max_transmittable, both infinite": (
+        lambda: cv.max_transmittable([1.0, np.inf], np.inf), r"fiber length and absorption length are both infinite "
+        r"\(stack index 1\)"
+    ),
+    "fiber_separability_threshold, r_mag": (
+        lambda: cv.fiber_separability_threshold(1.0, 0.8, [0.1, 0.7]),
+        r"energy conservation requires \|T\|\^2 \+ \|R\|\^2 <= 1 \(stack index 1\)",
+    ),
+    "separability_length, n_th": (
+        lambda: cv.separability_length([0.5, 0.6], [0.1, -0.1], 1.0),
+        r"mean thermal photon number must be non-negative \(stack index 1\)",
+    ),
+    "pure_squeezed_fidelity": (
+        lambda: cv.pure_squeezed_fidelity([0.5, 710.0], [0.0, 355.0]),
+        r"sinh\(eta\) or cosh\(eta\) \+ cosh\(2 zeta\) overflows or is NaN at eta = 710.0, zeta = 355.0 "
+        r"\(stack index 1\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BAD_ENTRY))
+def test_closed_form_names_the_bad_entry_of_an_array(entry):
+    call, message = BAD_ENTRY[entry]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+# A Gate checks its block when built.  A list block raised AttributeError in
+# build_symplectic, and a flat block of the right size was reshaped silently
+# into [[0, 1], [2, 3]].
+@pytest.mark.parametrize("block, message", [
+    pytest.param([[1.0, 2.0], [3.0, 4.0]], None, id="list block"),
+    pytest.param(np.arange(4.0), r"^gate block must be square, got shape \(4,\)$", id="flat block"),
+    pytest.param(np.eye(4), r"^gate block must be 2x2, got shape \(4, 4\)$", id="block of another size"),
+    pytest.param([[NAN, 0.0], [0.0, 1.0]], "^gate block has non-finite entries$", id="NaN block"),
+])
+def test_gate_checks_its_block_when_built(block, message):
+    if message is not None:
+        with pytest.raises(ValueError, match=message):
+            Gate((0,), block)
+        return
+    block = [list(row) for row in block]  # the caller's own list, written below
+    gate = Gate((0,), block)
+    assert not gate.block.flags.writeable
+    block[0][0] = 5.0
+    expected = cv.build_symplectic([Gate((0,), np.arange(1.0, 5.0).reshape(2, 2))], 2)
+    assert np.array_equal(cv.build_symplectic([gate], 2), expected)
 
 
 def test_fock_state_keeps_an_int_mode_count():

@@ -7,8 +7,11 @@ Each request runs through ``python -m cvsim.cli``, once with the ``src``
 of the base revision, exported by ``git archive`` into a temporary
 directory, and once with the working tree's ``src``; both children get one
 BLAS thread.  The tool prints how many requests gave identical stdout,
-stderr and exit code, then the first differences, and exits 1 on any
-difference.  Standard library and numpy only.
+stderr and exit code; then, over the requests with the same exit code and
+stderr whose stdouts are tables of one shape (a JSON document's "rows", or
+CSV lines split on commas) that differ only in numeric cells, how many
+cells differ and the largest relative difference; then the first
+differences.  It exits 1 on any difference.  Standard library and numpy only.
 
     python tools/cli_identity.py --base HEAD --seeds 1 2 3 --requests 110
 """
@@ -18,6 +21,8 @@ from __future__ import annotations
 import argparse
 import collections
 import itertools
+import json
+import math
 import os
 import subprocess
 import sys
@@ -49,6 +54,41 @@ def _first_difference(base: str, tree: str) -> str:
     return "same lines, different line ends"
 
 
+def _table(text: str) -> tuple:
+    """A CLI stdout as (its format, everything but the cells, the cells row
+    by row): the JSON document without its "rows", and "rows"; or the CSV
+    header line, and the other lines split on commas."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        lines = text.splitlines()
+        return "CSV", lines[:1], [line.split(",") for line in lines[1:]]
+    return "JSON", {key: value for key, value in doc.items() if key != "rows"}, doc["rows"]
+
+
+def _numeric_difference(base: str, tree: str) -> tuple[str, int, float] | None:
+    """(the format, cells that differ, their largest relative difference)
+    where the two stdouts are tables of one format and shape and every cell
+    that differs is a finite number in both; else None."""
+    (kind, frame_a, rows_a), (kind_b, frame_b, rows_b) = _table(base), _table(tree)
+    if (kind, frame_a) != (kind_b, frame_b) or list(map(len, rows_a)) != list(map(len, rows_b)):
+        return None
+    moved, largest = 0, 0.0
+    for a, b in zip(itertools.chain(*rows_a), itertools.chain(*rows_b)):
+        if a == b:
+            continue
+        if isinstance(a, bool) or isinstance(b, bool):  # a JSON true or false is no number here
+            return None
+        try:
+            a, b = float(a), float(b)
+        except (TypeError, ValueError):  # null, or a word
+            return None
+        if not (math.isfinite(a) and math.isfinite(b)):
+            return None
+        moved, largest = moved + 1, max(largest, abs(a - b) / max(abs(a), abs(b)))
+    return kind, moved, largest
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare with (default: HEAD)")
@@ -66,15 +106,24 @@ def main(argv=None) -> int:
         cwd = Path(tmp, "cwd")  # an empty directory, so no cvsim on the path but src's
         cwd.mkdir()
         differences, exits = [], collections.Counter()
+        numeric = collections.defaultdict(list)  # format -> (cells, largest relative difference) per request
         for argv in requests:
             base = _run(argv, Path(tmp, "src"), str(cwd))
             tree = _run(argv, ROOT / "src", str(cwd))
             exits[tree[0]] += 1
             if base != tree:
                 differences.append((argv, base, tree))
+                found = base[0] == tree[0] and base[2] == tree[2] and _numeric_difference(base[1], tree[1])
+                if found:
+                    numeric[found[0]].append(found[1:])
 
     tally = ", ".join(f"exit {code}: {n}" for code, n in sorted(exits.items()))
     print(f"{len(requests) - len(differences)} of {len(requests)} requests identical to {args.base} ({tally})")
+    if numeric:
+        kinds = "; ".join(f"{kind} {len(found)} requests, {sum(n for n, _ in found)} cells, largest relative "
+                          f"difference {max(r for _, r in found):.3g}" for kind, found in sorted(numeric.items()))
+        print(f"{sum(map(len, numeric.values()))} of {len(differences)} differing requests differ only in numeric "
+              f"cells: {kinds}")
     for argv, base, tree in differences[:SHOWN]:
         print("differs: python -m cvsim.cli " + " ".join(argv))
         for field, a, b in zip(("exit code", "stdout", "stderr"), base, tree):
