@@ -61,7 +61,7 @@ import numpy as np
 
 from .entanglement import _check_base, _to_base
 from .symplectic import _check_finite, _check_matrix, _check_mode_count, _check_vector, _is_integer, _is_real
-from .symplectic import _mode_index, _real_array
+from .symplectic import _made, _mode_index, _read_only, _real_array
 
 DEFAULT_CUTOFF = 25
 DEFAULT_GRID = (-8.0, 8.0, 801)
@@ -86,11 +86,12 @@ class FockState:
     kept as float64 unless the input is complex, then as complex128; a real
     state stays real through loss and partial traces.  It may be a strided
     view (the dense apply_loss_fock returns one), so ``matrix`` may copy
-    it.  build_tmsv_fock and apply_loss_fock return states held by their
-    sectors (module docstring), whose ``tensor`` is built on its first read
-    and kept read-only.  Neither ``repr`` nor ``==`` reads the tensor:
-    ``repr`` shows the other fields under this class's name, for a sector
-    state too, and two states are equal only if they are the same object.
+    it.  The states the module's functions return hold read-only tensors;
+    build_tmsv_fock and apply_loss_fock return states held by their
+    sectors (module docstring), whose ``tensor`` is built on its first
+    read.  Neither ``repr`` nor ``==`` reads the tensor: ``repr`` shows the
+    other fields under this class's name, for a sector state too, and two
+    states are equal only if they are the same object.
     """
 
     modes: int
@@ -132,11 +133,8 @@ class FockState:
 class _SectorState(FockState):
     """A two-mode state held by its sectors, the flat array laid out by
     _sector_layout(cutoff), which the state takes read-only.  Made only
-    from checked inputs, so not checked again."""
-
-    def __init__(self, cutoff: int, sectors: np.ndarray, trunc_weight: float):
-        sectors.setflags(write=False)
-        vars(self).update(modes=2, cutoff=cutoff, trunc_weight=trunc_weight, sectors=sectors)
+    from checked inputs by symplectic._made, with the fields modes = 2,
+    cutoff, trunc_weight and sectors, so not checked again."""
 
     @cached_property
     def tensor(self) -> np.ndarray:
@@ -147,8 +145,7 @@ class _SectorState(FockState):
             views = (tensor[t:, t:, : d - t, : d - t], tensor[: d - t, : d - t, t:, t:])
             for y, view in zip(_chunk(self.sectors, chunk), views):
                 _diagonal(view, 2)[...] = y
-        tensor.setflags(write=False)
-        return tensor
+        return _read_only(tensor)
 
 
 def _check_cutoff(cutoff) -> int:
@@ -190,11 +187,9 @@ def _sector_layout(cutoff: int) -> _SectorLayout:
         start = chunks[-1][1]
         levels += pair
     n1, m1, m2 = (np.concatenate(axis) for axis in zip(*levels))
-    gather = np.lexsort((m1, n1, n1 + m2))
-    pure = np.flatnonzero(m1 == m2)  # n1 - m1 = n2 - m2, so n1 = n2 too
-    pure_levels = n1[pure], m1[pure]
-    for a in (gather, pure, *pure_levels):
-        a.setflags(write=False)
+    gather = _read_only(np.lexsort((m1, n1, n1 + m2)))
+    pure = _read_only(np.flatnonzero(m1 == m2))  # n1 - m1 = n2 - m2, so n1 = n2 too
+    pure_levels = _read_only(n1[pure]), _read_only(m1[pure])
     sizes = [min(n, cutoff) - max(0, n - cutoff) + 1 for n in range(2 * cutoff + 1)]
     stops = np.cumsum([k * k for k in sizes]).tolist()
     blocks = tuple((stop - k * k, stop, k) for stop, k in zip(stops, sizes))
@@ -257,9 +252,10 @@ def number_state_fock(ns, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     if not np.all((ns >= 0) & (ns <= cutoff) & (ns == np.round(ns))):
         raise ValueError(f"occupations must be integers in [0, {cutoff}], got {ns.tolist()}")
     _check_vector(ns, "occupations")  # one per mode, not a stack
-    tensor = np.zeros((cutoff + 1,) * (2 * len(ns)))
+    modes = _check_mode_count(len(ns))
+    tensor = np.zeros((cutoff + 1,) * (2 * modes))
     tensor[tuple(ns.astype(int)) * 2] = 1.0
-    return FockState(len(ns), cutoff, tensor)
+    return _made(FockState, modes=modes, cutoff=cutoff, tensor=tensor, trunc_weight=0.0)
 
 
 def _check_weight(weight: float) -> float:
@@ -292,7 +288,7 @@ def build_tmsv_fock(zeta: float, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     sectors = np.zeros(layout.gather.size)
     n, m = layout.pure_levels
     sectors[layout.pure] = amps[n] * amps[m]
-    return _SectorState(d - 1, sectors, weight)
+    return _made(_SectorState, modes=2, cutoff=d - 1, trunc_weight=weight, sectors=sectors)
 
 
 @lru_cache(maxsize=32)
@@ -317,8 +313,7 @@ def _loss_kraus(cutoff: int, transmittance: float) -> tuple[np.ndarray, ...]:
     maps = []
     for s in range(d):
         m, k = levels[: d - s], lost[: d - s, : d - s]
-        maps.append(np.triu(amps[m + s, k] * amps[m, k]))
-        maps[-1].setflags(write=False)
+        maps.append(_read_only(np.triu(amps[m + s, k] * amps[m, k])))
     return tuple(maps)
 
 
@@ -351,7 +346,7 @@ def apply_loss_fock(state: FockState, mode: int, transmittance: float) -> FockSt
                 np.matmul(block, y, out=new)
             else:
                 np.matmul(y, block.T, out=new)
-        return _SectorState(state.cutoff, out, state.trunc_weight)
+        return _made(_SectorState, modes=2, cutoff=state.cutoff, trunc_weight=state.trunc_weight, sectors=out)
     d = state.cutoff + 1
     axes = (mode, state.modes + mode)
     # a copy, never the caller's array: for one mode moveaxis is the identity
@@ -361,30 +356,40 @@ def apply_loss_fock(state: FockState, mode: int, transmittance: float) -> FockSt
         for start in {s * d, s}:  # the rows (j + s, j) and (j, j + s), strided views
             rows = flat[start :: d + 1][: d - s]
             rows[...] = block @ rows
-    return FockState(state.modes, state.cutoff, np.moveaxis(moved, (0, 1), axes), state.trunc_weight)
+    return _derived(state, state.modes, np.moveaxis(moved, (0, 1), axes))
+
+
+def _derived(state: FockState, modes: int, tensor: np.ndarray) -> FockState:
+    """The state of ``modes`` modes that a dense kernel computed from
+    ``state``, at its cutoff and truncation weight.  Of the constructor's
+    rules only finiteness is checked: the kernel's sums of a caller's tensor
+    can overflow, and so can its division by a trace near 0."""
+    tensor = _check_finite(tensor, "tensor")
+    return _made(FockState, modes=modes, cutoff=state.cutoff, tensor=tensor, trunc_weight=state.trunc_weight)
 
 
 def partial_trace(state: FockState, keep) -> FockState:
     """The reduced state of the modes in ``keep``, a vector of mode indices
     (else ValueError).  Levels are summed one by one, so the sum rounds
     alike on any strides; that of a sector state is the diagonal of Y_0
-    summed the same way, a dense one-mode state."""
+    summed the same way, a dense one-mode state.  Keeping every mode returns
+    ``state`` itself."""
     _check_vector(keep, "keep")
     keep = sorted({_mode_index(m, state.modes) for m in keep})
     drop = [m for m in range(state.modes) if m not in keep]
-    if _sectors(state) is not None and len(drop) < 2:  # keeping no mode fails below
-        if not drop:
-            return state
+    if not drop:
+        return state
+    if _sectors(state) is not None and len(drop) == 1:
         # rho[n1, n, m1, n] is zero unless n1 = m1; cumsum adds level by level
         (m,) = drop
         sums = np.cumsum(_populations(state), axis=m).take(-1, axis=m)
-        return FockState(1, state.cutoff, np.diag(sums), state.trunc_weight)
+        return _made(FockState, modes=1, cutoff=state.cutoff, tensor=np.diag(sums), trunc_weight=state.trunc_weight)
     tensor = state.tensor
     for m in sorted(drop, reverse=True):
         # level by level, so the sum rounds alike on a strided and a contiguous tensor
         diag = np.diagonal(tensor, 0, m, tensor.ndim // 2 + m)
         tensor = sum(diag[..., n] for n in range(state.cutoff + 1))
-    return FockState(len(keep), state.cutoff, tensor, state.trunc_weight)
+    return _derived(state, _check_mode_count(len(keep)), tensor)  # keeping no mode fails the mode count
 
 
 @lru_cache(maxsize=8)
@@ -394,9 +399,7 @@ def _quadrature_ops(cutoff: int) -> np.ndarray:
     a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
     x = (a + a.T) / np.sqrt(2.0)
     p = (a - a.T) / (1j * np.sqrt(2.0))
-    ops = np.stack([x, p] + [u @ v + v @ u for u, v in ((x, x), (x, p), (p, p))]).astype(complex)
-    ops.setflags(write=False)
-    return ops
+    return _read_only(np.stack([x, p] + [u @ v + v @ u for u, v in ((x, x), (x, p), (p, p))]).astype(complex))
 
 
 _SECOND_MOMENTS = np.array([[2, 3], [3, 4]])  # xx, xp and pp in _quadrature_ops, as one mode's 2 x 2 block
@@ -486,16 +489,13 @@ def _wavefunctions(grid: np.ndarray, cutoff: int) -> np.ndarray:
     return values
 
 
-_DEFAULT_POINTS = np.linspace(*DEFAULT_GRID)
-_DEFAULT_POINTS.setflags(write=False)
+_DEFAULT_POINTS = _read_only(np.linspace(*DEFAULT_GRID))
 
 
 @lru_cache(maxsize=4)
 def _default_wavefunctions(cutoff: int) -> np.ndarray:
     """_wavefunctions on the DEFAULT_GRID points, built once per cutoff; read-only, because cached."""
-    values = _wavefunctions(_DEFAULT_POINTS, cutoff)
-    values.setflags(write=False)
-    return values
+    return _read_only(_wavefunctions(_DEFAULT_POINTS, cutoff))
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,8 +521,7 @@ def homodyne_povm_fock(state: FockState, mode: int, phi: float = 0.0, grid=None)
     if grid is None:
         grid, values = _DEFAULT_POINTS, _default_wavefunctions(state.cutoff)
     else:
-        grid = _check_vector(grid, "grid").copy()
-        grid.setflags(write=False)
+        grid = _read_only(_check_vector(grid, "grid").copy())
         values = _wavefunctions(grid, state.cutoff)
     terms = weights.T @ values
     terms *= values
@@ -563,7 +562,7 @@ def homodyne_conditional_fock(state: FockState, mode: int, x: float, phi: float 
     prob = np.trace(sigma.reshape(d ** (state.modes - 1), -1)).real
     if not prob > 0.0:
         raise ValueError(f"homodyne record {x!r} has zero density")
-    return FockState(state.modes - 1, state.cutoff, sigma / prob, state.trunc_weight)
+    return _derived(state, state.modes - 1, sigma / prob)
 
 
 def _photon_tail(gamma: np.ndarray, d: int) -> float:
@@ -611,4 +610,4 @@ def gaussian_fock(gamma, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     xx, xp, pp = _quadrature_ops(d)[2:, :d, :d]
     _, v = np.linalg.eigh(g[0, 0] * xx + 2.0 * g[0, 1] * xp + g[1, 1] * pp)
     rho = (v * (probs / probs.sum())) @ v.conj().T
-    return FockState(1, cutoff, rho, weight)
+    return _made(FockState, modes=1, cutoff=d - 1, tensor=rho, trunc_weight=weight)

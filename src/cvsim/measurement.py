@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import _check_each, _check_matrix, _check_physical, _check_symmetric, _check_vector, _is_integer, _own
+from .symplectic import _check_count, _check_each, _check_matrix, _check_physical, _check_symmetric, _check_vector
+from .symplectic import _is_integer, _made, _own
 
 MP_REL_TOL = 1e-12
 # near-eps rank cut of gaussian_project: the core C2 + D^2 is invertible for
@@ -142,6 +143,7 @@ class OutcomeDensity:
     measured p).  The density is normalised; for the single-mode vacuum it
     is exp(-X^2)/sqrt(pi).  Checked, copied read-only and eigen-solved once, when built: ValueError unless
     block is a finite symmetric matrix and mean and signs finite vectors of its length, each sign +1 or -1.
+    ``homodyne_project`` makes its density from checked values and solves it once, without these checks.
     """
 
     block: np.ndarray
@@ -154,10 +156,15 @@ class OutcomeDensity:
         signs = _check_vector(self.signs, "signs", len(block))
         _check_each(np.abs(signs) == 1.0, lambda _: f"signs must be +1 or -1, got {signs}", core=1)
         _own(self, block=block, mean=mean, signs=signs)
-        evals, evecs = _eigh(block)
+        self._solve()
+
+    def _solve(self) -> OutcomeDensity:
+        """The density, with the block's eigen-solve and Moore-Penrose cut set on it."""
+        evals, evecs = _eigh(self.block)
         inverse, root_pdet = _spectral_cut(evals, evecs, MP_REL_TOL)
         # beside the fields, not fields: the solve, its cut that pdf and homodyne_project's mean_map read, the norm
-        vars(self).update(_eig=(evals, evecs), _inverse=inverse, _norm=np.pi ** (len(block) / 2.0) * root_pdet)
+        vars(self).update(_eig=(evals, evecs), _inverse=inverse, _norm=np.pi ** (len(self.block) / 2.0) * root_pdet)
+        return self
 
     def pdf(self, outcomes) -> np.ndarray | float:
         """exp(-d^T B^MP d) / (pi^(n/2) sqrt(pdet B)) per record, d its sign-adjusted deviation from ``mean``."""
@@ -168,7 +175,11 @@ class OutcomeDensity:
         return float(vals[0]) if np.ndim(outcomes) == 1 else vals.reshape(pts.shape[:-1])
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw outcome records, the rows of the transposed view of a (k, size) array."""
+        """Draw outcome records, the rows of the transposed view of a (k, size) array.  ValueError unless
+        ``rng`` is a numpy.random.Generator and ``size`` a Python or numpy integer >= 0, not a bool."""
+        if not isinstance(rng, np.random.Generator):
+            raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
+        _check_count(size, "size", 0)
         evals, evecs = self._eig
         root = self.signs[:, np.newaxis] * evecs * np.sqrt(np.clip(0.5 * evals, 0.0, None))
         # a seed's rows (mean + z R^T) * signs bit for bit: z used transposed, the exact +-1 factors folded into R, mean
@@ -192,8 +203,9 @@ def homodyne_project(gamma, measured, kappa=None) -> HomodyneResult:
     limit of ``gaussian_project`` with D = diag(1/d, d), d -> 0.
 
     ``mean_map`` columns follow the measured indices in ascending order (the record convention is the
-    module docstring's).  ``density`` is built from the conjugate block, which it checks and solves;
-    ``mean_map`` is formed from the density's Moore-Penrose cut, so the block is solved once.
+    module docstring's).  The conjugate block must be symmetric at its own scale, which a covariance
+    matrix symmetric at max|gamma| can fail ("block must be symmetric").  ``density`` is made from it
+    and solved once, and ``mean_map`` is formed from the density's Moore-Penrose cut.
     """
     gamma, measured = _checked_input(gamma, measured, per_mode=2)
     if len({q // 2 for q in measured}) != len(measured):
@@ -201,6 +213,8 @@ def homodyne_project(gamma, measured, kappa=None) -> HomodyneResult:
     kappa = np.zeros(len(gamma)) if kappa is None else _check_vector(kappa, "kappa", len(gamma))
     conj = [_conjugate_quadrature(q) for q in measured]
     c1, block, c3 = _split(gamma, conj)
-    density = OutcomeDensity(block, kappa[conj], np.array([1.0 if q % 2 == 0 else -1.0 for q in measured]))
+    _check_symmetric(block, "block")
+    signs = np.array([1.0 if q % 2 == 0 else -1.0 for q in measured])
+    density = _made(OutcomeDensity, block=block, mean=kappa[conj], signs=signs)._solve()
     full_map = c3 @ density._inverse
     return HomodyneResult(c1 - full_map @ c3.T, full_map / np.sqrt(2.0), density)

@@ -20,6 +20,7 @@ from .symplectic import (
     _check_squeezing,
     _check_vector,
     _is_real,
+    _made,
     _own,
     _real_array,
     _result,
@@ -66,7 +67,7 @@ _COSH_MAX = math.acosh(sys.float_info.max)  # ~710.48; cosh and sinh overflow pa
 def vacuum_state(n_modes: int = 1) -> GaussianState:
     """Vacuum of n_modes >= 1 modes, gamma = 1; ValueError for fewer or a fractional count."""
     n_modes = _check_mode_count(n_modes)
-    return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
+    return _made(GaussianState, kappa=np.zeros(2 * n_modes), gamma=np.eye(2 * n_modes))
 
 
 def thermal_state(n_mean, n_modes: int | None = None) -> GaussianState:
@@ -90,10 +91,10 @@ def thermal_state(n_mean, n_modes: int | None = None) -> GaussianState:
 def squeezed_state(zeta: float, theta: float = 0.0) -> GaussianState:
     """Single-mode squeezed vacuum, gamma = R(theta) diag(e^2z, e^-2z) R(theta)^T;
     ValueError where |zeta| > ln(float max)/2 ~ 354.89 (e^2|z| overflows) or zeta or theta is NaN."""
-    _check_squeezing("zeta", zeta, _EXP_MAX / 2.0, "exp(2 |zeta|)")
+    zeta = _check_squeezing("zeta", zeta, _EXP_MAX / 2.0, "exp(2 |zeta|)")
     r = rotation_matrix(theta)
     gamma = r @ np.diag([np.exp(2.0 * zeta), np.exp(-2.0 * zeta)]) @ r.T
-    return GaussianState(np.zeros(2), gamma)
+    return _made(GaussianState, kappa=np.zeros(2), gamma=gamma)
 
 
 def squeezed_signal(eta: float) -> GaussianState:
@@ -104,15 +105,15 @@ def squeezed_signal(eta: float) -> GaussianState:
     two squeezing conventions are easy to mix up.  ValueError where
     |eta| > acosh(float max) ~ 710.48, past which cosh(eta) overflows.
     """
-    _check_squeezing("eta", eta, _COSH_MAX, "cosh(eta)")
+    eta = _check_squeezing("eta", eta, _COSH_MAX, "cosh(eta)")
     ch, sh = np.cosh(eta), np.sinh(eta)
-    return GaussianState(np.zeros(2), np.array([[ch, sh], [sh, ch]]))
+    return _made(GaussianState, kappa=np.zeros(2), gamma=np.array([[ch, sh], [sh, ch]]))
 
 
 def tmsv_state(zeta: float) -> GaussianState:
     """Two-mode squeezed vacuum with c = cosh(2 zeta), s = sinh(2 zeta); ValueError
     where |zeta| > acosh(float max)/2 ~ 355.24, past which c overflows."""
-    _check_squeezing("zeta", zeta, _COSH_MAX / 2.0, "cosh(2 zeta)")
+    zeta = _check_squeezing("zeta", zeta, _COSH_MAX / 2.0, "cosh(2 zeta)")
     c, s = np.cosh(2.0 * zeta), np.sinh(2.0 * zeta)
     gamma = np.array(
         [
@@ -122,7 +123,7 @@ def tmsv_state(zeta: float) -> GaussianState:
             [0.0, -s, 0.0, c],
         ]
     )
-    return GaussianState(np.zeros(4), gamma)
+    return _made(GaussianState, kappa=np.zeros(4), gamma=gamma)
 
 
 def displace(state: GaussianState, delta) -> GaussianState:

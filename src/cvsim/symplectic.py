@@ -35,6 +35,13 @@ def _is_integer(value, low: float, high: float = math.inf) -> bool:
     return _is_real(value) and float(value).is_integer() and low <= value < high
 
 
+def _check_count(value, name: str, low: int) -> None:
+    """ValueError naming ``name`` unless ``value`` is a Python or numpy
+    integer, not a bool, and at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _real_array(x, name: str) -> np.ndarray:
     """``x`` as a float array; ValueError naming ``name`` unless its entries
     are real numbers (bool, int or float), which strings and complex numbers
@@ -61,9 +68,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
     The array is built once per mode count and shared, so it is read-only.
     """
-    sigma = np.kron(np.eye(_check_mode_count(n_modes)), _SIGMA_1)
-    sigma.setflags(write=False)
-    return sigma
+    return _read_only(np.kron(np.eye(_check_mode_count(n_modes)), _SIGMA_1))
 
 
 def _mode_index(mode, n_modes: int) -> int:
@@ -87,7 +92,7 @@ def _block_diag(*mats) -> np.ndarray:
 def rotation_matrix(theta: float) -> np.ndarray:
     """Counter-clockwise single-mode phase-space rotation by a finite theta."""
     c, s = np.cos(_check_finite(theta, "theta")), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    return np.array([[c, -s], [s, c]], dtype=float)
 
 
 def _check_finite(x, name: str, core: int | None = None):
@@ -159,24 +164,45 @@ def _check_symmetric(m: np.ndarray, name: str):
     return scale
 
 
+def _read_only(value):
+    """``value``; an array is made read-only in place, so never one a caller holds."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    return value
+
+
 def _own(record, **arrays) -> None:
     """Set each checked array on the frozen dataclass ``record`` as the
     record's own read-only copy: a caller's later write cannot reach it."""
-    for name, value in arrays.items():
-        value = value.copy()
-        value.setflags(write=False)
-        object.__setattr__(record, name, value)
+    _set_fields(record, {name: value.copy() for name, value in arrays.items()})
+
+
+def _made(cls, **fields):
+    """A record of the frozen dataclass ``cls`` holding ``fields``, made
+    without running its __post_init__ and with each array made read-only in
+    place.  Inputs from outside are checked once, where they enter: by the
+    public constructors and functions.  The library makes a record this way
+    only from values it has checked and that cannot come out malformed (of
+    the type, dtype and shape the constructor would hold, and finite)."""
+    return _set_fields(object.__new__(cls), fields)
+
+
+def _set_fields(record, fields: dict):
+    """``record`` with ``fields`` set on it, each array made read-only in place."""
+    vars(record).update({name: _read_only(value) for name, value in fields.items()})
+    return record
 
 
 _EXP_MAX = math.log(sys.float_info.max)  # ~709.78; exp overflows past it
 
 
-def _check_squeezing(name: str, value: float, limit: float, overflowing: str) -> None:
-    """The squeezing-range rule: ValueError where |value| > limit, before
-    ``overflowing`` would overflow, and where value is NaN or not a real number."""
+def _check_squeezing(name: str, value: float, limit: float, overflowing: str) -> float:
+    """The squeezing-range rule: ``value`` as a float; ValueError where
+    |value| > limit, before ``overflowing`` would overflow, and where value
+    is NaN or not a real number."""
     if _is_real(value) and abs(value) > limit:
         raise ValueError(f"|{name}| = {abs(value)!r} is past {limit:.5g}, where {overflowing} overflows")
-    _check_finite(value, name)
+    return float(_check_finite(value, name))
 
 
 def _check_each(ok, message, core: int = 0, error=ValueError) -> None:
@@ -267,8 +293,7 @@ def squeeze(mode: int, zeta: float) -> Gate:
     return Gate((mode,), np.diag([np.exp(zeta), np.exp(-zeta)]))
 
 
-_BEAMSPLITTER = np.kron([[1.0, 1.0], [-1.0, 1.0]], np.eye(2)) / np.sqrt(2.0)
-_BEAMSPLITTER.setflags(write=False)
+_BEAMSPLITTER = _read_only(np.kron([[1.0, 1.0], [-1.0, 1.0]], np.eye(2)) / np.sqrt(2.0))
 
 
 def beamsplitter(mode_i: int, mode_j: int) -> Gate:
@@ -284,13 +309,15 @@ def build_symplectic(gates, n_modes: int) -> np.ndarray:
     Each gate's block is written into the 2N x 2N identity at the rows and
     columns of both quadratures of each of its modes, in the gate's order.
     An empty gate list yields the identity; a mode count N that is not an
-    integer >= 1, or a mode that is not an integer in [0, N), raises
-    ValueError.
+    integer >= 1, a mode that is not an integer in [0, N), or a gate that
+    names one mode twice raises ValueError.
     """
     n_modes = _check_mode_count(n_modes)
     s = np.eye(2 * n_modes)
     for gate in gates:
         modes = [_mode_index(m, n_modes) for m in gate.modes]
+        if len(set(modes)) < len(modes):
+            raise ValueError(f"gate names mode {max(modes, key=modes.count)} more than once")
         rows = np.array([2 * m + q for m in modes for q in (0, 1)], dtype=int)  # both quadratures of each mode
         g = np.eye(2 * n_modes)
         g[rows[:, None], rows] = gate.block

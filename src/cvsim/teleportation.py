@@ -20,6 +20,7 @@ from .states import GaussianState
 from .symplectic import (
     _SIGMA_1,
     _block_diag,
+    _check_count,
     _check_each,
     _check_finite,
     _check_matrix,
@@ -28,6 +29,7 @@ from .symplectic import (
     _check_vector,
     _is_real,
     _own,
+    _read_only,
     _real_array,
     _result,
     beamsplitter,
@@ -36,8 +38,7 @@ from .symplectic import (
 )
 
 # The 50:50 beamsplitter that mixes the signal (mode 0) with the near arm (mode 1).
-_MIX = build_symplectic([beamsplitter(0, 1)], 3)
-_MIX.setflags(write=False)
+_MIX = _read_only(build_symplectic([beamsplitter(0, 1)], 3))
 _FLOAT_MAX = np.finfo(float).max
 # past it cosh(2 zeta)^2, which the closed form forms, overflows
 _ZETA_MAX = math.acosh(math.sqrt(_FLOAT_MAX)) / 2.0  # ~177.79
@@ -186,7 +187,12 @@ def pure_squeezed_fidelity(eta, zeta):
     """Closed-form teleportation fidelity of a pure squeezed signal
     through an undegraded TMSV:
     F = sqrt(1 - sinh^2(eta) / (cosh(eta) + cosh(2 zeta))^2), a float for
-    scalars and an array for arrays, which broadcast.  ValueError where
+    scalars and an array for arrays, which broadcast.  With c = cosh(2 zeta)
+    and r = |sinh(eta)| / (cosh(eta) + c), F^2 = 1 - r^2 where r < 0.5, and
+    F^2 = (e^-|eta| + c) / (cosh(eta) + c) * (1 + r) above, whose factors are
+    sums of non-negative terms: F keeps its relative accuracy as it falls,
+    where 1 - r^2 would cancel (F = 3.4e-10 at eta = 45, zeta = 0).
+    ValueError where
     sinh(eta) or cosh(eta) + cosh(2 zeta) overflows, as at eta = 800,
     zeta = 400 or (eta, zeta) = (710, 355), or is NaN, naming the first
     such (eta, zeta), and where eta or zeta is not a real number."""
@@ -194,11 +200,14 @@ def pure_squeezed_fidelity(eta, zeta):
         raise ValueError(f"eta and zeta must be real numbers, got eta = {eta!r}, zeta = {zeta!r}")
     eta, zeta = np.broadcast_arrays(_real_array(eta, "eta"), _real_array(zeta, "zeta"))
     with np.errstate(all="ignore"):
-        sinh, total = np.sinh(eta), np.cosh(eta) + np.cosh(2.0 * zeta)
-    _check_each((abs(sinh) <= _FLOAT_MAX) & (total <= _FLOAT_MAX), lambda i: "sinh(eta) or cosh(eta) + cosh(2 zeta) "
+        c, sinh = np.cosh(2.0 * zeta), np.abs(np.sinh(eta))
+        total = np.cosh(eta) + c
+    _check_each((sinh <= _FLOAT_MAX) & (total <= _FLOAT_MAX), lambda i: "sinh(eta) or cosh(eta) + cosh(2 zeta) "
                 f"overflows or is NaN at eta = {float(eta[i])!r}, zeta = {float(zeta[i])!r}")  # NaN fails <=
-    ratio = sinh / total  # |ratio| may round past 1 where F is below the rounding of 1 - ratio^2, F ~ 1e-8
-    return _result(np.sqrt(np.maximum(1.0 - ratio * ratio, 0.0)))
+    r = sinh / total
+    # 1 - r^2 below r = 0.5, above it (1 - r)(1 + r) with 1 - r = (e^-|eta| + c) / total, formed from
+    # non-negative terms, so it does not cancel as r nears 1; no e^+|eta| is formed, so no new overflow
+    return _result(np.sqrt(np.where(r < 0.5, 1.0 - r * r, (np.exp(-np.abs(eta)) + c) / total * (1.0 + r))))
 
 
 def ideal_displacement_gain(f1: FiberParams, f2: FiberParams) -> np.ndarray:
@@ -229,10 +238,11 @@ def teleport_monte_carlo(
     as ``OutcomeDensity.sample`` forms them: with the matched gain G, a record w's mean difference
     is kappa_in + sqrt(2) G mean - M w, M = sqrt(2) (G - gain) diag(signs), zero for G itself, and
     its overlap ``fidelity_zero_mean`` * exp(-quadratic form of :func:`state_overlap`).  ``n_samples``
-    must be a positive integer and ``gain`` a finite 2x2 matrix, else ``ValueError``; ValueError as in teleport.
+    must be a Python or numpy integer >= 1 and ``seed`` one >= 0, neither a bool, and ``gain`` a finite
+    2x2 matrix, else ``ValueError`` naming the argument; ValueError as in teleport.
     """
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
-        raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
+    _check_count(n_samples, "n_samples", 1)
+    _check_count(seed, "seed", 0)
     if gain is not None:
         gain = _check_matrix(gain, "gain", 2, even=False)
     result = teleport(setup)

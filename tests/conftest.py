@@ -78,6 +78,20 @@ def random_fiber(rng, max_n=0.5, phases=True):
     )
 
 
+def count_checks(monkeypatch, *records):
+    """Names of the records whose __post_init__, the checks run when one of
+    ``records`` (or of a subclass) is built, ran, in call order."""
+    calls = []
+    for record in records:
+
+        def counted(self, check=record.__post_init__):
+            calls.append(type(self).__name__)
+            check(self)
+
+        monkeypatch.setattr(record, "__post_init__", counted)
+    return calls
+
+
 def count_solves(monkeypatch, names=("eigh", "eigvalsh")):
     """Shapes of the matrices passed to the np.linalg solvers ``names``, in call order."""
     calls = []

@@ -8,6 +8,7 @@ as taking no matrix or vector fails ``test_every_public_callable_is_classified``
 import dataclasses
 import inspect
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -735,3 +736,121 @@ def test_array_records_compare_by_identity(name):
 def test_outcome_density_fields_are_its_three_arrays():
     # the solve is set beside them when the density is built, not as a field
     assert [f.name for f in dataclasses.fields(cv.OutcomeDensity)] == ["block", "mean", "signs"]
+
+
+# Records the library makes from values it has checked, without running their checks (symplectic._made):
+# each must hold what the public constructor holds when given the same fields, of the same types, dtypes,
+# shapes and bits, with every array read-only.  The numpy scalars among the arguments check that a made
+# record holds a Python int and float64 or complex128 arrays, as the constructor would.
+_DENSE = fock.FockState(2, 3, fock.number_state_fock([1, 2], 3).tensor.copy())
+_ARM = cv.fiber_channel(_FIBER)
+MADE = {
+    "vacuum_state": (cv.GaussianState, lambda: cv.vacuum_state(np.int64(2))),
+    "squeezed_state": (cv.GaussianState, lambda: cv.squeezed_state(np.float32(0.4), np.float32(0.3))),
+    "squeezed_signal": (cv.GaussianState, lambda: cv.squeezed_signal(np.float32(0.3))),
+    "tmsv_state": (cv.GaussianState, lambda: cv.tmsv_state(np.longdouble(0.5))),
+    "fiber_channel": (
+        cv.GaussianChannel, lambda: cv.fiber_channel(cv.FiberParams(np.float32(0.9), phase=np.float32(0.4), n_th=0.3))
+    ),
+    "tensor_channels": (cv.GaussianChannel, lambda: cv.tensor_channels(_ARM, cv.GaussianChannel(np.eye(2), np.eye(2)))),
+    "homodyne_project": (cv.OutcomeDensity, lambda: cv.homodyne_project(_TMSV, [3], np.array([0.3, -0.2, 0.1, 0.5])).density),
+    "build_tmsv_fock": (fock.FockState, lambda: fock.build_tmsv_fock(0.3, np.int64(6))),
+    "apply_loss_fock, sectors": (fock.FockState, lambda: fock.apply_loss_fock(_FOCK, 1, 0.7)),
+    "apply_loss_fock, dense": (fock.FockState, lambda: fock.apply_loss_fock(_DENSE, 0, 0.7)),
+    "partial_trace, sectors": (fock.FockState, lambda: fock.partial_trace(_FOCK, [1])),
+    "partial_trace, dense": (fock.FockState, lambda: fock.partial_trace(_DENSE, [0])),
+    "homodyne_conditional_fock": (fock.FockState, lambda: fock.homodyne_conditional_fock(_FOCK, 0, 0.4, 0.3)),
+    "number_state_fock": (fock.FockState, lambda: fock.number_state_fock(np.array([1, 2]), np.int64(3))),
+    "gaussian_fock": (fock.FockState, lambda: fock.gaussian_fock(_SIGNAL, np.int64(8))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MADE))
+def test_made_records_hold_what_the_constructor_holds(name):
+    record_class, make = MADE[name]
+    made = make()
+    fields = {f.name: getattr(made, f.name) for f in dataclasses.fields(record_class)}
+    built = record_class(**fields)
+    for field, value in fields.items():
+        want = getattr(built, field)
+        assert type(value) is type(want), field
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable and not want.flags.writeable, field
+            assert (value.dtype, value.shape, value.tobytes()) == (want.dtype, want.shape, want.tobytes()), field
+        else:
+            assert value == want, field
+
+
+def test_made_density_is_solved_as_the_built_one():
+    made = cv.homodyne_project(_TMSV, [3], np.array([0.3, -0.2, 0.1, 0.5])).density
+    built = cv.OutcomeDensity(made.block, made.mean, made.signs)
+    assert np.array_equal(made._inverse, built._inverse) and made._norm == built._norm
+    for got, want in zip(made._eig, built._eig, strict=True):
+        assert np.array_equal(got, want)
+
+
+# The functions whose arithmetic can carry a checked input past the float range build their result
+# through the checked constructor, whose finiteness rule is then the one guard; with the overflow's
+# RuntimeWarning not made an error, a made record held inf.
+_STRETCH = cv.build_symplectic([cv.squeeze(0, 400)], 1)
+OVERFLOWS = {
+    "apply_symplectic": (lambda: cv.apply_symplectic(cv.vacuum_state(1), _STRETCH), "covariance matrix"),
+    "apply_channel": (
+        # an amplifier of gain 100, completely positive with the noise |1 - 100| = 99, on gamma = 2e307 + 1
+        lambda: cv.apply_channel(cv.thermal_state(1e307), cv.GaussianChannel(10.0 * np.eye(2), 99.0 * np.eye(2))),
+        "covariance matrix",
+    ),
+    "displace": (lambda: cv.displace(cv.GaussianState([1e308, 0.0], np.eye(2)), [1e308, 0.0]), "mean vector"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OVERFLOWS))
+def test_an_overflowing_result_is_refused(entry):
+    call, name = OVERFLOWS[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+            call()
+
+
+# The sampling arguments: seed and size follow n_samples' rule, a Python or numpy integer that is not a
+# bool, here >= 0, and rng must be a numpy.random.Generator.  seed = 1.5 and the sizes 1.5 and True raised
+# TypeError, seed = -1 a ValueError that did not name seed, and rng = 0 AttributeError; a Generator given
+# as seed was used as the generator.
+def _monte_carlo(**arguments):
+    return cv.teleport_monte_carlo(_SETUP, **{"n_samples": 10, "seed": 0, **arguments})
+
+
+def _sample(rng=None, size=3):
+    return _density().sample(np.random.default_rng(0) if rng is None else rng, size)
+
+
+SAMPLING = {
+    "teleport_monte_carlo seed 1.5": (lambda: _monte_carlo(seed=1.5), "^seed must be an integer >= 0, got 1.5$"),
+    "teleport_monte_carlo seed -1": (lambda: _monte_carlo(seed=-1), "^seed must be an integer >= 0, got -1$"),
+    "teleport_monte_carlo seed True": (lambda: _monte_carlo(seed=True), "^seed must be an integer >= 0, got True$"),
+    "teleport_monte_carlo seed Generator": (
+        lambda: _monte_carlo(seed=np.random.default_rng(0)), "^seed must be an integer >= 0, got Generator"
+    ),
+    "teleport_monte_carlo n_samples 0": (lambda: _monte_carlo(n_samples=0), "^n_samples must be an integer >= 1, got 0$"),
+    "teleport_monte_carlo n_samples 2.0": (
+        lambda: _monte_carlo(n_samples=2.0), r"^n_samples must be an integer >= 1, got 2\.0$"
+    ),
+    "OutcomeDensity.sample size 1.5": (lambda: _sample(size=1.5), "^size must be an integer >= 0, got 1.5$"),
+    "OutcomeDensity.sample size True": (lambda: _sample(size=True), "^size must be an integer >= 0, got True$"),
+    "OutcomeDensity.sample size -1": (lambda: _sample(size=-1), "^size must be an integer >= 0, got -1$"),
+    "OutcomeDensity.sample rng 0": (lambda: _sample(rng=0), "^rng must be a numpy.random.Generator, got 0$"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(SAMPLING))
+def test_sampling_argument_is_refused_by_name(entry):
+    call, message = SAMPLING[entry]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_numpy_integers_are_accepted_for_sampling():
+    assert _monte_carlo(seed=np.uint32(5), n_samples=np.int64(10)) == _monte_carlo(seed=5)
+    assert np.array_equal(_sample(size=np.int64(3)), _sample(size=3))
+    assert _sample(size=0).shape == (0, 2)

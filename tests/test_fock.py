@@ -10,7 +10,8 @@ from scipy.linalg import expm
 
 import cvsim as cv
 from cvsim import fock
-from conftest import count_solves, random_single_mode_physical
+from cvsim.symplectic import _made
+from conftest import count_checks, count_solves, random_single_mode_physical
 
 
 def _random_density(rng, modes, cutoff, real=False):
@@ -488,7 +489,7 @@ class TestSectorLayout:
         layout = fock._sector_layout(cutoff)
         size = layout.gather.size
         values = np.arange(1.0, size + 1)
-        tensor = fock._SectorState(cutoff, values, 0.0).tensor
+        tensor = _made(fock._SectorState, modes=2, cutoff=cutoff, trunc_weight=0.0, sectors=values).tensor
         n1, n2, m1, m2 = np.indices(tensor.shape)
         # each value once, and every entry with n1 - m1 = n2 - m2 holds one
         assert np.array_equal(np.sort(tensor[tensor != 0]), values)
@@ -498,7 +499,8 @@ class TestSectorLayout:
         assert cutoff != 25 or size == 11726
         # rho[m, n] of each entry rho[n, m] is at the same (j1, j2) in the other half of its chunk
         swapped = np.concatenate([fock._chunk(values, chunk)[::-1].ravel() for chunk in layout.chunks])
-        assert np.array_equal(fock._SectorState(cutoff, swapped, 0.0).tensor, tensor.transpose(2, 3, 0, 1))
+        mirrored = _made(fock._SectorState, modes=2, cutoff=cutoff, trunc_weight=0.0, sectors=swapped)
+        assert np.array_equal(mirrored.tensor, tensor.transpose(2, 3, 0, 1))
         # the gathered entries, cut by blocks, are the N = n1 + m2 blocks of the partial transpose
         gathered, pt = values[layout.gather], tensor.transpose(0, 3, 2, 1)
         for total, (start, stop, k) in enumerate(layout.blocks):
@@ -548,6 +550,24 @@ class TestNonFiniteTensor:
         tensor[3, 1] = bad
         with pytest.raises(ValueError, match="^tensor has non-finite entries$"):
             fock.FockState(1, 3, tensor)
+
+    @pytest.mark.parametrize("kernel", ["partial_trace", "apply_loss_fock", "homodyne_conditional_fock"])
+    def test_a_sum_that_overflows_is_refused(self, kernel):
+        # a kernel result is made without the constructor's checks but this one: a caller's finite tensor
+        # can sum, or divide by its trace near 0, past the float range
+        summed, skewed = np.zeros((2,) * 4), np.zeros((2,) * 4)
+        summed[0, 0, 0, 0] = summed[0, 1, 0, 1] = 1e308  # mode 0's level 0 sums to 2e308 over mode 1
+        skewed[0, 0, 0, 0], skewed[0, 0, 1, 0] = 1e-300, 1e308  # a coherence far past the populations
+        calls = {
+            "partial_trace": lambda: fock.partial_trace(fock.FockState(2, 1, summed), [0]),
+            # loss at tau = 0.1 maps the populations 1e308 of levels 0..3 to 3.439e308 at level 0
+            "apply_loss_fock": lambda: fock.apply_loss_fock(fock.FockState(1, 3, 1e308 * np.eye(4)), 0, 0.1),
+            "homodyne_conditional_fock": lambda: fock.homodyne_conditional_fock(fock.FockState(2, 1, skewed), 1, 0.3),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow warns first
+            with pytest.raises(ValueError, match="^tensor has non-finite entries$"):
+                calls[kernel]()
 
 
 @pytest.fixture
@@ -1000,6 +1020,22 @@ class TestPartialTrace:
         st = fock.build_tmsv_fock(0.3, cutoff=10)
         arm = fock.partial_trace(st, keep=[1])
         assert arm.modes == 1 and arm.matrix.shape == (11, 11)
+
+    def test_keeping_every_mode_returns_the_state(self):
+        # a dense state's result wrapped the caller's tensor, which a kernel result, read-only, must not
+        tensor = fock.number_state_fock([1, 0], 3).tensor.copy()
+        dense, sectors = fock.FockState(2, 3, tensor), fock.build_tmsv_fock(0.3, 8)
+        assert fock.partial_trace(dense, [1, 0]) is dense and fock.partial_trace(sectors, [0, 1]) is sectors
+        assert tensor.flags.writeable
+
+    def test_moments_of_a_sector_state_run_no_record_check(self, monkeypatch):
+        # the two one-mode reductions are made from the sectors, not checked again
+        st = _lossy_tmsv(0.3, cutoff=8)
+        checks = count_checks(monkeypatch, fock.FockState)
+        fock.covariance_from_fock(st)
+        assert checks == []
+        fock.FockState(1, 8, fock.partial_trace(st, [0]).tensor)  # the probe sees a state built by its constructor
+        assert checks == ["FockState"]
 
 
 class TestOverlap:

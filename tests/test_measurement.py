@@ -182,7 +182,7 @@ class TestProjectionInput:
     @pytest.mark.parametrize("kind", ["gaussian", "homodyne"])
     def test_rejects_a_block_asymmetric_at_its_own_scale(self, kind):
         # symmetric enough at max|gamma| = 1e6, not at the scale of the solved block;
-        # homodyne_project's block is checked by the outcome density built from it
+        # homodyne_project checks the conjugate block itself before it makes the outcome density from it
         gamma = np.diag([1.0, 1.0, 1.0, 1.0, 1e6, 1e6])
         gamma[0, 2] = 1e-5
         with pytest.raises(ValueError, match=f"^{'block' if kind == 'homodyne' else 'matrix'} must be symmetric$"):

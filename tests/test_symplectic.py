@@ -154,10 +154,14 @@ class TestBuildSymplectic:
     def test_empty_is_identity(self):
         assert_allclose(cv.build_symplectic([], 3), np.eye(6))
 
-    def test_mode_named_twice_keeps_the_last_pair_written(self):
-        # the mode pairs are written in row-major order, so the (1, 1) sub-block is the one kept
-        block = np.arange(1.0, 17.0).reshape(4, 4)
-        assert np.array_equal(cv.build_symplectic([Gate((0, 0), block)], 1), block[2:, 2:])
+    @pytest.mark.parametrize(
+        "modes, repeated", [((0, 0), 0), ((1, 0, 1), 1), ((2, 0, 2.0), 2)], ids=["pair", "apart", "as a float"]
+    )
+    def test_mode_named_twice_is_refused(self, modes, repeated):
+        # it kept the last 2x2 sub-block written: Gate((0, 0), np.eye(4)) gave the 2x2 identity
+        gate = Gate(modes, np.eye(2 * len(modes)))
+        with pytest.raises(ValueError, match=f"^gate names mode {repeated} more than once$"):
+            cv.build_symplectic([gate], 3)
 
     def test_leftmost_gate_applied_last(self):
         gates = [cv.beamsplitter(0, 1), cv.squeeze(0, -0.3)]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,7 +10,7 @@ import cvsim as cv
 from cvsim import teleportation
 from cvsim.measurement import _quadratic_columns
 from cvsim.teleportation import _ZETA_MAX, _gamma_rec_explicit, _overlap_prefactor
-from conftest import count_solves, random_fiber, random_single_mode_physical, random_symplectic
+from conftest import count_checks, count_solves, random_fiber, random_single_mode_physical, random_symplectic
 
 SIGMA1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -82,6 +83,16 @@ class TestTeleport:
         del calls[:]
         cv.teleport_monte_carlo(setup, 100, seed=0)
         assert calls == [(6, 6), (2, 2)]
+
+    def test_runs_no_record_check(self, monkeypatch):
+        # degraded_tmsv's TMSV and homodyne_project's density are made from checked values, not checked again
+        fiber = cv.FiberParams(0.9, phase=0.4, r_mag=0.2, n_th=0.3)
+        setup = cv.TeleportSetup(cv.squeezed_signal(0.4).gamma, 0.8, fiber, fiber, kappa_in=[0.5, -1.0])
+        checks = count_checks(monkeypatch, cv.GaussianState, cv.OutcomeDensity)
+        cv.teleport(setup)
+        assert checks == []
+        cv.GaussianState(np.zeros(2), setup.gamma_in)  # the probe sees a record built by its constructor
+        assert checks == ["GaussianState"]
 
     def test_nan_receiver_fails_the_cross_check(self, monkeypatch):
         # NaN compared False against the tolerance and reached fidelity's finiteness rule
@@ -219,6 +230,26 @@ class TestPureSqueezedFidelity:
         # cosh(709) + cosh(2 * 354) is finite; F = sqrt(1 - (sinh/total)^2) with sinh ~ e^709 / 2
         ratio = math.sinh(709.0) / (math.cosh(709.0) + math.cosh(708.0))
         assert cv.pure_squeezed_fidelity(709.0, 354.0) == math.sqrt(1.0 - ratio * ratio)
+
+    @pytest.mark.parametrize(
+        "eta, zeta", [(30.0, 0.0), (37.875925, 0.0), (45.0, 0.0), (700.0, 1.0), (-45.0, 0.5), (0.5, 0.3)]
+    )
+    def test_keeps_its_relative_accuracy_as_it_falls(self, eta, zeta):
+        # 1 - sinh^2 / total^2 cancelled: it gave 6.1186e-7 for 6.1180e-7 at eta = 30, and 0.0 at the next
+        # three points, where F is 1.19e-8, 3.4e-10 and 3.85e-152 (F^2 ~ 1e-303 needs ~330 digits to form so)
+        with mpmath.workdps(400):
+            total = mpmath.cosh(eta) + mpmath.cosh(2 * mpmath.mpf(zeta))
+            want = mpmath.sqrt(1 - mpmath.sinh(eta) ** 2 / total**2)
+            assert abs(cv.pure_squeezed_fidelity(eta, zeta) - want) <= 2e-16 * want
+
+    def test_relative_accuracy_on_the_paper_range(self):
+        points = np.random.default_rng(11).uniform(0.0, 3.0, (200, 2))
+        got = cv.pure_squeezed_fidelity(points[:, 0], points[:, 1])
+        with mpmath.workdps(50):
+            for f, (eta, zeta) in zip(got, points):
+                total = mpmath.cosh(eta) + mpmath.cosh(2 * mpmath.mpf(zeta))
+                want = mpmath.sqrt(1 - mpmath.sinh(eta) ** 2 / total**2)
+                assert abs(f - want) <= 4e-16 * want
 
     def test_monotone_in_resource_squeezing(self):
         for eta in (0.3, 0.8, 1.4):
