@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import DEFAULT_TOL, _block_diag, _check_finite, _check_matrix, _check_rule, _is_real, _made, _own
-from .symplectic import _result, rotation_matrix, symplectic_form
+from .symplectic import DEFAULT_TOL, _block_diag, _check_finite, _check_matrix, _check_rule, _is_real, _own, _result
+from .symplectic import rotation_matrix, symplectic_form
 from .states import GaussianState, _check_occupation, tmsv_state
 
 _PARAM_TOL = 1e-12  # slack of the energy-conservation rule |T|^2 + |R|^2 <= 1
@@ -111,7 +111,7 @@ def fiber_channel(p: FiberParams) -> GaussianChannel:
 
     A = |T| R(phase); G = ``p.noise`` * identity.
     """
-    return _made(GaussianChannel, a=float(p.t_mag) * rotation_matrix(p.phase), g=float(p.noise) * np.eye(2))
+    return GaussianChannel(p.t_mag * rotation_matrix(p.phase), p.noise * np.eye(2))
 
 
 def fiber_from_length(length: float, l_abs: float, n_th: float = 0.0) -> FiberParams:
@@ -124,7 +124,10 @@ def tensor_channels(*channels: GaussianChannel) -> GaussianChannel:
     """Independent channels acting on consecutive mode groups."""
     if not channels:
         raise ValueError("need at least one channel")
-    return _made(GaussianChannel, a=_block_diag(*[ch.a for ch in channels]), g=_block_diag(*[ch.g for ch in channels]))
+    return GaussianChannel(
+        _block_diag(*[ch.a for ch in channels]),
+        _block_diag(*[ch.g for ch in channels]),
+    )
 
 
 def degraded_tmsv(zeta: float, f1: FiberParams, f2: FiberParams) -> np.ndarray:

@@ -61,7 +61,7 @@ import numpy as np
 
 from .entanglement import _check_base, _to_base
 from .symplectic import _check_finite, _check_matrix, _check_mode_count, _check_vector, _is_integer, _is_real
-from .symplectic import _made, _mode_index, _read_only, _real_array
+from .symplectic import _made, _mode_index, _real_array
 
 DEFAULT_CUTOFF = 25
 DEFAULT_GRID = (-8.0, 8.0, 801)
@@ -145,7 +145,8 @@ class _SectorState(FockState):
             views = (tensor[t:, t:, : d - t, : d - t], tensor[: d - t, : d - t, t:, t:])
             for y, view in zip(_chunk(self.sectors, chunk), views):
                 _diagonal(view, 2)[...] = y
-        return _read_only(tensor)
+        tensor.setflags(write=False)
+        return tensor
 
 
 def _check_cutoff(cutoff) -> int:
@@ -187,9 +188,11 @@ def _sector_layout(cutoff: int) -> _SectorLayout:
         start = chunks[-1][1]
         levels += pair
     n1, m1, m2 = (np.concatenate(axis) for axis in zip(*levels))
-    gather = _read_only(np.lexsort((m1, n1, n1 + m2)))
-    pure = _read_only(np.flatnonzero(m1 == m2))  # n1 - m1 = n2 - m2, so n1 = n2 too
-    pure_levels = _read_only(n1[pure]), _read_only(m1[pure])
+    gather = np.lexsort((m1, n1, n1 + m2))
+    pure = np.flatnonzero(m1 == m2)  # n1 - m1 = n2 - m2, so n1 = n2 too
+    pure_levels = n1[pure], m1[pure]
+    for a in (gather, pure, *pure_levels):
+        a.setflags(write=False)
     sizes = [min(n, cutoff) - max(0, n - cutoff) + 1 for n in range(2 * cutoff + 1)]
     stops = np.cumsum([k * k for k in sizes]).tolist()
     blocks = tuple((stop - k * k, stop, k) for stop, k in zip(stops, sizes))
@@ -313,7 +316,8 @@ def _loss_kraus(cutoff: int, transmittance: float) -> tuple[np.ndarray, ...]:
     maps = []
     for s in range(d):
         m, k = levels[: d - s], lost[: d - s, : d - s]
-        maps.append(_read_only(np.triu(amps[m + s, k] * amps[m, k])))
+        maps.append(np.triu(amps[m + s, k] * amps[m, k]))
+        maps[-1].setflags(write=False)
     return tuple(maps)
 
 
@@ -399,7 +403,9 @@ def _quadrature_ops(cutoff: int) -> np.ndarray:
     a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
     x = (a + a.T) / np.sqrt(2.0)
     p = (a - a.T) / (1j * np.sqrt(2.0))
-    return _read_only(np.stack([x, p] + [u @ v + v @ u for u, v in ((x, x), (x, p), (p, p))]).astype(complex))
+    ops = np.stack([x, p] + [u @ v + v @ u for u, v in ((x, x), (x, p), (p, p))]).astype(complex)
+    ops.setflags(write=False)
+    return ops
 
 
 _SECOND_MOMENTS = np.array([[2, 3], [3, 4]])  # xx, xp and pp in _quadrature_ops, as one mode's 2 x 2 block
@@ -489,13 +495,16 @@ def _wavefunctions(grid: np.ndarray, cutoff: int) -> np.ndarray:
     return values
 
 
-_DEFAULT_POINTS = _read_only(np.linspace(*DEFAULT_GRID))
+_DEFAULT_POINTS = np.linspace(*DEFAULT_GRID)
+_DEFAULT_POINTS.setflags(write=False)
 
 
 @lru_cache(maxsize=4)
 def _default_wavefunctions(cutoff: int) -> np.ndarray:
     """_wavefunctions on the DEFAULT_GRID points, built once per cutoff; read-only, because cached."""
-    return _read_only(_wavefunctions(_DEFAULT_POINTS, cutoff))
+    values = _wavefunctions(_DEFAULT_POINTS, cutoff)
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,7 +530,8 @@ def homodyne_povm_fock(state: FockState, mode: int, phi: float = 0.0, grid=None)
     if grid is None:
         grid, values = _DEFAULT_POINTS, _default_wavefunctions(state.cutoff)
     else:
-        grid = _read_only(_check_vector(grid, "grid").copy())
+        grid = _check_vector(grid, "grid").copy()
+        grid.setflags(write=False)
         values = _wavefunctions(grid, state.cutoff)
     terms = weights.T @ values
     terms *= values

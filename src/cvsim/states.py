@@ -67,7 +67,7 @@ _COSH_MAX = math.acosh(sys.float_info.max)  # ~710.48; cosh and sinh overflow pa
 def vacuum_state(n_modes: int = 1) -> GaussianState:
     """Vacuum of n_modes >= 1 modes, gamma = 1; ValueError for fewer or a fractional count."""
     n_modes = _check_mode_count(n_modes)
-    return _made(GaussianState, kappa=np.zeros(2 * n_modes), gamma=np.eye(2 * n_modes))
+    return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
 def thermal_state(n_mean, n_modes: int | None = None) -> GaussianState:
@@ -91,10 +91,10 @@ def thermal_state(n_mean, n_modes: int | None = None) -> GaussianState:
 def squeezed_state(zeta: float, theta: float = 0.0) -> GaussianState:
     """Single-mode squeezed vacuum, gamma = R(theta) diag(e^2z, e^-2z) R(theta)^T;
     ValueError where |zeta| > ln(float max)/2 ~ 354.89 (e^2|z| overflows) or zeta or theta is NaN."""
-    zeta = _check_squeezing("zeta", zeta, _EXP_MAX / 2.0, "exp(2 |zeta|)")
+    _check_squeezing("zeta", zeta, _EXP_MAX / 2.0, "exp(2 |zeta|)")
     r = rotation_matrix(theta)
     gamma = r @ np.diag([np.exp(2.0 * zeta), np.exp(-2.0 * zeta)]) @ r.T
-    return _made(GaussianState, kappa=np.zeros(2), gamma=gamma)
+    return GaussianState(np.zeros(2), gamma)
 
 
 def squeezed_signal(eta: float) -> GaussianState:

@@ -68,7 +68,9 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
     The array is built once per mode count and shared, so it is read-only.
     """
-    return _read_only(np.kron(np.eye(_check_mode_count(n_modes)), _SIGMA_1))
+    sigma = np.kron(np.eye(_check_mode_count(n_modes)), _SIGMA_1)
+    sigma.setflags(write=False)
+    return sigma
 
 
 def _mode_index(mode, n_modes: int) -> int:
@@ -92,7 +94,7 @@ def _block_diag(*mats) -> np.ndarray:
 def rotation_matrix(theta: float) -> np.ndarray:
     """Counter-clockwise single-mode phase-space rotation by a finite theta."""
     c, s = np.cos(_check_finite(theta, "theta")), np.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=float)
+    return np.array([[c, -s], [s, c]])
 
 
 def _check_finite(x, name: str, core: int | None = None):
@@ -164,13 +166,6 @@ def _check_symmetric(m: np.ndarray, name: str):
     return scale
 
 
-def _read_only(value):
-    """``value``; an array is made read-only in place, so never one a caller holds."""
-    if isinstance(value, np.ndarray):
-        value.setflags(write=False)
-    return value
-
-
 def _own(record, **arrays) -> None:
     """Set each checked array on the frozen dataclass ``record`` as the
     record's own read-only copy: a caller's later write cannot reach it."""
@@ -188,8 +183,12 @@ def _made(cls, **fields):
 
 
 def _set_fields(record, fields: dict):
-    """``record`` with ``fields`` set on it, each array made read-only in place."""
-    vars(record).update({name: _read_only(value) for name, value in fields.items()})
+    """``record`` with ``fields`` set on it, each array made read-only in
+    place, so never one a caller holds."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    vars(record).update(fields)
     return record
 
 
@@ -293,7 +292,8 @@ def squeeze(mode: int, zeta: float) -> Gate:
     return Gate((mode,), np.diag([np.exp(zeta), np.exp(-zeta)]))
 
 
-_BEAMSPLITTER = _read_only(np.kron([[1.0, 1.0], [-1.0, 1.0]], np.eye(2)) / np.sqrt(2.0))
+_BEAMSPLITTER = np.kron([[1.0, 1.0], [-1.0, 1.0]], np.eye(2)) / np.sqrt(2.0)
+_BEAMSPLITTER.setflags(write=False)
 
 
 def beamsplitter(mode_i: int, mode_j: int) -> Gate:

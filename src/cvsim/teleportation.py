@@ -29,7 +29,6 @@ from .symplectic import (
     _check_vector,
     _is_real,
     _own,
-    _read_only,
     _real_array,
     _result,
     beamsplitter,
@@ -38,7 +37,8 @@ from .symplectic import (
 )
 
 # The 50:50 beamsplitter that mixes the signal (mode 0) with the near arm (mode 1).
-_MIX = _read_only(build_symplectic([beamsplitter(0, 1)], 3))
+_MIX = build_symplectic([beamsplitter(0, 1)], 3)
+_MIX.setflags(write=False)
 _FLOAT_MAX = np.finfo(float).max
 # past it cosh(2 zeta)^2, which the closed form forms, overflows
 _ZETA_MAX = math.acosh(math.sqrt(_FLOAT_MAX)) / 2.0  # ~177.79

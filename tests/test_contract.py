@@ -743,16 +743,9 @@ def test_outcome_density_fields_are_its_three_arrays():
 # shapes and bits, with every array read-only.  The numpy scalars among the arguments check that a made
 # record holds a Python int and float64 or complex128 arrays, as the constructor would.
 _DENSE = fock.FockState(2, 3, fock.number_state_fock([1, 2], 3).tensor.copy())
-_ARM = cv.fiber_channel(_FIBER)
 MADE = {
-    "vacuum_state": (cv.GaussianState, lambda: cv.vacuum_state(np.int64(2))),
-    "squeezed_state": (cv.GaussianState, lambda: cv.squeezed_state(np.float32(0.4), np.float32(0.3))),
     "squeezed_signal": (cv.GaussianState, lambda: cv.squeezed_signal(np.float32(0.3))),
     "tmsv_state": (cv.GaussianState, lambda: cv.tmsv_state(np.longdouble(0.5))),
-    "fiber_channel": (
-        cv.GaussianChannel, lambda: cv.fiber_channel(cv.FiberParams(np.float32(0.9), phase=np.float32(0.4), n_th=0.3))
-    ),
-    "tensor_channels": (cv.GaussianChannel, lambda: cv.tensor_channels(_ARM, cv.GaussianChannel(np.eye(2), np.eye(2)))),
     "homodyne_project": (cv.OutcomeDensity, lambda: cv.homodyne_project(_TMSV, [3], np.array([0.3, -0.2, 0.1, 0.5])).density),
     "build_tmsv_fock": (fock.FockState, lambda: fock.build_tmsv_fock(0.3, np.int64(6))),
     "apply_loss_fock, sectors": (fock.FockState, lambda: fock.apply_loss_fock(_FOCK, 1, 0.7)),
@@ -801,6 +794,9 @@ OVERFLOWS = {
         "covariance matrix",
     ),
     "displace": (lambda: cv.displace(cv.GaussianState([1e308, 0.0], np.eye(2)), [1e308, 0.0]), "mean vector"),
+    # FiberParams bounds no n_th, so the noise (2 n_th + 1)(1 - |T|^2) is inf, and NaN at |T| = 1 (inf * 0)
+    "fiber_channel": (lambda: cv.fiber_channel(cv.FiberParams(0.5, n_th=1e308)), "noise matrix G"),
+    "fiber_channel, lossless": (lambda: cv.fiber_channel(cv.FiberParams(1.0, n_th=1e308)), "noise matrix G"),
 }
 
 
