@@ -38,7 +38,9 @@ class FiberParams:
     """Single-frequency fiber: |T|, transmission phase, |R|, thermal occupation.
 
     ``noise`` is the scalar G = |R|^2 + (2 n_th + 1)(1 - |T|^2 - |R|^2) that
-    the fiber adds to each quadrature variance.  The phase must be finite.
+    the fiber adds to each quadrature variance.  The phase must be finite,
+    and so must the noise: an n_th near the float maximum is refused.  The
+    four parameters are kept as the floats their rules return.
     """
 
     t_mag: float
@@ -47,11 +49,13 @@ class FiberParams:
     n_th: float = 0.0
 
     def __post_init__(self):
-        _check_fiber(self.t_mag, self.r_mag)
-        _check_finite(self.phase, "phase")
-        _check_occupation(self.n_th)
-        if not all(map(_is_real, (self.t_mag, self.phase, self.r_mag, self.n_th))):  # the rules take arrays
+        t_mag, r_mag = _check_fiber(self.t_mag, self.r_mag)
+        phase, n_th = _check_finite(self.phase, "phase"), _check_occupation(self.n_th)
+        if not all(map(_is_real, (t_mag, phase, r_mag, n_th))):  # the rules take arrays
             raise ValueError("fiber parameters must be real numbers, not arrays")
+        if not 2.0 * n_th + 1.0 < np.inf:  # else the noise is inf, or NaN without absorption (inf * 0)
+            raise ValueError(f"the fiber noise overflows at n_th = {n_th!r}")
+        vars(self).update(t_mag=t_mag, phase=phase, r_mag=r_mag, n_th=n_th)
 
     @property
     def noise(self) -> float:

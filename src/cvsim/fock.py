@@ -100,16 +100,16 @@ class FockState:
     trunc_weight: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", _check_mode_count(self.modes))
-        object.__setattr__(self, "cutoff", _check_cutoff(self.cutoff))
+        modes, cutoff = _check_mode_count(self.modes), _check_cutoff(self.cutoff)
         if not (_is_real(self.trunc_weight) and 0.0 <= self.trunc_weight <= 1.0):  # NaN fails too
             raise ValueError(f"trunc_weight must lie in [0, 1], got {self.trunc_weight!r}")
-        expected = (self.cutoff + 1,) * (2 * self.modes)
+        expected = (cutoff + 1,) * (2 * modes)
         tensor = np.asarray(self.tensor)  # complex stays complex; else the rule of every real array
         tensor = tensor.astype(complex, copy=False) if tensor.dtype.kind == "c" else _real_array(tensor, "tensor")
         if tensor.shape != expected:
             raise ValueError(f"tensor shape {tensor.shape} != {expected}")
-        object.__setattr__(self, "tensor", _check_finite(tensor, "tensor"))
+        vars(self).update(modes=modes, cutoff=cutoff, tensor=_check_finite(tensor, "tensor"),
+                          trunc_weight=float(self.trunc_weight))
 
     def __repr__(self) -> str:
         return f"FockState(modes={self.modes}, cutoff={self.cutoff}, trunc_weight={self.trunc_weight!r})"
@@ -337,10 +337,11 @@ def apply_loss_fock(state: FockState, mode: int, transmittance: float) -> FockSt
     """
     if not (_is_real(transmittance) and 0.0 <= transmittance <= 1.0):
         raise ValueError("transmittance must lie in [0, 1]")
+    transmittance = float(transmittance)
     mode = _mode_index(mode, state.modes)
     if transmittance == 1.0:
         return state
-    maps = _loss_kraus(state.cutoff, float(transmittance))
+    maps = _loss_kraus(state.cutoff, transmittance)
     sectors = _sectors(state)
     if sectors is not None:
         out = np.empty_like(sectors)
@@ -378,7 +379,8 @@ def partial_trace(state: FockState, keep) -> FockState:
     alike on any strides; that of a sector state is the diagonal of Y_0
     summed the same way, a dense one-mode state.  Keeping every mode returns
     ``state`` itself."""
-    _check_vector(keep, "keep")
+    if not _check_vector(keep, "keep").size:
+        raise ValueError("keep must name at least one mode")
     keep = sorted({_mode_index(m, state.modes) for m in keep})
     drop = [m for m in range(state.modes) if m not in keep]
     if not drop:
@@ -393,7 +395,7 @@ def partial_trace(state: FockState, keep) -> FockState:
         # level by level, so the sum rounds alike on a strided and a contiguous tensor
         diag = np.diagonal(tensor, 0, m, tensor.ndim // 2 + m)
         tensor = sum(diag[..., n] for n in range(state.cutoff + 1))
-    return _derived(state, _check_mode_count(len(keep)), tensor)  # keeping no mode fails the mode count
+    return _derived(state, len(keep), tensor)
 
 
 @lru_cache(maxsize=8)
@@ -552,7 +554,7 @@ def homodyne_conditional_fock(state: FockState, mode: int, x: float, phi: float 
     if state.modes < 2:
         raise ValueError("conditioning needs a state of at least two modes")
     mode = _mode_index(mode, state.modes)
-    record = np.array([float(_check_finite(x, "homodyne record"))])
+    record = np.array([_check_finite(x, "homodyne record")])
     d = state.cutoff + 1
     amp = np.exp(1j * _check_finite(phi, "phi") * np.arange(d)) * _wavefunctions(record, d - 1)[:, 0]
     sectors = _sectors(state)

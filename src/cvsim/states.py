@@ -50,14 +50,14 @@ class GaussianState:
         return self.gamma.shape[0] // 2
 
 
-def _check_occupation(n_mean) -> np.ndarray:
-    """Mean thermal photon numbers, a scalar or an array-like, as a float
-    array; ValueError unless each is a real number, which a string is not,
-    finite and >= 0, naming the first failing index of an array."""
+def _check_occupation(n_mean):
+    """Mean thermal photon numbers, a scalar as a float and an array-like as
+    a float array; ValueError unless each is a real number, which a string
+    is not, finite and >= 0, naming the first failing index of an array."""
     if not (_is_real(n_mean) or np.ndim(n_mean)):
         raise ValueError(f"mean thermal photon number must be a real number, got {n_mean!r}")
     n_mean = _check_finite(_real_array(n_mean, "mean thermal photon number"), "mean thermal photon number")
-    _check_each(n_mean >= 0.0, "mean thermal photon number must be non-negative")
+    _check_each(np.greater_equal(n_mean, 0.0), "mean thermal photon number must be non-negative")
     return n_mean
 
 
@@ -91,7 +91,7 @@ def thermal_state(n_mean, n_modes: int | None = None) -> GaussianState:
 def squeezed_state(zeta: float, theta: float = 0.0) -> GaussianState:
     """Single-mode squeezed vacuum, gamma = R(theta) diag(e^2z, e^-2z) R(theta)^T;
     ValueError where |zeta| > ln(float max)/2 ~ 354.89 (e^2|z| overflows) or zeta or theta is NaN."""
-    _check_squeezing("zeta", zeta, _EXP_MAX / 2.0, "exp(2 |zeta|)")
+    zeta = _check_squeezing("zeta", zeta, _EXP_MAX / 2.0, "exp(2 |zeta|)")
     r = rotation_matrix(theta)
     gamma = r @ np.diag([np.exp(2.0 * zeta), np.exp(-2.0 * zeta)]) @ r.T
     return GaussianState(np.zeros(2), gamma)

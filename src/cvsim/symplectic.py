@@ -31,8 +31,8 @@ def _is_real(value) -> bool:
 
 
 def _is_integer(value, low: float, high: float = math.inf) -> bool:
-    """Whether ``value`` is a real number and an integer in [low, high)."""
-    return _is_real(value) and float(value).is_integer() and low <= value < high
+    """Whether ``value`` is a real number, not a bool, and an integer in [low, high)."""
+    return _is_real(value) and not isinstance(value, bool) and float(value).is_integer() and low <= value < high
 
 
 def _check_count(value, name: str, low: int) -> None:
@@ -62,7 +62,7 @@ def _check_mode_count(n_modes) -> int:
     return int(n_modes)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)  # typed: the cached form of 1 mode is no answer for True
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Return the 2N x 2N symplectic form, N blocks of [[0, 1], [-1, 0]].
 
@@ -93,34 +93,36 @@ def _block_diag(*mats) -> np.ndarray:
 
 def rotation_matrix(theta: float) -> np.ndarray:
     """Counter-clockwise single-mode phase-space rotation by a finite theta."""
-    c, s = np.cos(_check_finite(theta, "theta")), np.sin(theta)
+    theta = _check_finite(theta, "theta")
+    c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
 
 
 def _check_finite(x, name: str, core: int | None = None):
-    """``x``; ValueError naming ``name`` unless the scalar ``x`` is a finite
-    real number or each entry of the array ``x`` is finite.  ``core`` as in
-    _check_each, default x.ndim."""
+    """``x``, a scalar as a float; ValueError naming ``name`` unless the
+    scalar ``x`` is a finite real number or each entry of the array ``x`` is
+    finite.  ``core`` as in _check_each, default x.ndim."""
     if not isinstance(x, np.ndarray) or x.ndim == 0:
         if not _is_real(x):
             raise ValueError(f"{name} must be a real number, got {x!r}")
+        x = float(x)
         if not math.isfinite(x):
-            raise ValueError(f"{name} must be finite, got {float(x)!r}")
+            raise ValueError(f"{name} must be finite, got {x!r}")
     else:
         _check_each(np.isfinite(x), f"{name} has non-finite entries", x.ndim if core is None else core)
     return x
 
 
 def _check_rule(x, ok, message: str, name: str):
-    """``x`` if a real number, else as a float array; ValueError unless
-    ``ok`` holds for each value.  The text is message.format(v): v is a
-    scalar ``x`` itself, which fails too where it is not a real number, or
+    """``x`` as a float if a real number, else as a float array; ValueError
+    unless ``ok`` holds for each value.  The text is message.format(v): v is
+    a scalar ``x`` itself, which fails too where it is not a real number, or
     the first failing entry of an array, whose index the text then names.
     ``name`` names an array whose entries are not real numbers."""
     if _is_real(x) or not np.ndim(x):
-        if not (_is_real(x) and ok(x)):
+        if not (_is_real(x) and ok(float(x))):
             raise ValueError(message.format(x))
-        return x
+        return float(x)
     x = _real_array(x, name)
     _check_each(ok(x), lambda i: message.format(float(x[i])))
     return x
@@ -201,7 +203,7 @@ def _check_squeezing(name: str, value: float, limit: float, overflowing: str) ->
     is NaN or not a real number."""
     if _is_real(value) and abs(value) > limit:
         raise ValueError(f"|{name}| = {abs(value)!r} is past {limit:.5g}, where {overflowing} overflows")
-    return float(_check_finite(value, name))
+    return _check_finite(value, name)
 
 
 def _check_each(ok, message, core: int = 0, error=ValueError) -> None:
@@ -288,7 +290,7 @@ def rotation(mode: int, theta: float) -> Gate:
 
 def squeeze(mode: int, zeta: float) -> Gate:
     """ValueError where |zeta| > ln(float max) ~ 709.78, past which e^|zeta| overflows, or zeta is NaN."""
-    _check_squeezing("zeta", zeta, _EXP_MAX, "exp(|zeta|)")
+    zeta = _check_squeezing("zeta", zeta, _EXP_MAX, "exp(|zeta|)")
     return Gate((mode,), np.diag([np.exp(zeta), np.exp(-zeta)]))
 
 

@@ -64,7 +64,7 @@ class TeleportSetup:
         gamma = _check_matrix(self.gamma_in, "signal covariance", 2, symmetric=True)
         kappa = _check_vector(self.kappa_in, "signal mean", 2)
         _check_physical(gamma, "signal covariance")
-        _check_squeezing("zeta", self.zeta, _ZETA_MAX, "cosh(2 zeta)^2")
+        vars(self)["zeta"] = _check_squeezing("zeta", self.zeta, _ZETA_MAX, "cosh(2 zeta)^2")
         _own(self, gamma_in=gamma, kappa_in=kappa)
 
 
@@ -100,9 +100,8 @@ def _gamma_rec_explicit(gamma_in: np.ndarray, zeta: float, f1: FiberParams, f2: 
     """
     c = math.cosh(2.0 * zeta)
     s = math.sinh(2.0 * zeta)
-    t1, t2 = float(f1.t_mag), float(f2.t_mag)
-    alpha1, alpha2, beta = t1**2, t2**2, t1 * t2
-    g1, g2 = float(f1.noise), float(f2.noise)
+    alpha1, alpha2, beta = f1.t_mag**2, f2.t_mag**2, f1.t_mag * f2.t_mag
+    g1, g2 = f1.noise, f2.noise
     a = c * alpha1 + g1
     b = c * alpha2 + g2
 

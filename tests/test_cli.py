@@ -439,6 +439,10 @@ class TestExitCodes:
             ["separability", "--zeta", "0", "--nth", "-1"],
             ["separability", "--zeta", "0", "--absorption-length", "0"],
             ["entanglement-sweep", "--absorption-length", "0"],
+            # the fiber noise overflows: check-state exited 3, teleport with numpy's matmul warning
+            ["check-state", "--nth", "1e308", "--t2", "0.25"],
+            ["teleport", "--nth", "1e308", "--t2", "0.25"],
+            ["check-state", "--nth", "1e308", "--t2", "1"],
         ],
     )
     def test_malformed_value_exits_2(self, capsys, argv):

@@ -7,6 +7,7 @@ as taking no matrix or vector fails ``test_every_public_callable_is_classified``
 
 import dataclasses
 import inspect
+import itertools
 import re
 import warnings
 from pathlib import Path
@@ -304,6 +305,11 @@ class TestModeCount:
     def test_integral_float_builds_what_the_int_builds(self, entry):
         assert np.array_equal(MODE_COUNTS[entry](2.0), MODE_COUNTS[entry](2))
 
+    def test_bool_is_refused(self, entry):
+        # the integer rule read True as 1 mode, where the sampling rule refuses seed=True
+        with pytest.raises(ValueError, match="^mode count must be an integer, got True$"):
+            MODE_COUNTS[entry](True)
+
 
 # Counts and indices that are not real numbers; float() reads each string,
 # and the comparison after it raised TypeError.
@@ -327,6 +333,14 @@ NON_NUMERIC = {
         lambda: cv.gaussian_project(_TMSV, ["0", 1], np.eye(4)),
         r"^measured indices must be integers in \[0, 2\), got \['0', 1\]$",
     ),
+    # a bool is no count or index either; the integer rule read True as 1
+    "build_symplectic, True": (
+        lambda: cv.build_symplectic([cv.rotation(True, 0.1)], 2), r"^mode index must be an integer in \[0, 2\), got True$"
+    ),
+    "homodyne_project, True": (
+        lambda: cv.homodyne_project(_TMSV, [True]), r"^measured indices must be integers in \[0, 4\), got \[True\]$"
+    ),
+    "vacuum_fock, True": (lambda: fock.vacuum_fock(1, True), "^cutoff must be an integer >= 0, got True$"),
 }
 
 
@@ -423,7 +437,11 @@ def test_array_of_non_real_entries_is_refused(entry):
 REAL_SCALARS = {
     "tmsv_state": lambda x: cv.tmsv_state(x).gamma,
     "rotation_matrix": cv.rotation_matrix,
+    "squeeze": lambda x: cv.squeeze(0, x).block,
+    "squeezed_state": lambda x: cv.squeezed_state(x, x).gamma,
     "FiberParams": lambda x: cv.fiber_channel(cv.FiberParams(x, phase=x, r_mag=x, n_th=x)).a,
+    "FiberParams noise": lambda x: cv.FiberParams(x, r_mag=x, n_th=x).noise,
+    "fiber_from_length": lambda x: cv.fiber_from_length(x, 2.0 * x, n_th=x).t_mag,
     "thermal_state": lambda x: cv.thermal_state(x).gamma,
     "TeleportSetup": lambda x: cv.teleport(cv.TeleportSetup(np.eye(2), x)).fidelity_zero_mean,
     "separability_length": lambda x: cv.separability_length(x, x, x),
@@ -442,6 +460,51 @@ REAL_SCALARS = {
 def test_numpy_real_scalars_are_accepted(entry, wrap):
     call = REAL_SCALARS[entry]
     assert np.array_equal(call(wrap(0.5)), call(0.5))
+
+
+# The real scalar types a caller may pass.  Each enters as the float64 the library computes with.
+SCALAR_TYPES = {
+    "float16": np.float16,
+    "float32": np.float32,
+    "longdouble": lambda v: np.nextafter(np.longdouble(v), np.longdouble(np.inf)),  # float() rounds it back
+    "0-d array": lambda v: np.array(v, dtype=np.float32),
+    "int": int,
+    "bool": bool,
+}
+
+
+# A scalar of lower or higher precision gives the bits of its float: rotation_matrix(np.float16(0.3))
+# was a float16 matrix, squeeze(0, True) held the float16 e = 2.71875, and FiberParams computed its
+# noise in the precision of its fields.
+@pytest.mark.parametrize("entry", sorted(REAL_SCALARS))
+@pytest.mark.parametrize("kind", ["float16", "float32", "longdouble", "0-d array"])
+def test_a_scalar_of_any_real_type_gives_the_bits_of_its_float(entry, kind):
+    x = SCALAR_TYPES[kind](0.3)
+    got, want = (np.asarray(REAL_SCALARS[entry](v)) for v in (x, float(x)))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_squeezing_by_true_is_squeezing_by_one():
+    assert cv.squeeze(0, True).block.tobytes() == cv.squeeze(0, 1.0).block.tobytes()
+    assert cv.squeezed_state(True, True).gamma.tobytes() == cv.squeezed_state(1.0, 1.0).gamma.tobytes()
+
+
+def test_records_keep_their_scalars_as_floats():
+    x = np.float32(0.3)
+    fiber = cv.FiberParams(x, phase=x, r_mag=x, n_th=x)
+    kept = [fiber.t_mag, fiber.phase, fiber.r_mag, fiber.n_th, fiber.noise, cv.TeleportSetup(np.eye(2), x).zeta,
+            cv.fiber_from_length(x, 1.0).t_mag, fock.FockState(1, 1, np.eye(2) / 2.0, trunc_weight=x).trunc_weight]
+    assert [type(value) for value in kept] == [float] * len(kept)
+    assert kept[:4] == [float(x)] * 4
+
+
+def test_a_float32_phase_teleports_as_its_float():
+    # degraded_tmsv rotated by each float32 phase, the closed form by their float32 sum: the two
+    # receiver covariances disagreed and teleport raised RuntimeError
+    phase = np.float32(0.3)
+    got, want = (cv.teleport(cv.TeleportSetup(np.eye(2), 0.5, f, f))
+                 for f in (cv.FiberParams(0.9, phase=p) for p in (phase, float(phase))))
+    assert got.gamma_rec.tobytes() == want.gamma_rec.tobytes() and got.fidelity_zero_mean == want.fidelity_zero_mean
 
 
 # The paper's five closed forms, each called on its arguments, with a seeded
@@ -517,6 +580,36 @@ def test_closed_form_point_alone_and_inside_an_array_agree_bitwise(name):
     batch = function(*points.T)
     assert isinstance(batch, np.ndarray) and batch.shape == (len(points),)
     alone = [function(*map(float, point)) for point in points]
+    assert all(type(value) is float for value in alone)
+    assert np.array_equal(np.array(alone).view(np.int64), batch.view(np.int64))
+
+
+def _accepts(function, point):
+    """Whether the closed form takes the point as float64 values."""
+    try:
+        function(*map(float, point))
+    except ValueError:
+        return False
+    return True
+
+
+# A point of any real type gives the bits it gives as an entry of an array of that type, which the
+# rules cast to float64.  A float32 or float16 point alone was computed in its own precision, and a
+# longdouble just above 1 was refused as |T| alone.
+@pytest.mark.parametrize("kind", sorted(SCALAR_TYPES))
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_form_point_of_any_real_type_alone_and_inside_an_array_agree_bitwise(name, kind):
+    function, draw, edges = CLOSED_FORMS[name]
+    cast, arity = SCALAR_TYPES[kind], len(edges[0])
+    if kind in ("int", "bool"):
+        points = itertools.product(*[(False, True) if kind == "bool" else range(4)] * arity)
+    else:
+        points = np.concatenate([np.column_stack(draw(np.random.default_rng(38), 300)), np.array(edges, dtype=float)])
+    points = [typed for typed in ([cast(v) for v in point] for point in points) if _accepts(function, typed)]
+    assert len(points) >= 2
+    batch = function(*[np.array(column) for column in zip(*points)])
+    assert batch.dtype == float and batch.shape == (len(points),)
+    alone = [function(*point) for point in points]
     assert all(type(value) is float for value in alone)
     assert np.array_equal(np.array(alone).view(np.int64), batch.view(np.int64))
 
@@ -794,9 +887,6 @@ OVERFLOWS = {
         "covariance matrix",
     ),
     "displace": (lambda: cv.displace(cv.GaussianState([1e308, 0.0], np.eye(2)), [1e308, 0.0]), "mean vector"),
-    # FiberParams bounds no n_th, so the noise (2 n_th + 1)(1 - |T|^2) is inf, and NaN at |T| = 1 (inf * 0)
-    "fiber_channel": (lambda: cv.fiber_channel(cv.FiberParams(0.5, n_th=1e308)), "noise matrix G"),
-    "fiber_channel, lossless": (lambda: cv.fiber_channel(cv.FiberParams(1.0, n_th=1e308)), "noise matrix G"),
 }
 
 
@@ -807,6 +897,16 @@ def test_an_overflowing_result_is_refused(entry):
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
             call()
+
+
+# FiberParams refuses an n_th whose noise (2 n_th + 1)(1 - |T|^2 - |R|^2) overflows: inf, and NaN at
+# |T| = 1 (inf * 0).  fiber_channel refused that noise only as its matrix G, while degraded_tmsv returned
+# a covariance holding it and teleport passed it on to numpy's matmul.
+@pytest.mark.parametrize("t_mag", [0.5, 1.0])
+def test_fiber_noise_that_overflows_is_refused(t_mag):
+    with pytest.raises(ValueError, match=r"^the fiber noise overflows at n_th = 1e\+308$"):
+        cv.FiberParams(t_mag, n_th=1e308)
+    assert cv.FiberParams(t_mag, n_th=1e307).noise == (2e307 + 1.0) * (1.0 - t_mag**2)
 
 
 # The sampling arguments: seed and size follow n_samples' rule, a Python or numpy integer that is not a

@@ -989,7 +989,7 @@ _MODE_ENTRY_POINTS = {
 
 class TestModeIndex:
     @pytest.mark.parametrize("entry", sorted(_MODE_ENTRY_POINTS))
-    @pytest.mark.parametrize("mode", [0.5, -1, 2, 7, float("nan"), float("inf")])
+    @pytest.mark.parametrize("mode", [0.5, -1, 2, 7, float("nan"), float("inf"), True])  # True was mode 1
     def test_rejects_bad_index(self, entry, mode):
         st = fock.build_tmsv_fock(0.3, cutoff=6)
         message = r"mode index must be an integer in \[0, 2\)"
@@ -1027,6 +1027,13 @@ class TestPartialTrace:
         dense, sectors = fock.FockState(2, 3, tensor), fock.build_tmsv_fock(0.3, 8)
         assert fock.partial_trace(dense, [1, 0]) is dense and fock.partial_trace(sectors, [0, 1]) is sectors
         assert tensor.flags.writeable
+
+    def test_keeping_no_mode_is_refused_before_any_work(self):
+        # the d^4 tensor of the sector state was built and cached before a mode count of 0 was refused
+        st = fock.build_tmsv_fock(0.3, cutoff=25)
+        with pytest.raises(ValueError, match="^keep must name at least one mode$"):
+            fock.partial_trace(st, [])
+        assert "tensor" not in vars(st)
 
     def test_moments_of_a_sector_state_run_no_record_check(self, monkeypatch):
         # the two one-mode reductions are made from the sectors, not checked again
